@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -20,13 +19,7 @@ import numpy as np
 from . import dataio
 from .dataio import NaPolicy, ScorePanel, apply_na_policy, model_mean_scores
 from .decomposition import ErrorVector, ambiguity_check, phi_decomposed, phi_direct
-from .importance import (
-    Algorithm,
-    WeightScheme,
-    compute_importance,
-    importance_by_subset_size,
-    rank_models,
-)
+from .importance import Algorithm, WeightScheme, compute_importance, rank_models
 from .scoring import Metric, ValidationError, positive_score
 from .simulation import (
     Grid,
@@ -46,7 +39,7 @@ SUBSET_VARIANCE_HEADER = ("model", "subset_size", "mean", "variance", "n_subsets
 def _resolve_workers(requested: int | None) -> int:
     if requested is not None:
         if requested < 1:
-            raise ValidationError("worker count must be >= 1")
+            raise ValidationError(f"--workers must be >= 1, got {requested}")
         return requested
     env = os.environ.get(WORKERS_ENV)
     if env:
@@ -57,6 +50,8 @@ def _resolve_workers(requested: int | None) -> int:
         if value < 1:
             raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {value}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -64,6 +59,16 @@ def _read_inputs(args) -> tuple[list[dataio.ForecastRecord], dict, dataio.ReadRe
     records, report = dataio.read_forecasts(args.forecasts)
     truth = dataio.read_truth(args.truth)
     return records, truth, report
+
+
+def _read_task_pools(args) -> list[dataio.TaskPool]:
+    records, truth, report = _read_inputs(args)
+    _print_report(report)
+    pools, join_report = dataio.build_task_pools(records, truth)
+    _print_report(join_report)
+    if not pools:
+        raise ValidationError("no scoreable tasks after joining forecasts with truth")
+    return pools
 
 
 def _print_report(report: dataio.ReadReport) -> None:
@@ -181,25 +186,11 @@ def cmd_importance(args) -> int:
     scheme = WeightScheme(args.weights)
     policy = NaPolicy(args.na)
     workers = _resolve_workers(args.workers)
-
-    records, truth, report = _read_inputs(args)
-    _print_report(report)
-    pools, join_report = dataio.build_task_pools(records, truth)
-    _print_report(join_report)
-    if not pools:
-        raise ValidationError("no scoreable tasks after joining forecasts with truth")
+    pools = _read_task_pools(args)
 
     result = compute_importance(
         pools, metric, algorithm, scheme=scheme, na_policy=policy, n_workers=workers
     )
-    # The summary table carries both algorithms when the subset sweep already
-    # ran; the rank columns always follow the algorithm that was asked for.
-    extra = {}
-    if algorithm is Algorithm.LASOMO:
-        lomo = compute_importance(
-            pools, metric, Algorithm.LOMO, na_policy=policy, n_workers=workers
-        )
-        extra["phi_lomo"] = dict(lomo.overall)
 
     kept = {tp.task for tp in pools}
     cells = {}
@@ -215,11 +206,12 @@ def cmd_importance(args) -> int:
     counts = {m: score_panel.present_count(m) for m in score_panel.models}
 
     rows = _importance_rows(result, score_means, counts, len(score_panel.tasks), metric)
-    if extra:
+    if result.lomo is not None:
+        # The subset table also holds LOMO, so the summary carries both
+        # algorithms; the rank columns follow the algorithm that was asked for.
+        lomo = model_mean_scores(apply_na_policy(result.lomo, policy))
         more = _summary_rows(
-            {m: {"phi_lomo": v} for m, v in extra["phi_lomo"].items()},
-            counts,
-            len(score_panel.tasks),
+            {m: {"phi_lomo": v} for m, v in lomo.items()}, counts, len(score_panel.tasks)
         )
         rows = _merge_summary_rows(rows, more)
     dataio.write_results(rows, args.output, args.format)
@@ -260,6 +252,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decompose_check(args) -> int:
+    if args.instances < 1:
+        raise ValidationError(f"--instances must be >= 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     max_identity = 0.0
     max_ambiguity = 0.0
@@ -295,28 +289,14 @@ def cmd_subset_variance(args) -> int:
     scheme = WeightScheme(args.weights)
     policy = NaPolicy(args.na)
     workers = _resolve_workers(args.workers)
-
-    records, truth, report = _read_inputs(args)
-    _print_report(report)
-    pools, join_report = dataio.build_task_pools(records, truth)
-    _print_report(join_report)
-    if not pools:
-        raise ValidationError("no scoreable tasks after joining forecasts with truth")
+    pools = _read_task_pools(args)
 
     result = compute_importance(
         pools, metric, Algorithm.LASOMO, scheme=scheme, na_policy=policy, n_workers=workers
     )
-
-    # Per-task mean over sizes; under permutation weights this equals the
+    # Under permutation weights the per-task mean over sizes equals the
     # per-task LASOMO value, so its policy-filled average matches overall phi.
-    mos_cells = {}
-    for tp in sorted(pools, key=lambda t: t.task):
-        for model in tp.pool.model_ids:
-            stats = importance_by_subset_size(tp, metric, model)
-            means = [stats[r].mean for r in sorted(stats)]
-            mos_cells[(model, tp.task)] = math.fsum(means) / len(means)
-    mos_panel = ScorePanel(result.per_task.models, result.per_task.tasks, mos_cells)
-    mos = model_mean_scores(apply_na_policy(mos_panel, policy))
+    mos = model_mean_scores(apply_na_policy(result.mean_over_sizes, policy))
 
     rows = []
     for model in result.per_task.models:

@@ -238,7 +238,8 @@ def _parse_int(text: str, row: int, col: str) -> int:
 
 
 def _open_reader(path: str):
-    return open(path, newline="", encoding="utf-8")
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first.
+    return open(path, newline="", encoding="utf-8-sig")
 
 
 def _check_header(got: Sequence[str] | None, expected: tuple[str, ...], path: str) -> None:

@@ -105,13 +105,21 @@ class ForecastPool:
         return tuple(i for i, m in enumerate(self.model_ids) if m in wanted)
 
 
-def _column_means(rows: np.ndarray) -> np.ndarray:
-    # rows: (m, K) member values in canonical order. Left-to-right member
-    # sums keep results bit-identical to the bitmask enumeration path.
+def member_means(rows: np.ndarray) -> np.ndarray:
+    """Mean over the leading member axis of values in canonical member order.
+
+    Members sum strictly left to right whatever the trailing axes are, which
+    keeps results bit-identical to the bitmask enumeration path; pools above
+    ``_PLAIN_SUM_LIMIT`` members switch to compensated sums.
+    """
     m = rows.shape[0]
     if m <= _PLAIN_SUM_LIMIT:
-        return np.add.reduce(rows, axis=0) / m
-    return np.asarray([math.fsum(col) for col in rows.T], dtype=np.float64) / m
+        total = rows[0]
+        for row in rows[1:]:
+            total = total + row
+        return total / m
+    cols = rows.reshape(m, -1).T
+    return np.asarray([math.fsum(col) for col in cols]).reshape(rows.shape[1:]) / m
 
 
 def mean_quantile_ensemble(pool: ForecastPool, subset: Iterable[str]) -> QuantileForecast:
@@ -124,7 +132,7 @@ def mean_quantile_ensemble(pool: ForecastPool, subset: Iterable[str]) -> Quantil
         raise ValidationError("mean_quantile_ensemble requires a quantile pool")
     idx = pool.subset_indices(subset)
     rows = pool.values_matrix()[list(idx)]
-    return QuantileForecast(pool.levels, tuple(_column_means(rows)))
+    return QuantileForecast(pool.levels, tuple(member_means(rows)))
 
 
 def mean_point_ensemble(pool: ForecastPool, subset: Iterable[str]) -> PointForecast:

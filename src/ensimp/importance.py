@@ -11,11 +11,19 @@ accuracy on a task:
   models makes no prediction, so the permutation weights are
   ``s!(n-s-1)! / ((n-1)! * (n-1)) == 1 / ((n-1) * C(n-1, s))``.
 
-Subsets are enumerated by bitmask over the pool's canonical (sorted) model
-ordering, each subset's ensemble score is computed once and shared across
-all per-model sweeps, and weighted terms accumulate in ascending bitmask
-order, so results are reproducible bit for bit across runs, worker counts,
-and the batched panel path.
+Both are differences of ensemble scores over the lattice of model subsets,
+enumerated by bitmask over the pool's canonical (sorted) model order. For a
+batch of tasks sharing one pool, the LASOMO kernel builds one table that
+scores every subset once, and everything else is a readout of it: LASOMO,
+LOMO (the top layer, ``score[full] - score[full without i]``), the moments
+of the marginal contributions at each subset size and their per-task mean
+over sizes. The LOMO kernel scores only the n + 1 top-layer ensembles, so it
+has no model cap; the panel path and the simulation engine both use it.
+
+Member values sum left to right in canonical order and weighted terms
+accumulate in ascending bitmask order, so a cell is reproducible bit for
+bit across runs and worker counts, does not depend on which tasks share its
+batch, and the LOMO read from the table equals the LOMO kernel's.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ from .dataio import (
     apply_na_policy,
     model_mean_scores,
 )
-from .ensembling import mean_point_ensemble, mean_quantile_ensemble
-from .scoring import Metric, ValidationError, positive_score, wis_batch
+from .ensembling import member_means
+from .scoring import Metric, QuantileLevels, ValidationError, wis_batch
 
 __all__ = [
     "Algorithm",
@@ -149,98 +157,143 @@ def _size_weights(n: int, scheme: WeightScheme) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
+def _scored_values(values: np.ndarray, levels: QuantileLevels | None, metric: Metric):
+    """The member values a metric reads, and the levels WIS scores them at.
+
+    ``levels`` is None for point values. SPE on quantile values reads the
+    predictive median, so it too comes back with None levels (squared error).
+    """
+    if levels is None:
+        if metric is Metric.WIS:
+            raise ValidationError("WIS requires quantile forecasts")
+        return values, None
+    if metric is Metric.SPE:
+        return values[..., levels.index_of(0.5)], None
+    return values, levels
+
+
+def _pos_scores(ens: np.ndarray, levels: QuantileLevels | None, y) -> np.ndarray:
+    """Positively oriented score of ensemble values; ``y`` broadcasts over their batch axes."""
+    if levels is None:
+        return -((y - ens) ** 2)
+    return -wis_batch(ens, levels, y)
+
+
+def _batch_arrays(tps: Sequence[TaskPool]):
+    """Member values (n, T[, K]), their levels (None for point pools) and truths of a batch."""
+    pool = tps[0].pool
+    values = np.stack([tp.pool.values_matrix() for tp in tps], axis=1)
+    y = np.asarray([tp.truth.value for tp in tps], dtype=np.float64)
+    return values, (pool.levels if pool.is_quantile else None), y
+
+
+def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric) -> np.ndarray:
+    """LOMO of every member: the full ensemble's score minus the score without it.
+
+    ``values`` holds member values in canonical order along the first axis,
+    then batch axes that ``y`` broadcasts against, then the level axis when
+    ``levels`` is given (None means point values). The n + 1 ensembles are
+    scored in one call, so the pool size has no cap; the result is
+    (n, batch...). The panel path and the simulation engine share it.
+    """
+    values, levels = _scored_values(values, levels, metric)
+    n = values.shape[0]
+    ens = np.stack(
+        [member_means(values)]
+        + [member_means(np.delete(values, i, axis=0)) for i in range(n)]
+    )
+    scores = _pos_scores(ens, levels, y)
+    return scores[0] - scores[1:]
+
+
+def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
+    """Positively oriented ensemble score of every subset, and its member count.
+
+    Both are indexed by bitmask over canonical member order. Members join in
+    ascending bit order, so each subset's sum is the plain left-to-right sum
+    of its members, bit for bit. Score row 0, the empty coalition, is NaN
+    and is never read.
+    """
+    n = values.shape[0]
+    sums = np.zeros((1 << n,) + values.shape[1:], dtype=np.float64)
     sizes = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
+        sums[1 << i : 2 << i] = sums[: 1 << i] + values[i]
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    sizes.setflags(write=False)
-    return sizes
-
-
-@lru_cache(maxsize=None)
-def _model_sweep(n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ascending masks without bit ``i``, the same masks with it, subset sizes."""
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    bit = 1 << i
-    without = masks[(masks & bit) == 0]
-    with_i = without | bit
-    sizes = _popcounts(n)[without]
-    for arr in (without, with_i, sizes):
-        arr.setflags(write=False)
-    return without, with_i, sizes
-
-
-def _ascending_sum(values: np.ndarray) -> float:
-    # accumulate is sequential by definition, unlike the blocked reduction
-    # numpy uses for long contiguous axes; this pins the canonical
-    # left-to-right summation order (the batched path reduces along its
-    # outer axis, which is sequential as well).
-    return float(np.add.accumulate(values)[-1])
-
-
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """Member-value sums for every bitmask, built one bit at a time.
-
-    Adding models in ascending bit order makes each subset's sum the plain
-    left-to-right sum of its members in canonical order, bit for bit.
-    ``values`` may carry trailing batch axes; the mask axis comes first in
-    the result.
-    """
-    n = values.shape[0]
-    out = np.zeros((1 << n,) + values.shape[1:], dtype=np.float64)
-    for i in range(n):
-        out[1 << i : 2 << i] = out[: 1 << i] + values[i]
-    return out
-
-
-def _pos_scores_from_values(
-    values: np.ndarray, is_quantile: bool, levels, metric: Metric, y
-) -> np.ndarray:
-    """Positively oriented ensemble score for every non-empty subset.
-
-    ``values`` holds member values with the member axis first, optionally
-    followed by a task batch axis (and the level axis for quantile pools);
-    ``y`` is a scalar or one observation per batched task. The result is
-    indexed by bitmask over canonical member order; index 0 (the empty
-    coalition) is NaN and must never be read.
-    """
-    if metric is Metric.WIS and not is_quantile:
-        raise ValidationError("WIS requires quantile forecasts")
-    n = values.shape[0]
-    sums = _subset_sums(values)
-    sizes = _popcounts(n)
-    y = np.asarray(y, dtype=np.float64)
-    out_shape = sums.shape[1:-1] if is_quantile else sums.shape[1:]
-    scores = np.full((1 << n,) + out_shape, np.nan, dtype=np.float64)
-    if is_quantile and metric is Metric.SPE:
-        # SPE on quantile pools scores the predictive median.
-        k = levels.index_of(0.5)
-        sums = sums[..., k]
-        is_quantile = False
-    row_elements = int(np.prod(sums.shape[1:], dtype=np.int64)) or 1
-    block = max(1, _SCORE_BLOCK_ELEMENTS // row_elements)
+    scores = np.full((1 << n, values.shape[1]), np.nan, dtype=np.float64)
+    block = max(1, _SCORE_BLOCK_ELEMENTS // int(np.prod(sums.shape[1:])))
     for start in range(1, 1 << n, block):
         stop = min(start + block, 1 << n)
-        if is_quantile:
-            sz = sizes[start:stop].reshape((-1,) + (1,) * (sums.ndim - 1))
-            ens = sums[start:stop] / sz
-            scores[start:stop] = -wis_batch(ens, levels, y)
-        else:
-            sz = sizes[start:stop].reshape((-1,) + (1,) * y.ndim)
-            ens = sums[start:stop] / sz
-            scores[start:stop] = -((y - ens) ** 2)
-    return scores
+        sz = sizes[start:stop].reshape((-1,) + (1,) * (sums.ndim - 1))
+        scores[start:stop] = _pos_scores(sums[start:stop] / sz, levels, y)
+    return scores, sizes
 
 
-def _subset_pos_scores(pool, metric: Metric, y) -> np.ndarray:
-    return _pos_scores_from_values(
-        pool.values_matrix(),
-        pool.is_quantile,
-        pool.levels if pool.is_quantile else None,
-        metric,
-        y,
-    )
+@dataclass(frozen=True)
+class _Readouts:
+    """What the kernels yield for a batch of T tasks sharing one pool.
+
+    ``phi`` holds the (n, T) importance cells. The subset table adds the
+    LOMO and mean-over-sizes cells and, per ensemble size r = 2..n (column
+    r - 2), the count of marginal contributions of each model pooled over
+    the batch, and per model their mean and sum of squared deviations (M2).
+    """
+
+    phi: np.ndarray
+    lomo: np.ndarray | None = None
+    mean_over_sizes: np.ndarray | None = None
+    size_count: np.ndarray | None = None
+    size_mean: np.ndarray | None = None
+    size_m2: np.ndarray | None = None
+
+
+def _subset_table(
+    values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric, scheme: WeightScheme
+) -> _Readouts:
+    """Score every subset of a batch once and read all LASOMO outputs from it.
+
+    For model i the masks without bit i and the masks with it are the two
+    halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
+    in ascending mask order. Model i's marginal contributions thus come out
+    indexed by the mask with bit i squeezed out, whose popcount is the size
+    of the coalition i joins, whatever i is: one popcount vector serves
+    every model.
+    """
+    values, levels = _scored_values(values, levels, metric)
+    n, t = values.shape[:2]
+    scores, sizes = _subset_scores(values, levels, y)
+    half = 1 << (n - 1)
+    sizes = sizes[1:half]  # mask 0, the empty coalition, has no score
+    weights = _size_weights(n, scheme)[sizes][:, None]
+    by_size = np.argsort(sizes, kind="stable")
+    counts = np.asarray([math.comb(n - 1, s) for s in range(1, n)])
+    starts = np.cumsum(counts) - counts
+    phi, mos = np.empty((n, t)), np.empty((n, t))
+    mean, m2 = np.empty((n, n - 1)), np.empty((n, n - 1))
+    for i in range(n):
+        halves = scores.reshape(half >> i, 2, 1 << i, t)
+        diffs = (halves[:, 1] - halves[:, 0]).reshape(half, t)[1:]
+        # accumulate pins the ascending mask order at every batch width; a
+        # reduce over a (N, 1) array would sum pairwise instead.
+        phi[i] = np.add.accumulate(weights * diffs, axis=0)[-1]
+        grouped = diffs[by_size]
+        sums = np.add.reduceat(grouped, starts, axis=0)
+        mos[i] = np.add.accumulate(sums / counts[:, None], axis=0)[-1] / (n - 1)
+        mean[i] = np.add.reduce(sums, axis=1) / (counts * t)
+        dev = grouped - np.repeat(mean[i], counts)[:, None]
+        m2[i] = np.add.reduce(np.add.reduceat(dev * dev, starts, axis=0), axis=1)
+    full = (1 << n) - 1
+    lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
+    return _Readouts(phi, lomo, mos, counts * t, mean, m2)
+
+
+def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
+    """Chan, Golub & LeVeque's pairwise update of two (count, mean, M2) summaries."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
 
 
 def _pool_index(task_pool: TaskPool, model_id: str) -> int:
@@ -250,62 +303,34 @@ def _pool_index(task_pool: TaskPool, model_id: str) -> int:
         raise ValidationError(f"model {model_id!r} not in the task's pool") from None
 
 
-def lomo_task(task_pool: TaskPool, metric: Metric, model_id: str) -> float:
-    """Importance of one model as the score drop when it leaves the full pool."""
-    pool = task_pool.pool
-    _pool_index(task_pool, model_id)
-    if len(pool) < 2:
-        raise ValidationError("cannot leave out the only model in the pool")
-    combine = mean_quantile_ensemble if pool.is_quantile else mean_point_ensemble
-    rest = [m for m in pool.model_ids if m != model_id]
-    full = positive_score(metric, combine(pool, pool.model_ids), task_pool.truth).value
-    loo = positive_score(metric, combine(pool, rest), task_pool.truth).value
-    return full - loo
+def _task_table(task_pool: TaskPool, metric: Metric, scheme: WeightScheme) -> _Readouts:
+    n = len(task_pool.pool)
+    if n < 2:
+        raise ValidationError("need at least 2 models for importance")
+    _check_capacity(n)
+    return _subset_table(*_batch_arrays([task_pool]), metric, scheme)
 
 
 def lomo_all(task_pool: TaskPool, metric: Metric) -> np.ndarray:
     """LOMO importance for every pool member, in canonical member order."""
-    pool = task_pool.pool
-    if len(pool) < 2:
+    if len(task_pool.pool) < 2:
         raise ValidationError("cannot leave out the only model in the pool")
-    combine = mean_quantile_ensemble if pool.is_quantile else mean_point_ensemble
-    full = positive_score(metric, combine(pool, pool.model_ids), task_pool.truth).value
-    out = np.empty(len(pool), dtype=np.float64)
-    for i, model_id in enumerate(pool.model_ids):
-        rest = [m for m in pool.model_ids if m != model_id]
-        loo = positive_score(metric, combine(pool, rest), task_pool.truth).value
-        out[i] = full - loo
-    return out
+    return lomo_kernel(*_batch_arrays([task_pool]), metric)[:, 0]
+
+
+def lomo_task(task_pool: TaskPool, metric: Metric, model_id: str) -> float:
+    """Importance of one model as the score drop when it leaves the full pool."""
+    i = _pool_index(task_pool, model_id)
+    return float(lomo_all(task_pool, metric)[i])
 
 
 def lasomo_all(
     task_pool: TaskPool,
     metric: Metric,
     scheme: WeightScheme = WeightScheme.PERMUTATION,
-    memoize: bool = True,
 ) -> np.ndarray:
-    """LASOMO importance for every pool member, in canonical member order.
-
-    With ``memoize`` (the default) each subset's ensemble score is computed
-    once and shared across the per-model sweeps; disabling it recomputes the
-    scores for every model through the identical code path, which is useful
-    only to demonstrate that the cache does not change results.
-    """
-    pool = task_pool.pool
-    n = len(pool)
-    if n < 2:
-        raise ValidationError("need at least 2 models for importance")
-    _check_capacity(n)
-    weights = _size_weights(n, scheme)
-    y = task_pool.truth.value
-    scores = _subset_pos_scores(pool, metric, y) if memoize else None
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        per_model = scores if memoize else _subset_pos_scores(pool, metric, y)
-        without, with_i, sizes = _model_sweep(n, i)
-        diffs = per_model[with_i] - per_model[without]
-        out[i] = _ascending_sum(weights[sizes] * diffs)
-    return out
+    """LASOMO importance for every pool member, in canonical member order."""
+    return _task_table(task_pool, metric, scheme).phi[:, 0]
 
 
 def lasomo_task(
@@ -337,22 +362,11 @@ def importance_by_subset_size(
     permutation-weight LASOMO value: each size contributes C(n-1, r-1)
     subsets whose common weight is 1/((n-1) C(n-1, r-1)).
     """
-    pool = task_pool.pool
-    n = len(pool)
     i = _pool_index(task_pool, model_id)
-    if n < 2:
-        raise ValidationError("need at least 2 models for importance")
-    _check_capacity(n)
-    scores = _subset_pos_scores(pool, metric, task_pool.truth.value)
-    without, with_i, sizes = _model_sweep(n, i)
-    diffs = scores[with_i] - scores[without]
-    r_of = sizes + 1
+    out = _task_table(task_pool, metric, WeightScheme.PERMUTATION)
     stats: dict[int, SizeStat] = {}
-    for r in range(2, n + 1):
-        vals = diffs[r_of == r]
-        mean = float(np.add.reduce(vals)) / len(vals)
-        var = float(np.add.reduce((vals - mean) ** 2)) / len(vals)
-        stats[r] = SizeStat(mean, var, len(vals))
+    for k, count in enumerate(out.size_count.tolist()):
+        stats[k + 2] = SizeStat(float(out.size_mean[i, k]), float(out.size_m2[i, k]) / count, count)
     return stats
 
 
@@ -377,8 +391,11 @@ class ImportanceResult:
 
     ``per_task`` keeps the raw matrix with a missing cell wherever a model
     did not forecast a task; ``overall`` averages after the NA policy has
-    been applied. ``by_subset_size`` pools marginal contributions across all
-    (task, subset) pairs and is populated for LASOMO only.
+    been applied. For LASOMO the subset tables that give ``per_task`` also
+    give ``lomo``, the per-task LOMO cells, ``mean_over_sizes``, the per-task
+    unweighted mean of the per-size mean contributions, and
+    ``by_subset_size``, which pools marginal contributions across all (task,
+    subset) pairs; all three are None for LOMO.
     """
 
     algorithm: Algorithm
@@ -388,52 +405,8 @@ class ImportanceResult:
     per_task: ScorePanel
     overall: Mapping[str, float]
     by_subset_size: Mapping[str, Mapping[int, SizeStat]] | None
-
-
-@lru_cache(maxsize=None)
-def _size_onehot(n: int, i: int) -> np.ndarray:
-    """Row r selects the sweep positions whose ensemble size |S|+1 equals r."""
-    _, _, sizes = _model_sweep(n, i)
-    onehot = np.zeros((n + 1, sizes.shape[0]), dtype=np.float64)
-    onehot[sizes + 1, np.arange(sizes.shape[0])] = 1.0
-    onehot.setflags(write=False)
-    return onehot
-
-
-def _lasomo_batch(tps: Sequence[TaskPool], metric: Metric, scheme: WeightScheme):
-    """LASOMO for a batch of tasks sharing one pool signature.
-
-    Returns per-model importance values (n, T) plus per-model, per-size
-    moment sums (sum and sum of squares of marginal contributions) for the
-    pooled subset-size diagnostics.
-    """
-    pool0 = tps[0].pool
-    n = len(pool0)
-    is_quantile = pool0.is_quantile
-    levels = pool0.levels if is_quantile else None
-    # (n, T) or (n, T, K): member axis first so subset sums broadcast.
-    stacked = np.stack([tp.pool.values_matrix() for tp in tps], axis=1)
-    y = np.asarray([tp.truth.value for tp in tps], dtype=np.float64)
-    scores = _pos_scores_from_values(stacked, is_quantile, levels, metric, y)
-    weights = _size_weights(n, scheme)
-    phi = np.empty((n, len(tps)), dtype=np.float64)
-    mom_sum = np.empty((n, n + 1), dtype=np.float64)
-    mom_sq = np.empty((n, n + 1), dtype=np.float64)
-    for i in range(n):
-        without, with_i, sizes = _model_sweep(n, i)
-        diffs = scores[with_i] - scores[without]
-        phi[i] = np.add.reduce(weights[sizes][:, None] * diffs, axis=0)
-        onehot = _size_onehot(n, i)
-        mom_sum[i] = np.add.reduce(onehot @ diffs, axis=1)
-        mom_sq[i] = np.add.reduce(onehot @ (diffs * diffs), axis=1)
-    return phi, mom_sum, mom_sq
-
-
-def _lomo_batch(tps: Sequence[TaskPool], metric: Metric):
-    phi = np.empty((len(tps[0].pool), len(tps)), dtype=np.float64)
-    for t, tp in enumerate(tps):
-        phi[:, t] = lomo_all(tp, metric)
-    return phi, None, None
+    lomo: ScorePanel | None = None
+    mean_over_sizes: ScorePanel | None = None
 
 
 def compute_importance(
@@ -481,9 +454,10 @@ def compute_importance(
             jobs.append(chunk[k : k + per_batch])
 
     def run(job: list[TaskPool]):
+        arrays = _batch_arrays(job)
         if algorithm is Algorithm.LASOMO:
-            return job, _lasomo_batch(job, metric, scheme)
-        return job, _lomo_batch(job, metric)
+            return job, _subset_table(*arrays, metric, scheme)
+        return job, _Readouts(lomo_kernel(*arrays, metric))
 
     if n_workers is not None and n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -491,43 +465,44 @@ def compute_importance(
     else:
         outputs = [run(job) for job in jobs]
 
-    cells: dict[tuple[str, TaskKey], float] = {}
-    moments: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
-    for job, (phi, mom_sum, mom_sq) in outputs:
+    phi: dict[tuple[str, TaskKey], float] = {}
+    lomo: dict[tuple[str, TaskKey], float] = {}
+    mos: dict[tuple[str, TaskKey], float] = {}
+    moments: dict[tuple[str, int], tuple[int, float, float]] = {}
+    for job, out in outputs:
         ids = job[0].pool.model_ids
-        n = len(ids)
         for t, tp in enumerate(job):
             for i, model in enumerate(ids):
-                cells[(model, tp.task)] = float(phi[i, t])
-        if mom_sum is not None:
+                phi[(model, tp.task)] = float(out.phi[i, t])
+                if out.lomo is not None:
+                    lomo[(model, tp.task)] = float(out.lomo[i, t])
+                    mos[(model, tp.task)] = float(out.mean_over_sizes[i, t])
+        if out.size_count is not None:
+            # Batches merge in sorted batch order, which fixes the result.
             for i, model in enumerate(ids):
-                for r in range(2, n + 1):
-                    count = math.comb(n - 1, r - 1) * len(job)
-                    moments.setdefault((model, r), []).append(
-                        (count, float(mom_sum[i, r]), float(mom_sq[i, r]))
-                    )
+                for k, count in enumerate(out.size_count.tolist()):
+                    part = (count, float(out.size_mean[i, k]), float(out.size_m2[i, k]))
+                    key = (model, k + 2)
+                    moments[key] = _merge_moments(moments[key], part) if key in moments else part
 
-    models = tuple(sorted({m for m, _ in cells}))
+    models = tuple(sorted({m for m, _ in phi}))
     tasks = tuple(tp.task for tp in pools)
-    panel = ScorePanel(models, tasks, cells)
+    panel = ScorePanel(models, tasks, phi)
     overall = model_mean_scores(apply_na_policy(panel, na_policy))
+    if algorithm is Algorithm.LOMO:
+        return ImportanceResult(algorithm, None, metric, na_policy, panel, overall, None)
 
-    by_size = None
-    if algorithm is Algorithm.LASOMO:
-        by_size = {m: {} for m in models}
-        for (model, r) in sorted(moments):
-            parts = moments[(model, r)]
-            count = sum(c for c, _, _ in parts)
-            mean = math.fsum(s for _, s, _ in parts) / count
-            second = math.fsum(q for _, _, q in parts) / count
-            by_size[model][r] = SizeStat(mean, max(second - mean**2, 0.0), count)
-
+    by_size: dict[str, dict[int, SizeStat]] = {m: {} for m in models}
+    for (model, r), (count, mean, m2) in sorted(moments.items()):
+        by_size[model][r] = SizeStat(mean, m2 / count, count)
     return ImportanceResult(
         algorithm=algorithm,
-        weight_scheme=scheme if algorithm is Algorithm.LASOMO else None,
+        weight_scheme=scheme,
         metric=metric,
         na_policy=na_policy,
         per_task=panel,
         overall=overall,
         by_subset_size=by_size,
+        lomo=ScorePanel(models, tasks, lomo),
+        mean_over_sizes=ScorePanel(models, tasks, mos),
     )

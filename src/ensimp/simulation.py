@@ -21,13 +21,14 @@ from numpy.random import Generator, Philox
 from scipy.special import erfc
 
 from .dataio import format_float
+from .importance import lomo_kernel
 from .scoring import (
     CANONICAL_LEVELS,
+    Metric,
     PointForecast,
     QuantileForecast,
     QuantileLevels,
     ValidationError,
-    wis_batch,
 )
 
 __all__ = [
@@ -151,7 +152,9 @@ class Grid:
             raise ValidationError("grid end precedes start")
 
     def __len__(self) -> int:
-        return int(round((self.end - self.start) / self.step)) + 1
+        # Whole steps that fit, with slack for the rounding of the quotient,
+        # so no value passes end by more than rounding.
+        return math.floor((self.end - self.start) / self.step + 1e-9) + 1
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(len(self))
@@ -259,28 +262,16 @@ def _swept_component(spec: SimulationSpec, value: float):
 def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
     """Mean and population std of per-replicate LOMO importance, per forecaster."""
     components = list(spec.fixed_components) + [_swept_component(spec, value)]
-    n = len(components)
     y = truth_draws(spec.seed, grid_index, spec.replicates, spec.truth)
-
     if spec.scenario is Scenario.A_POINT:
-        means = np.asarray([c.value for c in components], dtype=np.float64)
-        full = np.add.reduce(means) / n
-        phi = np.empty((n, spec.replicates), dtype=np.float64)
-        for i in range(n):
-            loo = np.add.reduce(np.delete(means, i)) / (n - 1)
-            phi[i] = -((y - full) ** 2) + (y - loo) ** 2
+        values = np.asarray([[c.value] for c in components], dtype=np.float64)
+        phi = lomo_kernel(values, None, y, Metric.SPE)
     else:
         quantiles = np.asarray(
             [normal_quantile_forecast(c, spec.levels).values for c in components],
             dtype=np.float64,
         )
-        ens = np.empty((n + 1, len(spec.levels)), dtype=np.float64)
-        ens[0] = np.add.reduce(quantiles, axis=0) / n
-        for i in range(n):
-            ens[i + 1] = np.add.reduce(np.delete(quantiles, i, axis=0), axis=0) / (n - 1)
-        wis = wis_batch(ens[:, None, :], spec.levels, y[None, :])
-        phi = wis[1:] - wis[0]
-
+        phi = lomo_kernel(quantiles[:, None, :], spec.levels, y, Metric.WIS)
     return phi.mean(axis=1), phi.std(axis=1)
 
 

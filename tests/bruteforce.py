@@ -79,8 +79,8 @@ def lomo(score_of, model_ids, target):
     return score_of(ids) - score_of(rest)
 
 
-def by_subset_size(score_of, model_ids, target):
-    """Per ensemble-size mean and population variance of marginal contributions."""
+def contributions_by_size(score_of, model_ids, target):
+    """Marginal contributions of one model grouped by ensemble size |S| + 1."""
     ids = sorted(model_ids)
     n = len(ids)
     i = ids.index(target)
@@ -91,9 +91,17 @@ def by_subset_size(score_of, model_ids, target):
         subset = tuple(ids[j] for j in range(n) if mask & (1 << j))
         diff = score_of(subset + (target,)) - score_of(subset)
         groups.setdefault(len(subset) + 1, []).append(diff)
-    out = {}
-    for r, vals in sorted(groups.items()):
-        mean = math.fsum(vals) / len(vals)
-        var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
-        out[r] = (mean, var, len(vals))
-    return out
+    return groups
+
+
+def two_pass(vals):
+    """Mean, population variance (two exact-sum passes) and count."""
+    mean = math.fsum(vals) / len(vals)
+    var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
+    return mean, var, len(vals)
+
+
+def by_subset_size(score_of, model_ids, target):
+    """Per ensemble-size mean and population variance of marginal contributions."""
+    groups = contributions_by_size(score_of, model_ids, target)
+    return {r: two_pass(vals) for r, vals in sorted(groups.items())}

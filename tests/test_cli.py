@@ -1,11 +1,12 @@
 import csv
 import math
+import os
 
 import pytest
 
 from conftest import FIXTURES, ORACLES
 
-from ensimp.cli import main
+from ensimp.cli import _resolve_workers, main
 
 FC = str(FIXTURES / "forecasts.csv")
 TRUTH = str(FIXTURES / "truth.csv")
@@ -58,6 +59,16 @@ class TestScore:
         monkeypatch.setenv("ENSIMP_WORKERS", "zero")
         assert main(["importance", "--forecasts", FC, "--truth", TRUTH,
                      "--output", str(out)]) != 0
+
+    def test_utf8_bom_is_accepted(self, tmp_path):
+        fc_bom, truth_bom = tmp_path / "fc.csv", tmp_path / "truth.csv"
+        fc_bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "forecasts.csv").read_bytes())
+        truth_bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "truth.csv").read_bytes())
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert main(["score", "--forecasts", FC, "--truth", TRUTH, "--output", str(plain)]) == 0
+        assert main(["score", "--forecasts", str(fc_bom), "--truth", str(truth_bom),
+                     "--output", str(bom)]) == 0
+        assert bom.read_bytes() == plain.read_bytes()
 
     def test_stdout_output(self, capsys):
         assert main(["score", "--forecasts", FC, "--truth", TRUTH, "--output", "-"]) == 0
@@ -168,6 +179,10 @@ class TestDecomposeCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "max" in out
 
+    def test_zero_instances_rejected(self, capsys):
+        assert main(["decompose-check", "--instances", "0"]) == 1
+        assert "--instances" in capsys.readouterr().err
+
     def test_injected_fault_fails(self, capsys):
         assert main(["decompose-check", "--instances", "10", "--inject-fault"]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -228,3 +243,23 @@ class TestSubsetVariance:
             if r["subset_size"].isdigit():
                 assert float(r["variance"]) == 0.0
                 assert float(r["mean"]) == 0.0
+
+
+class TestWorkers:
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("ENSIMP_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _resolve_workers(None) == 3
+
+    def test_default_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("ENSIMP_WORKERS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _resolve_workers(None) == 5
+
+    def test_zero_workers_rejected(self, capsys):
+        code = main(["simulate", "--scenario", "b", "--replicates", "1", "--workers", "0",
+                     "--output", "-"])
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err

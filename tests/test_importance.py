@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import bruteforce as bf
@@ -129,12 +128,6 @@ class TestLasomo:
                 fast = lasomo_all(tp, Metric.WIS)
                 for i, m in enumerate(tp.pool.model_ids):
                     assert fast[i] == pytest.approx(bf.lasomo(score_of, forecasts, m), abs=1e-10)
-
-    def test_memoization_is_bit_for_bit_sound(self, rng):
-        tp, _, _, _ = random_quantile_pool(rng, 6)
-        cached = lasomo_all(tp, Metric.WIS)
-        uncached = lasomo_all(tp, Metric.WIS, memoize=False)
-        assert np.array_equal(cached, uncached)
 
     def test_capacity_cap(self, rng):
         tp, _, _, _ = random_quantile_pool(rng, 3)
@@ -270,6 +263,30 @@ class TestComputeImportance:
         for m, stats in result.by_subset_size.items():
             for r, st in stats.items():
                 assert st.count == math.comb(2, r - 1) * 4
+
+    def test_pooled_subset_size_variance_matches_two_pass(self, rng):
+        # Contributions near 1e5 with a spread of 1e-2: E[x^2] - mean^2
+        # cancels to nothing here, so the pooled variance must come from
+        # deviations, merged across batches without squaring the means.
+        pools, points = [], []
+        for t in range(200):
+            pts = {f"m{j}": 1000.0 + 1e-5 * float(rng.normal()) for j in range(3)}
+            pts["m9"] = 1700.0 + 1e-5 * float(rng.normal())
+            pools.append(point_pool(pts, y=0.0, i=t))
+            points.append(pts)
+        result = compute_importance(pools, Metric.SPE, Algorithm.LASOMO)
+        for m in ("m0", "m9"):
+            pooled: dict[int, list[float]] = {}
+            for pts in points:
+                score_of = lambda sub: bf.neg_spe_score(pts, sub, 0.0)
+                for r, vals in bf.contributions_by_size(score_of, pts, m).items():
+                    pooled.setdefault(r, []).extend(vals)
+            for r, vals in pooled.items():
+                mean, var, count = bf.two_pass(vals)
+                got = result.by_subset_size[m][r]
+                assert got.count == count
+                assert got.mean == pytest.approx(mean, rel=1e-12)
+                assert got.variance == pytest.approx(var, rel=1e-5)
 
     def test_overall_is_mean_of_scored_tasks_under_drop(self, rng):
         pools = []

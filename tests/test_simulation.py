@@ -93,6 +93,10 @@ class TestGrid:
         assert vals[0] == 0.1
         assert vals[-1] == pytest.approx(3.0, abs=1e-12)
 
+    def test_values_never_pass_end(self):
+        assert Grid(0.0, 1.0, 0.6).values().tolist() == [0.0, 0.6]
+        assert Grid(0.0, 1.0, 0.5).values().tolist() == [0.0, 0.5, 1.0]
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             Grid(0.0, 1.0, 0.0)
