@@ -8,9 +8,6 @@ nonzero with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 
@@ -20,7 +17,7 @@ from . import dataio
 from .dataio import NaPolicy, ScorePanel, apply_na_policy, model_mean_scores
 from .decomposition import ErrorVector, ambiguity_check, phi_decomposed, phi_direct
 from .importance import Algorithm, WeightScheme, compute_importance, rank_models
-from .scoring import Metric, ValidationError, positive_score
+from .scoring import Metric, ValidationError
 from .simulation import (
     Grid,
     SimulationSpec,
@@ -55,20 +52,21 @@ def _resolve_workers(requested: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _read_inputs(args) -> tuple[list[dataio.ForecastRecord], dict, dataio.ReadReport]:
+def _read_inputs(args):
     records, report = dataio.read_forecasts(args.forecasts)
     truth = dataio.read_truth(args.truth)
-    return records, truth, report
-
-
-def _read_task_pools(args) -> list[dataio.TaskPool]:
-    records, truth, report = _read_inputs(args)
     _print_report(report)
+    return records, truth
+
+
+def _read_task_pools(args):
+    """Records, truth and the task pools they join into."""
+    records, truth = _read_inputs(args)
     pools, join_report = dataio.build_task_pools(records, truth)
     _print_report(join_report)
     if not pools:
         raise ValidationError("no scoreable tasks after joining forecasts with truth")
-    return pools
+    return records, truth, pools
 
 
 def _print_report(report: dataio.ReadReport) -> None:
@@ -80,31 +78,26 @@ def _print_report(report: dataio.ReadReport) -> None:
         print(f"excluded task: {line}", file=sys.stderr)
 
 
-def _score_cells(records, truth, metric: Metric):
-    """Positively oriented score per (model, task) for tasks with truth."""
-    cells: dict = {}
-    excluded: list[str] = []
-    models: set[str] = set()
-    tasks: set = set()
-    for rec in sorted(records, key=lambda r: (r.model, r.task)):
-        obs = truth.get((rec.task.location, rec.task.target_end_date))
-        if obs is None:
-            excluded.append(f"{rec.task}: no truth value")
-            continue
-        models.add(rec.model)
-        tasks.add(rec.task)
-        cells[(rec.model, rec.task)] = positive_score(metric, rec.forecast, obs).value
-    panel = ScorePanel(tuple(models), tuple(tasks), cells)
-    return panel, excluded
+def _task_rows(panel: ScorePanel, metric: str) -> list[dict]:
+    """One row per present cell, models then tasks in sorted order."""
+    rows = []
+    for model, values, present in zip(panel.models, panel.values.tolist(), panel.present):
+        for j in present.nonzero()[0].tolist():
+            task = panel.tasks[j]
+            rows.append({
+                "model": model,
+                "metric": metric,
+                "value": values[j],
+                "forecast_date": task.forecast_date,
+                "location": task.location,
+                "horizon": task.horizon,
+                "target_end_date": task.target_end_date,
+            })
+    return rows
 
 
-def _task_fields(task) -> dict:
-    return {
-        "forecast_date": task.forecast_date,
-        "location": task.location,
-        "horizon": task.horizon,
-        "target_end_date": task.target_end_date,
-    }
+def _present_counts(panel: ScorePanel) -> dict[str, int]:
+    return dict(zip(panel.models, panel.present.sum(axis=1).tolist()))
 
 
 def _summary_rows(metric_values: dict[str, dict[str, float | int]], counts, n_tasks):
@@ -126,26 +119,15 @@ def _summary_rows(metric_values: dict[str, dict[str, float | int]], counts, n_ta
 
 def cmd_score(args) -> int:
     metric = Metric(args.metric)
-    records, truth, report = _read_inputs(args)
+    records, truth = _read_inputs(args)
+    panel, report = dataio.score_records(records, truth, metric)
     _print_report(report)
-    panel, excluded = _score_cells(records, truth, metric)
-    for line in excluded:
-        print(f"excluded task: {line}", file=sys.stderr)
-    filled = apply_na_policy(panel, NaPolicy(args.na))
-    means = model_mean_scores(filled)
-    counts = {m: panel.present_count(m) for m in panel.models}
+    means = model_mean_scores(apply_na_policy(panel, NaPolicy(args.na)))
     label = f"neg_{metric.value}"
-
-    summary = {m: {label: means[m]} for m in means}
-    rows = _summary_rows(summary, counts, len(panel.tasks))
-    for model in panel.models:
-        for task in panel.tasks:
-            value = panel.cell(model, task)
-            if value is None:
-                continue
-            row = {"model": model, "metric": f"{label}_task", "value": value}
-            row.update(_task_fields(task))
-            rows.append(row)
+    rows = _summary_rows(
+        {m: {label: means[m]} for m in means}, _present_counts(panel), len(panel.tasks)
+    )
+    rows += _task_rows(panel, f"{label}_task")
     note = None
     if metric is Metric.SPE:
         note = "spe scores the 0.5-level quantile (predictive median) as the point estimate"
@@ -153,77 +135,43 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _importance_rows(result, score_means, score_counts, n_tasks, metric: Metric):
+def cmd_importance(args) -> int:
+    metric = Metric(args.metric)
+    algorithm = Algorithm(args.algorithm)
+    policy = NaPolicy(args.na)
+    workers = _resolve_workers(args.workers)
+    records, truth, pools = _read_task_pools(args)
+
+    result = compute_importance(
+        pools, metric, algorithm, WeightScheme(args.weights), policy, n_workers=workers
+    )
+    kept = {tp.task for tp in pools}
+    scores, _ = dataio.score_records([r for r in records if r.task in kept], truth, metric)
+    score_means = model_mean_scores(apply_na_policy(scores, policy))
+    # The subset table also holds LOMO, so a LASOMO summary carries both
+    # algorithms; the rank rows follow the algorithm that was asked for.
+    phis = {f"phi_{algorithm.value}": result.overall}
+    if result.lomo is not None:
+        phis["phi_lomo"] = model_mean_scores(apply_na_policy(result.lomo, policy))
+
     label = f"neg_{metric.value}"
-    phi_label = f"phi_{result.algorithm.value}"
     score_rank = rank_models(score_means)
     phi_rank = rank_models(dict(result.overall))
     summary: dict[str, dict[str, float | int]] = {}
     for model in result.per_task.models:
-        entry: dict[str, float | int] = {}
+        entry = summary[model] = {}
         if model in score_means:
             entry[label] = score_means[model]
             entry[f"{label}_rank"] = score_rank[model]
         if model in result.overall:
-            entry[phi_label] = result.overall[model]
             entry["phi_rank"] = phi_rank[model]
-        summary[model] = entry
-    rows = _summary_rows(summary, score_counts, n_tasks)
-    for model in result.per_task.models:
-        for task in result.per_task.tasks:
-            value = result.per_task.cell(model, task)
-            if value is None:
-                continue
-            row = {"model": model, "metric": "phi_task", "value": value}
-            row.update(_task_fields(task))
-            rows.append(row)
-    return rows
-
-
-def cmd_importance(args) -> int:
-    metric = Metric(args.metric)
-    algorithm = Algorithm(args.algorithm)
-    scheme = WeightScheme(args.weights)
-    policy = NaPolicy(args.na)
-    workers = _resolve_workers(args.workers)
-    pools = _read_task_pools(args)
-
-    result = compute_importance(
-        pools, metric, algorithm, scheme=scheme, na_policy=policy, n_workers=workers
-    )
-
-    kept = {tp.task for tp in pools}
-    cells = {}
-    models = set()
-    for tp in pools:
-        for model in tp.pool.model_ids:
-            models.add(model)
-            cells[(model, tp.task)] = positive_score(
-                metric, tp.pool.forecast_for(model), tp.truth
-            ).value
-    score_panel = ScorePanel(tuple(models), tuple(kept), cells)
-    score_means = model_mean_scores(apply_na_policy(score_panel, policy))
-    counts = {m: score_panel.present_count(m) for m in score_panel.models}
-
-    rows = _importance_rows(result, score_means, counts, len(score_panel.tasks), metric)
-    if result.lomo is not None:
-        # The subset table also holds LOMO, so the summary carries both
-        # algorithms; the rank columns follow the algorithm that was asked for.
-        lomo = model_mean_scores(apply_na_policy(result.lomo, policy))
-        more = _summary_rows(
-            {m: {"phi_lomo": v} for m, v in lomo.items()}, counts, len(score_panel.tasks)
-        )
-        rows = _merge_summary_rows(rows, more)
+        for name, values in phis.items():
+            if model in values:
+                entry[name] = values[model]
+    rows = _summary_rows(summary, _present_counts(scores), len(scores.tasks))
+    rows += _task_rows(result.per_task, "phi_task")
     dataio.write_results(rows, args.output, args.format)
     return 0
-
-
-def _merge_summary_rows(rows, more):
-    """Insert extra summary rows keeping (model, metric-name) sorted order."""
-    summary = [r for r in rows if r.get("forecast_date") is None] + more
-    per_task = [r for r in rows if r.get("forecast_date") is not None]
-    summary.sort(key=lambda r: (r["model"], r["metric"]))
-    return summary + per_task
 
 
 def cmd_simulate(args) -> int:
@@ -234,11 +182,14 @@ def cmd_simulate(args) -> int:
     }[args.scenario]()
     grid = base.sweep
     if args.grid_start is not None or args.grid_end is not None or args.grid_step is not None:
-        grid = Grid(
-            base.sweep.start if args.grid_start is None else args.grid_start,
-            base.sweep.end if args.grid_end is None else args.grid_end,
-            base.sweep.step if args.grid_step is None else args.grid_step,
-        )
+        try:
+            grid = Grid(
+                base.sweep.start if args.grid_start is None else args.grid_start,
+                base.sweep.end if args.grid_end is None else args.grid_end,
+                base.sweep.step if args.grid_step is None else args.grid_step,
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"--grid-start/--grid-end/--grid-step: {exc}") from None
     spec = SimulationSpec(
         scenario=base.scenario,
         fixed_components=base.fixed_components,
@@ -285,14 +236,13 @@ def cmd_decompose_check(args) -> int:
 
 
 def cmd_subset_variance(args) -> int:
-    metric = Metric(args.metric)
-    scheme = WeightScheme(args.weights)
     policy = NaPolicy(args.na)
     workers = _resolve_workers(args.workers)
-    pools = _read_task_pools(args)
+    _, _, pools = _read_task_pools(args)
 
     result = compute_importance(
-        pools, metric, Algorithm.LASOMO, scheme=scheme, na_policy=policy, n_workers=workers
+        pools, Metric(args.metric), Algorithm.LASOMO, WeightScheme(args.weights), policy,
+        n_workers=workers,
     )
     # Under permutation weights the per-task mean over sizes equals the
     # per-task LASOMO value, so its policy-filled average matches overall phi.
@@ -300,52 +250,14 @@ def cmd_subset_variance(args) -> int:
 
     rows = []
     for model in result.per_task.models:
-        stats = result.by_subset_size.get(model, {})
-        for r in sorted(stats):
-            st = stats[r]
-            rows.append((model, str(r), st.mean, st.variance, st.count))
-        if model in mos:
-            rows.append((model, "mean_over_sizes", mos[model], None, None))
-        if model in result.overall:
-            rows.append((model, "lasomo", result.overall[model], None, None))
-
-    _write_subset_variance(rows, args.output, args.format)
+        for r, st in sorted(result.by_subset_size.get(model, {}).items()):
+            rows.append({"model": model, "subset_size": str(r), "mean": st.mean,
+                         "variance": st.variance, "n_subsets": st.count})
+        for name, means in (("mean_over_sizes", mos), ("lasomo", result.overall)):
+            if model in means:
+                rows.append({"model": model, "subset_size": name, "mean": means[model]})
+    dataio.write_results(rows, args.output, args.format, header=SUBSET_VARIANCE_HEADER)
     return 0
-
-
-def _write_subset_variance(rows, output: str, fmt: str) -> None:
-    if fmt == "json":
-        payload = [
-            {
-                "model": m,
-                "subset_size": size,
-                "mean": mean,
-                **({"variance": var} if var is not None else {}),
-                **({"n_subsets": n} if n is not None else {}),
-            }
-            for m, size, mean, var, n in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SUBSET_VARIANCE_HEADER)
-        for m, size, mean, var, n in rows:
-            writer.writerow(
-                (
-                    m,
-                    size,
-                    dataio.format_float(mean),
-                    "" if var is None else dataio.format_float(var),
-                    "" if n is None else n,
-                )
-            )
-        text = buf.getvalue()
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def _add_io_flags(p, needs_data=True):

@@ -1,8 +1,16 @@
-"""Hub-format CSV ingestion, score panels, NA policies, and result output.
+"""Hub-format CSV ingestion, array score panels, NA policies, and result output.
 
 Forecast CSV header: ``model,forecast_date,location,horizon,target_end_date,quantile_level,value``
 (one row per quantile). Truth CSV header: ``location,target_end_date,value``.
 Dates are ISO-8601; locations are opaque string codes.
+
+Reading parses each distinct spelling of a row's key fields once and groups
+the rows into one validated :class:`ForecastRecord` per (model, task). From
+there a panel is arrays: a :class:`ScorePanel` holds sorted models and
+tasks, a (models, tasks) float64 ``values`` array and a ``present`` mask.
+:func:`score_records` fills one with a single call to the array scorer, the
+NA policies are column operations on it and the per-model means row
+operations, and :func:`write_results` writes every table the package emits.
 """
 
 from __future__ import annotations
@@ -17,8 +25,18 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .ensembling import ForecastPool
-from .scoring import Observation, QuantileForecast, QuantileLevels, ValidationError
+from .scoring import (
+    Metric,
+    Observation,
+    QuantileForecast,
+    QuantileLevels,
+    ValidationError,
+    positive_scores,
+    scored_values,
+)
 
 __all__ = [
     "FORECAST_HEADER",
@@ -36,6 +54,7 @@ __all__ = [
     "model_mean_scores",
     "read_forecasts",
     "read_truth",
+    "score_records",
     "write_results",
 ]
 
@@ -134,43 +153,83 @@ def build_task_pools(
     return pools, report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScorePanel:
     """Model x task matrix of positively oriented values with explicit missing cells.
 
-    ``cells`` maps (model, task) to a value; absent keys are the NA cells.
-    The same container holds -WIS/-SPE panels and importance panels.
+    ``values`` is (models, tasks) float64 and ``present`` the same-shaped
+    mask of cells that hold a value; absent cells read NaN and are the NA
+    cells. ``models`` and ``tasks`` are sorted and distinct. The same
+    container holds -WIS/-SPE panels and importance panels.
     """
 
     models: tuple[str, ...]
     tasks: tuple[TaskKey, ...]
-    cells: Mapping[tuple[str, TaskKey], float]
+    values: np.ndarray
+    present: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "models", tuple(sorted(self.models)))
-        object.__setattr__(self, "tasks", tuple(sorted(self.tasks)))
-        object.__setattr__(self, "cells", dict(self.cells))
-        model_set, task_set = set(self.models), set(self.tasks)
-        for (m, t), v in self.cells.items():
-            if m not in model_set or t not in task_set:
-                raise ValidationError(f"cell ({m!r}, {t}) outside the panel's model/task sets")
-            if not math.isfinite(v):
-                raise ValidationError(f"cell ({m!r}, {t}) is not finite")
+        shape = (len(self.models), len(self.tasks))
+        values = np.asarray(self.values, dtype=np.float64)
+        present = np.array(self.present, dtype=bool)
+        if values.shape != shape or present.shape != shape:
+            raise ValidationError(f"panel arrays must be {shape}, got {values.shape} and {present.shape}")
+        for ids in (self.models, self.tasks):
+            if any(not a < b for a, b in zip(ids, ids[1:])):
+                raise ValidationError("panel models and tasks must be sorted and distinct")
+        bad = np.argwhere(present & ~np.isfinite(values))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(f"cell ({self.models[i]!r}, {self.tasks[j]}) is not finite")
+        values = np.where(present, values, np.nan)
+        values.setflags(write=False)
+        present.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "present", present)
 
     def cell(self, model: str, task: TaskKey) -> float | None:
-        return self.cells.get((model, task))
+        if model not in self.models or task not in self.tasks:
+            return None
+        i, j = self.models.index(model), self.tasks.index(task)
+        return float(self.values[i, j]) if self.present[i, j] else None
 
-    def column(self, task: TaskKey) -> list[tuple[str, float]]:
-        """Present (model, value) pairs for one task, in model order."""
-        out = []
-        for m in self.models:
-            v = self.cells.get((m, task))
-            if v is not None:
-                out.append((m, v))
-        return out
 
-    def present_count(self, model: str) -> int:
-        return sum(1 for t in self.tasks if (model, t) in self.cells)
+def score_records(
+    records: Sequence[ForecastRecord],
+    truth: Mapping[tuple[str, date], Observation],
+    metric: Metric,
+) -> tuple[ScorePanel, ReadReport]:
+    """Positively oriented score of every record whose task has a truth value.
+
+    All records are scored in one array call, so they must share one
+    quantile level set. Each record without truth is listed in the report.
+    """
+    report = ReadReport()
+    scored: list[ForecastRecord] = []
+    y: list[float] = []
+    for rec in sorted(records, key=lambda r: (r.model, r.task)):
+        obs = truth.get((rec.task.location, rec.task.target_end_date))
+        if obs is None:
+            report.excluded_tasks.append(f"{rec.task}: no truth value")
+        else:
+            scored.append(rec)
+            y.append(obs.value)
+    models = sorted({rec.model for rec in scored})
+    tasks = sorted({rec.task for rec in scored})
+    values = np.full((len(models), len(tasks)), np.nan)
+    present = np.zeros(values.shape, dtype=bool)
+    if scored:
+        levels = scored[0].forecast.levels
+        if any(rec.forecast.levels != levels for rec in scored):
+            raise ValidationError("records to score must share one quantile level set")
+        quantiles = np.asarray([rec.forecast.values for rec in scored], dtype=np.float64)
+        model_index = {m: i for i, m in enumerate(models)}
+        task_index = {t: j for j, t in enumerate(tasks)}
+        rows = [model_index[rec.model] for rec in scored]
+        cols = [task_index[rec.task] for rec in scored]
+        values[rows, cols] = positive_scores(*scored_values(quantiles, levels, metric), np.asarray(y))
+        present[rows, cols] = True
+    return ScorePanel(tuple(models), tuple(tasks), values, present), report
 
 
 def apply_na_policy(panel: ScorePanel, policy: NaPolicy) -> ScorePanel:
@@ -180,24 +239,17 @@ def apply_na_policy(panel: ScorePanel, policy: NaPolicy) -> ScorePanel:
     the column average. Task columns with no present value at all cannot be
     filled and are removed under every policy.
     """
-    kept_tasks = [t for t in panel.tasks if panel.column(t)]
-    cells: dict[tuple[str, TaskKey], float] = {}
-    for t in kept_tasks:
-        col = panel.column(t)
-        present = [v for _, v in col]
-        if policy is NaPolicy.WORST:
-            fill = min(present)
-        elif policy is NaPolicy.MEAN:
-            fill = math.fsum(present) / len(present)
-        else:
-            fill = None
-        for m in panel.models:
-            v = panel.cells.get((m, t))
-            if v is not None:
-                cells[(m, t)] = v
-            elif fill is not None:
-                cells[(m, t)] = fill
-    return ScorePanel(panel.models, tuple(kept_tasks), cells)
+    kept = panel.present.any(axis=0)
+    tasks = tuple(t for t, k in zip(panel.tasks, kept.tolist()) if k)
+    values, present = panel.values[:, kept], panel.present[:, kept]
+    if policy is not NaPolicy.DROP:
+        fills = []
+        for col, mask in zip(values.T, present.T):
+            vals = col[mask].tolist()
+            fills.append(min(vals) if policy is NaPolicy.WORST else math.fsum(vals) / len(vals))
+        values = np.where(present, values, np.asarray(fills, dtype=np.float64))
+        present = np.ones_like(present)
+    return ScorePanel(panel.models, tasks, values, present)
 
 
 def model_mean_scores(panel: ScorePanel) -> dict[str, float]:
@@ -206,10 +258,10 @@ def model_mean_scores(panel: ScorePanel) -> dict[str, float]:
     Models with no present cell are omitted (reported missing, never zero).
     """
     means: dict[str, float] = {}
-    for m in panel.models:
-        vals = [panel.cells[(m, t)] for t in panel.tasks if (m, t) in panel.cells]
+    for model, row, mask in zip(panel.models, panel.values, panel.present):
+        vals = row[mask].tolist()
         if vals:
-            means[m] = math.fsum(vals) / len(vals)
+            means[model] = math.fsum(vals) / len(vals)
     return means
 
 
@@ -249,6 +301,19 @@ def _check_header(got: Sequence[str] | None, expected: tuple[str, ...], path: st
         )
 
 
+def _parse_key(row: Sequence[str], rownum: int) -> tuple[str, TaskKey]:
+    model = row[0].strip()
+    if not model:
+        raise ParseError(f"row {rownum}: empty model id")
+    task = TaskKey(
+        forecast_date=_parse_date(row[1], rownum, "forecast_date"),
+        location=row[2].strip(),
+        horizon=_parse_int(row[3], rownum, "horizon"),
+        target_end_date=_parse_date(row[4], rownum, "target_end_date"),
+    )
+    return model, task
+
+
 def read_forecasts(
     path: str, levels: QuantileLevels | None = None
 ) -> tuple[list[ForecastRecord], ReadReport]:
@@ -264,27 +329,26 @@ def read_forecasts(
     """
     report = ReadReport()
     groups: dict[tuple[str, TaskKey], dict[float, float]] = {}
+    # Rows repeat their key fields once per level, so each distinct spelling
+    # of a key is parsed once; spellings that parse alike share one group.
+    by_text: dict[tuple[str, ...], tuple[tuple[str, TaskKey], dict[float, float]]] = {}
     with _open_reader(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         _check_header(header, FORECAST_HEADER, path)
         for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != len(FORECAST_HEADER):
                 raise ParseError(f"row {rownum}: expected {len(FORECAST_HEADER)} fields, got {len(row)}")
-            model = row[0].strip()
-            if not model:
-                raise ParseError(f"row {rownum}: empty model id")
-            task = TaskKey(
-                forecast_date=_parse_date(row[1], rownum, "forecast_date"),
-                location=row[2].strip(),
-                horizon=_parse_int(row[3], rownum, "horizon"),
-                target_end_date=_parse_date(row[4], rownum, "target_end_date"),
-            )
+            text = tuple(row[:5])
+            entry = by_text.get(text)
+            if entry is None:
+                key = _parse_key(row, rownum)
+                entry = by_text[text] = (key, groups.setdefault(key, {}))
+            (model, task), body = entry
             level = _parse_float(row[5], rownum, "quantile_level")
             value = _parse_float(row[6], rownum, "value")
-            body = groups.setdefault((model, task), {})
             if level in body:
                 raise ParseError(
                     f"row {rownum}: duplicate quantile row for ({model!r}, {task}, {level})"
@@ -304,7 +368,7 @@ def read_forecasts(
     declared_levels = QuantileLevels(declared)
 
     records: list[ForecastRecord] = []
-    for (model, task) in sorted(groups, key=lambda key: (key[0], key[1])):
+    for (model, task) in sorted(groups):
         body = groups[(model, task)]
         if tuple(sorted(body)) != declared:
             report.invalid.append(
@@ -364,19 +428,23 @@ def write_results(
     output: str,
     fmt: str = "csv",
     note: str | None = None,
+    header: Sequence[str] = RESULT_HEADER,
 ) -> None:
-    """Write result rows (keys from RESULT_HEADER) as CSV or JSON.
+    """Write result rows as CSV or JSON; every table the package emits goes through here.
 
-    ``output`` of ``-`` streams to standard output. Callers are responsible
-    for row ordering; this function writes rows as given. An empty row list
-    produces a header-only CSV (or an empty JSON row list). A ``note``
-    becomes a ``#`` comment line above the CSV header.
+    Rows are mappings keyed by ``header`` (missing keys and None are empty
+    cells). ``output`` of ``-`` streams to standard output. Callers are
+    responsible for row ordering; this function writes rows as given. An
+    empty row list produces a header-only CSV (or an empty JSON row list).
+    A ``note`` becomes a ``#`` comment line above the CSV header; JSON
+    output is the envelope ``{"note": ..., "rows": [...]}``, each row
+    without its empty cells.
     """
     rows = list(rows)
     if fmt == "csv":
-        text = _results_csv(rows, note)
+        text = _results_csv(rows, note, header)
     elif fmt == "json":
-        text = _results_json(rows, note)
+        text = _results_json(rows, note, header)
     else:
         raise ValidationError(f"unknown output format {fmt!r}")
     if output == "-":
@@ -386,22 +454,22 @@ def write_results(
             fh.write(text)
 
 
-def _results_csv(rows: list[Mapping[str, object]], note: str | None) -> str:
+def _results_csv(rows: list[Mapping[str, object]], note: str | None, header: Sequence[str]) -> str:
     buf = io.StringIO()
     if note:
         buf.write(f"# {note}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_HEADER)
+    writer.writerow(header)
     for row in rows:
-        writer.writerow([_result_cell(row.get(k)) for k in RESULT_HEADER])
+        writer.writerow([_result_cell(row.get(k)) for k in header])
     return buf.getvalue()
 
 
-def _results_json(rows: list[Mapping[str, object]], note: str | None) -> str:
+def _results_json(rows: list[Mapping[str, object]], note: str | None, header: Sequence[str]) -> str:
     out = []
     for row in rows:
         entry = {}
-        for k in RESULT_HEADER:
+        for k in header:
             v = row.get(k)
             if v is None:
                 continue

@@ -136,13 +136,8 @@ def mean_quantile_ensemble(pool: ForecastPool, subset: Iterable[str]) -> Quantil
 
 
 def mean_point_ensemble(pool: ForecastPool, subset: Iterable[str]) -> PointForecast:
-    """Equal-weight ensemble of point forecasts (plain arithmetic mean)."""
+    """Equal-weight ensemble of point forecasts, summed as :func:`member_means` sums."""
     if pool.is_quantile:
         raise ValidationError("mean_point_ensemble requires a point-forecast pool")
     idx = pool.subset_indices(subset)
-    vals = pool.values_matrix()[list(idx)]
-    if len(idx) <= _PLAIN_SUM_LIMIT:
-        total = float(np.add.reduce(vals, axis=0))
-    else:
-        total = math.fsum(vals)
-    return PointForecast(total / len(idx))
+    return PointForecast(float(member_means(pool.values_matrix()[list(idx)])))

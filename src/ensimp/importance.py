@@ -47,7 +47,7 @@ from .dataio import (
     model_mean_scores,
 )
 from .ensembling import member_means
-from .scoring import Metric, QuantileLevels, ValidationError, wis_batch
+from .scoring import Metric, QuantileLevels, ValidationError, positive_scores, scored_values
 
 __all__ = [
     "Algorithm",
@@ -157,28 +157,6 @@ def _size_weights(n: int, scheme: WeightScheme) -> np.ndarray:
     return out
 
 
-def _scored_values(values: np.ndarray, levels: QuantileLevels | None, metric: Metric):
-    """The member values a metric reads, and the levels WIS scores them at.
-
-    ``levels`` is None for point values. SPE on quantile values reads the
-    predictive median, so it too comes back with None levels (squared error).
-    """
-    if levels is None:
-        if metric is Metric.WIS:
-            raise ValidationError("WIS requires quantile forecasts")
-        return values, None
-    if metric is Metric.SPE:
-        return values[..., levels.index_of(0.5)], None
-    return values, levels
-
-
-def _pos_scores(ens: np.ndarray, levels: QuantileLevels | None, y) -> np.ndarray:
-    """Positively oriented score of ensemble values; ``y`` broadcasts over their batch axes."""
-    if levels is None:
-        return -((y - ens) ** 2)
-    return -wis_batch(ens, levels, y)
-
-
 def _batch_arrays(tps: Sequence[TaskPool]):
     """Member values (n, T[, K]), their levels (None for point pools) and truths of a batch."""
     pool = tps[0].pool
@@ -196,13 +174,13 @@ def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y, metric: Me
     scored in one call, so the pool size has no cap; the result is
     (n, batch...). The panel path and the simulation engine share it.
     """
-    values, levels = _scored_values(values, levels, metric)
+    values, levels = scored_values(values, levels, metric)
     n = values.shape[0]
     ens = np.stack(
         [member_means(values)]
         + [member_means(np.delete(values, i, axis=0)) for i in range(n)]
     )
-    scores = _pos_scores(ens, levels, y)
+    scores = positive_scores(ens, levels, y)
     return scores[0] - scores[1:]
 
 
@@ -225,7 +203,7 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
     for start in range(1, 1 << n, block):
         stop = min(start + block, 1 << n)
         sz = sizes[start:stop].reshape((-1,) + (1,) * (sums.ndim - 1))
-        scores[start:stop] = _pos_scores(sums[start:stop] / sz, levels, y)
+        scores[start:stop] = positive_scores(sums[start:stop] / sz, levels, y)
     return scores, sizes
 
 
@@ -259,7 +237,7 @@ def _subset_table(
     of the coalition i joins, whatever i is: one popcount vector serves
     every model.
     """
-    values, levels = _scored_values(values, levels, metric)
+    values, levels = scored_values(values, levels, metric)
     n, t = values.shape[:2]
     scores, sizes = _subset_scores(values, levels, y)
     half = 1 << (n - 1)
@@ -465,18 +443,22 @@ def compute_importance(
     else:
         outputs = [run(job) for job in jobs]
 
-    phi: dict[tuple[str, TaskKey], float] = {}
-    lomo: dict[tuple[str, TaskKey], float] = {}
-    mos: dict[tuple[str, TaskKey], float] = {}
+    models = tuple(sorted({m for tp in pools for m in tp.pool.model_ids}))
+    tasks = tuple(tp.task for tp in pools)
+    model_index = {m: i for i, m in enumerate(models)}
+    task_index = {t: j for j, t in enumerate(tasks)}
+    shape = (len(models), len(tasks))
+    phi, lomo, mos = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
+    present = np.zeros(shape, dtype=bool)
     moments: dict[tuple[str, int], tuple[int, float, float]] = {}
     for job, out in outputs:
         ids = job[0].pool.model_ids
-        for t, tp in enumerate(job):
-            for i, model in enumerate(ids):
-                phi[(model, tp.task)] = float(out.phi[i, t])
-                if out.lomo is not None:
-                    lomo[(model, tp.task)] = float(out.lomo[i, t])
-                    mos[(model, tp.task)] = float(out.mean_over_sizes[i, t])
+        cells = np.ix_([model_index[m] for m in ids], [task_index[tp.task] for tp in job])
+        present[cells] = True
+        phi[cells] = out.phi
+        if out.lomo is not None:
+            lomo[cells] = out.lomo
+            mos[cells] = out.mean_over_sizes
         if out.size_count is not None:
             # Batches merge in sorted batch order, which fixes the result.
             for i, model in enumerate(ids):
@@ -485,9 +467,7 @@ def compute_importance(
                     key = (model, k + 2)
                     moments[key] = _merge_moments(moments[key], part) if key in moments else part
 
-    models = tuple(sorted({m for m, _ in phi}))
-    tasks = tuple(tp.task for tp in pools)
-    panel = ScorePanel(models, tasks, phi)
+    panel = ScorePanel(models, tasks, phi, present)
     overall = model_mean_scores(apply_na_policy(panel, na_policy))
     if algorithm is Algorithm.LOMO:
         return ImportanceResult(algorithm, None, metric, na_policy, panel, overall, None)
@@ -503,6 +483,6 @@ def compute_importance(
         per_task=panel,
         overall=overall,
         by_subset_size=by_size,
-        lomo=ScorePanel(models, tasks, lomo),
-        mean_over_sizes=ScorePanel(models, tasks, mos),
+        lomo=ScorePanel(models, tasks, lomo, present),
+        mean_over_sizes=ScorePanel(models, tasks, mos, present),
     )

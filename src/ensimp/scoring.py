@@ -2,7 +2,9 @@
 
 Raw WIS and SPE are error measures (lower is better). Everything downstream
 of this module works with positively oriented scores (larger is better), so
-the orientation flip happens exactly once, in :func:`positive_score`.
+the orientation flip happens exactly once, in the array scorer
+:func:`positive_scores`: the object API's :func:`positive_score`, the score
+panel and the importance kernels all go through it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
     "ValidationError",
     "mean_score",
     "positive_score",
+    "positive_scores",
+    "scored_values",
     "spe",
     "wis",
     "wis_batch",
@@ -148,7 +152,9 @@ class Metric(Enum):
 
 def spe(forecast: PointForecast, obs: Observation) -> float:
     """Squared prediction error (y - yhat)^2. Raw error, lower is better."""
-    return (obs.value - forecast.value) ** 2
+    # A product is correctly rounded; ``**`` goes through libm pow, which is not.
+    d = obs.value - forecast.value
+    return d * d
 
 
 def wis_batch(values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray) -> np.ndarray:
@@ -183,23 +189,50 @@ def wis(forecast: QuantileForecast, obs: Observation) -> float:
     return float(wis_batch(row, forecast.levels, obs.value)[0])
 
 
+def scored_values(values: np.ndarray, levels: QuantileLevels | None, metric: Metric):
+    """The forecast values a metric reads, and the levels WIS scores them at.
+
+    ``levels`` is None for point values. SPE on quantile values reads the
+    predictive median (the 0.5 level), so it too comes back with None levels.
+    Ensembles may be formed after this step: the median of a mean quantile
+    ensemble is the mean of the members' medians.
+    """
+    if not isinstance(metric, Metric):
+        raise ValidationError(f"unknown metric {metric!r}")
+    if levels is None:
+        if metric is Metric.WIS:
+            raise ValidationError("WIS requires quantile forecasts")
+        return values, None
+    if metric is Metric.SPE:
+        return values[..., levels.index_of(0.5)], None
+    return values, levels
+
+
+def positive_scores(values: np.ndarray, levels: QuantileLevels | None, y) -> np.ndarray:
+    """-WIS of quantile rows (``levels`` given) or -SPE of point values (None).
+
+    ``y`` broadcasts against the values' batch axes. Takes the output of
+    :func:`scored_values`.
+    """
+    if levels is None:
+        d = y - values
+        return -(d * d)
+    return -wis_batch(values, levels, y)
+
+
 def positive_score(
     metric: Metric, forecast: QuantileForecast | PointForecast, obs: Observation
 ) -> Score:
-    """Score a forecast and flip to positive orientation (-WIS or -SPE).
+    """Score one forecast in positive orientation (-WIS or -SPE).
 
     SPE accepts a quantile forecast by scoring its predictive median as the
     point estimate; WIS requires a quantile forecast.
     """
-    if metric is Metric.WIS:
-        if not isinstance(forecast, QuantileForecast):
-            raise ValidationError("WIS requires a quantile forecast")
-        return Score(-wis(forecast, obs))
-    if metric is Metric.SPE:
-        if isinstance(forecast, QuantileForecast):
-            forecast = PointForecast(forecast.median)
-        return Score(-spe(forecast, obs))
-    raise ValidationError(f"unknown metric {metric!r}")
+    if isinstance(forecast, QuantileForecast):
+        values, levels = forecast.as_array(), forecast.levels
+    else:
+        values, levels = forecast.value, None
+    return Score(float(positive_scores(*scored_values(values, levels, metric), obs.value)))
 
 
 def mean_score(scores: Sequence[Score]) -> Score:

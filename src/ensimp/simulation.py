@@ -8,10 +8,7 @@ is averaged over seeded replicates at every grid value.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +17,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import erfc
 
-from .dataio import format_float
+from .dataio import write_results
 from .importance import lomo_kernel
 from .scoring import (
     CANONICAL_LEVELS,
@@ -32,6 +29,8 @@ from .scoring import (
 )
 
 __all__ = [
+    "MAX_GRID_POINTS",
+    "SWEEP_HEADER",
     "Grid",
     "NormalSpec",
     "Scenario",
@@ -58,6 +57,11 @@ _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 _P_LOW = 0.02425
+
+# Over 1000 times the 81-point default grids; checked before any allocation.
+MAX_GRID_POINTS = 100_000
+
+SWEEP_HEADER = ("scenario", "grid_value", "forecaster", "mean_importance", "replicates", "seed")
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -150,11 +154,21 @@ class Grid:
             raise ValidationError(f"grid step must be positive, got {self.step}")
         if self.end < self.start:
             raise ValidationError("grid end precedes start")
+        # Also catches a quotient that overflows to inf (or is NaN), which
+        # __len__ could not floor.
+        if not self._steps() < MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid step {self.step} over [{self.start}, {self.end}] gives more than "
+                f"{MAX_GRID_POINTS} points"
+            )
 
-    def __len__(self) -> int:
+    def _steps(self) -> float:
         # Whole steps that fit, with slack for the rounding of the quotient,
         # so no value passes end by more than rounding.
-        return math.floor((self.end - self.start) / self.step + 1e-9) + 1
+        return (self.end - self.start) / self.step + 1e-9
+
+    def __len__(self) -> int:
+        return math.floor(self._steps()) + 1
 
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(len(self))
@@ -327,24 +341,4 @@ def sweep_rows(result: SweepResult) -> list[dict]:
 
 def write_sweep_csv(result: SweepResult, output: str) -> None:
     """Write sweep rows as CSV to a path, or to stdout when output is ``-``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("scenario", "grid_value", "forecaster", "mean_importance",
-                     "replicates", "seed"))
-    for row in sweep_rows(result):
-        writer.writerow(
-            (
-                row["scenario"],
-                format_float(row["grid_value"]),
-                row["forecaster"],
-                format_float(row["mean_importance"]),
-                row["replicates"],
-                row["seed"],
-            )
-        )
-    text = buf.getvalue()
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_results(sweep_rows(result), output, header=SWEEP_HEADER)

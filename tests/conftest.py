@@ -22,6 +22,15 @@ def task_key(i: int = 0) -> TaskKey:
     return TaskKey(base + timedelta(days=7 * i), "25", 1, base + timedelta(days=7 * i + 7))
 
 
+def same_cells(a, b) -> bool:
+    """Two panels hold the same cells: same ids, same presence, bit-equal values."""
+    return (
+        (a.models, a.tasks) == (b.models, b.tasks)
+        and np.array_equal(a.present, b.present)
+        and np.array_equal(a.values, b.values, equal_nan=True)
+    )
+
+
 def point_pool(values: dict[str, float], y: float, i: int = 0) -> TaskPool:
     pool = ForecastPool.from_dict({m: PointForecast(v) for m, v in values.items()})
     return TaskPool(task_key(i), pool, Observation(y))

@@ -172,6 +172,11 @@ class TestSimulate:
         code = main(["simulate", "--scenario", "b", "--grid-step", "-1", "--output", "-"])
         assert code != 0
 
+    def test_oversized_grid_fails_naming_the_step(self, capsys):
+        code = main(["simulate", "--scenario", "b", "--grid-step", "5e-324", "--output", "-"])
+        assert code == 1
+        assert "--grid-step" in capsys.readouterr().err
+
 
 class TestDecomposeCheck:
     def test_passes_by_default(self, capsys):
@@ -213,7 +218,7 @@ class TestSubsetVariance:
         assert main(["subset-variance", "--forecasts", FC, "--truth", TRUTH,
                      "--format", "json", "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
-        sizes = {r["subset_size"] for r in payload}
+        sizes = {r["subset_size"] for r in payload["rows"]}
         assert {"2", "3", "mean_over_sizes", "lasomo"} <= sizes
 
     def test_two_model_fixture_has_single_size_row(self, tmp_path):

@@ -1,12 +1,19 @@
 import csv
 import json
-from datetime import date
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, task_key
 
 from ensimp.dataio import (
+    FORECAST_HEADER,
+    ForecastRecord,
     NaPolicy,
     ParseError,
     ScorePanel,
@@ -19,7 +26,7 @@ from ensimp.dataio import (
     read_truth,
     write_results,
 )
-from ensimp.scoring import QuantileLevels, ValidationError
+from ensimp.scoring import QuantileForecast, QuantileLevels, ValidationError
 
 LEVELS = "0.25,0.5,0.75"
 
@@ -104,6 +111,25 @@ class TestReadForecasts:
         with pytest.raises(ParseError, match="row 2"):
             read_forecasts(forecast_csv(tmp_path, body))
 
+    def test_key_spellings_join_one_group(self, tmp_path):
+        body = (
+            "alpha,2021-11-06, 25,01,2021-11-13,0.25,10.0\n"
+            "alpha,2021-11-06,25,1,2021-11-13,0.5,20.0\n"
+            "alpha,2021-11-06, 25,1,2021-11-13,0.75,30.0\n"
+        )
+        records, report = read_forecasts(forecast_csv(tmp_path, body))
+        assert [(r.model, r.task) for r in records] == [
+            ("alpha", TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13)))
+        ]
+        assert records[0].forecast.values == (10.0, 20.0, 30.0)
+        assert not report.invalid
+
+    def test_level_repeated_across_spellings_names_the_row(self, tmp_path):
+        body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
+        body += "alpha,2021-11-06, 25,01,2021-11-13,0.5,21.0\n"
+        with pytest.raises(ParseError, match=r"row 5: duplicate quantile row .*0\.5"):
+            read_forecasts(forecast_csv(tmp_path, body))
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -119,6 +145,48 @@ class TestReadForecasts:
         records, report = read_forecasts(str(FIXTURES / "forecasts.csv"))
         assert len(records) == 22
         assert not report.invalid and not report.warnings
+
+
+@st.composite
+def hub_records(draw):
+    """Records sharing one level set, in the reader's (model, task) order."""
+    levels = QuantileLevels(tuple(sorted(draw(
+        st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4, unique=True)
+    ))))
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["alpha", "beta", "m-3"]), st.integers(0, 60),
+                  st.sampled_from(["25", "06", "MA"]), st.integers(1, 4)),
+        min_size=1, max_size=6, unique=True,
+    ))
+    value = st.floats(-1e9, 1e9, allow_nan=False)
+    records = []
+    for model, day, location, horizon in keys:
+        fd = date(2021, 11, 1) + timedelta(days=day)
+        task = TaskKey(fd, location, horizon, fd + timedelta(days=7 * horizon))
+        values = sorted(draw(st.lists(value, min_size=len(levels), max_size=len(levels))))
+        records.append(ForecastRecord(model, task, QuantileForecast(levels, tuple(values))))
+    return sorted(records, key=lambda r: (r.model, r.task))
+
+
+@settings(max_examples=50, deadline=None)
+@given(hub_records(), st.randoms(use_true_random=False))
+def test_hub_rows_round_trip(records, shuffle):
+    rows = [
+        (r.model, r.task.forecast_date.isoformat(), r.task.location, str(r.task.horizon),
+         r.task.target_end_date.isoformat(), format_float(p), format_float(v))
+        for r in records
+        for p, v in zip(r.forecast.levels.levels, r.forecast.values)
+    ]
+    shuffle.shuffle(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fc.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(FORECAST_HEADER)
+            writer.writerows(rows)
+        got, report = read_forecasts(str(path))
+    assert got == records
+    assert not report.invalid and not report.warnings
 
 
 class TestReadTruth:
@@ -177,11 +245,7 @@ class TestNaPolicy:
     def panel(self):
         t = task_key(0)
         return (
-            ScorePanel(
-                ("A", "B", "C"),
-                (t,),
-                {("A", t): -10.0, ("B", t): -20.0},
-            ),
+            ScorePanel(("A", "B", "C"), (t,), [[-10.0], [-20.0], [np.nan]], [[True], [True], [False]]),
             t,
         )
 
@@ -203,28 +267,23 @@ class TestNaPolicy:
 
     def test_empty_column_removed_under_every_policy(self):
         t0, t1 = task_key(0), task_key(1)
-        panel = ScorePanel(("A", "B"), (t0, t1), {("A", t0): 1.0, ("B", t0): 2.0})
+        panel = ScorePanel(
+            ("A", "B"), (t0, t1), [[1.0, np.nan], [2.0, np.nan]], [[True, False], [True, False]]
+        )
         for policy in NaPolicy:
             out = apply_na_policy(panel, policy)
             assert out.tasks == (t0,)
 
     def test_full_panel_identical_under_all_policies(self, rng):
         tasks = tuple(task_key(i) for i in range(4))
-        cells = {
-            (m, t): float(rng.normal()) for m in ("A", "B", "C") for t in tasks
-        }
-        panel = ScorePanel(("A", "B", "C"), tasks, cells)
+        panel = ScorePanel(("A", "B", "C"), tasks, rng.normal(size=(3, 4)), np.ones((3, 4), bool))
         means = [model_mean_scores(apply_na_policy(panel, p)) for p in NaPolicy]
         assert means[0] == means[1] == means[2]
 
     def test_worst_never_beats_mean(self, rng):
         tasks = tuple(task_key(i) for i in range(6))
-        cells = {}
-        for m in ("A", "B", "C", "D"):
-            for t in tasks:
-                if rng.random() < 0.7:
-                    cells[(m, t)] = float(rng.normal())
-        panel = ScorePanel(("A", "B", "C", "D"), tasks, cells)
+        present = rng.random((4, 6)) < 0.7
+        panel = ScorePanel(("A", "B", "C", "D"), tasks, rng.normal(size=(4, 6)), present)
         worst = model_mean_scores(apply_na_policy(panel, NaPolicy.WORST))
         mean = model_mean_scores(apply_na_policy(panel, NaPolicy.MEAN))
         for m in worst:

@@ -121,6 +121,14 @@ class TestMeanPointEnsemble:
         assert mean_point_ensemble(trio, ("a", "b", "c")).value == 0.0
         assert mean_point_ensemble(trio, ("c",)).value == 1.5
 
+    def test_point_members_sum_left_to_right(self):
+        # A pairwise sum of these ten members gives 8.0 (mean 0.8); in member
+        # order each 1.0 is absorbed by 1e16, as the quantile ensembles and
+        # the importance kernels sum.
+        values = [1e16] + [1.0] * 8 + [-1e16]
+        pool = ForecastPool.from_dict({f"m{k}": PointForecast(v) for k, v in enumerate(values)})
+        assert mean_point_ensemble(pool, pool.model_ids).value == 0.0
+
     def test_kind_mismatch_rejected(self):
         pool = ForecastPool.from_dict({"a": PointForecast(0.0), "b": PointForecast(2.0)})
         with pytest.raises(ValidationError):

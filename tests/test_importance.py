@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bruteforce as bf
-from conftest import point_pool, quantile_pool, random_quantile_pool, task_key
+from conftest import point_pool, quantile_pool, random_quantile_pool, same_cells, task_key
 
 from ensimp.dataio import NaPolicy, ScorePanel, TaskPool
 from ensimp.importance import (
@@ -181,13 +182,8 @@ class TestOverallAndRanks:
         panel = ScorePanel(
             ("a", "b"),
             tasks,
-            {
-                ("a", tasks[0]): 3.0,
-                ("a", tasks[1]): -1.0,
-                ("b", tasks[0]): 2.0,
-                ("b", tasks[1]): 4.0,
-                ("b", tasks[2]): 6.0,
-            },
+            [[3.0, -1.0, np.nan], [2.0, 4.0, 6.0]],
+            [[True, True, False], [True, True, True]],
         )
         overall = overall_importance(panel)
         assert overall["a"] == 1.0
@@ -195,7 +191,7 @@ class TestOverallAndRanks:
 
     def test_zero_task_model_reported_missing(self):
         tasks = (task_key(0),)
-        panel = ScorePanel(("a", "b"), tasks, {("a", tasks[0]): 0.0})
+        panel = ScorePanel(("a", "b"), tasks, [[0.0], [np.nan]], [[True], [False]])
         overall = overall_importance(panel)
         assert overall["a"] == 0.0
         assert "b" not in overall
@@ -225,7 +221,7 @@ class TestComputeImportance:
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
         r1 = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, n_workers=1)
         r3 = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, n_workers=3)
-        assert r1.per_task.cells == r3.per_task.cells
+        assert same_cells(r1.per_task, r3.per_task)
         assert r1.overall == r3.overall
 
     def test_absent_model_is_a_missing_cell(self, rng):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import quantile_pool
+from conftest import quantile_pool, same_cells
 
 from ensimp.dataio import TaskPool
 from ensimp.importance import (
@@ -96,7 +96,7 @@ def test_lomo_equals_lasomo_at_two_models(members, y, metric, scheme):
 def test_table_lomo_equals_lomo_kernel(pools, metric):
     table = compute_importance(pools, metric, Algorithm.LASOMO)
     kernel = compute_importance(pools, metric, Algorithm.LOMO)
-    assert table.lomo.cells == kernel.per_task.cells
+    assert same_cells(table.lomo, kernel.per_task)
     for tp in pools:
         for m, v in by_name(tp, lomo_all(tp, metric)).items():
             assert kernel.per_task.cell(m, tp.task) == v
@@ -107,9 +107,9 @@ def test_table_lomo_equals_lomo_kernel(pools, metric):
 def test_cells_do_not_depend_on_worker_count(pools, metric, scheme):
     one = compute_importance(pools, metric, Algorithm.LASOMO, scheme, n_workers=1)
     three = compute_importance(pools, metric, Algorithm.LASOMO, scheme, n_workers=3)
-    assert one.per_task.cells == three.per_task.cells
-    assert one.lomo.cells == three.lomo.cells
-    assert one.mean_over_sizes.cells == three.mean_over_sizes.cells
+    assert same_cells(one.per_task, three.per_task)
+    assert same_cells(one.lomo, three.lomo)
+    assert same_cells(one.mean_over_sizes, three.mean_over_sizes)
     assert one.by_subset_size == three.by_subset_size
     for tp in pools:
         for m, v in by_name(tp, lasomo_all(tp, metric, scheme)).items():

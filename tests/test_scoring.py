@@ -14,6 +14,8 @@ from ensimp.scoring import (
     ValidationError,
     mean_score,
     positive_score,
+    positive_scores,
+    scored_values,
     spe,
     wis,
 )
@@ -24,6 +26,10 @@ def qf(levels, values):
 
 
 class TestSpe:
+    def test_squares_by_multiplying(self):
+        # libm pow gives ...237 here; the correctly rounded product is ...234.
+        assert spe(PointForecast(0.0), Observation(-163.3882222222221)) == 26695.711160938234
+
     def test_zero_error(self):
         assert spe(PointForecast(3.0), Observation(3.0)) == 0.0
 
@@ -110,6 +116,23 @@ class TestPositiveScore:
         fc = qf([0.25, 0.75], [1.0, 3.0])
         with pytest.raises(ValidationError, match="0.5"):
             positive_score(Metric.SPE, fc, Observation(0.0))
+
+    def test_equals_the_array_scorer_bit_for_bit(self, rng):
+        levels = QuantileLevels((0.25, 0.5, 0.75))
+        values = np.sort(rng.normal(scale=300.0, size=(200, 3)), axis=1)
+        y = rng.normal(scale=300.0, size=200)
+        for metric in Metric:
+            batch = positive_scores(*scored_values(values, levels, metric), y)
+            one = [positive_score(metric, qf(levels.levels, v), Observation(o)).value
+                   for v, o in zip(values, y)]
+            assert batch.tolist() == one
+        point = positive_scores(*scored_values(values[:, 1], None, Metric.SPE), y)
+        one = [positive_score(Metric.SPE, PointForecast(v), Observation(o)).value
+               for v, o in zip(values[:, 1], y)]
+        assert point.tolist() == one
+        assert positive_score(
+            Metric.SPE, PointForecast(0.0), Observation(-163.3882222222221)
+        ).value == float(positive_scores(np.float64(0.0), None, -163.3882222222221))
 
     def test_wis_rejects_point_forecast(self):
         with pytest.raises(ValidationError):

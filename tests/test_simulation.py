@@ -5,6 +5,7 @@ from scipy.special import ndtri
 from ensimp.ensembling import ForecastPool, mean_quantile_ensemble
 from ensimp.scoring import CANONICAL_LEVELS, QuantileLevels, ValidationError
 from ensimp.simulation import (
+    MAX_GRID_POINTS,
     Grid,
     NormalSpec,
     Scenario,
@@ -104,6 +105,16 @@ class TestGrid:
             Grid(1.0, 0.0, 0.1)
         with pytest.raises(ValidationError):
             SimulationSpec(Scenario.A_PROB, (NormalSpec(0, 1),), Grid(0, 1, 0.5), replicates=0)
+
+    def test_size_bounded_before_allocation(self):
+        # Constructing is all these do: a rejected grid never reaches values().
+        with pytest.raises(ValidationError, match="step 5e-324"):
+            Grid(0.0, 1.0, 5e-324)
+        with pytest.raises(ValidationError, match="step 1e-12"):
+            Grid(0.0, 1.0, 1e-12)
+        with pytest.raises(ValidationError, match="step 1.0"):
+            Grid(0.0, float(MAX_GRID_POINTS), 1.0)
+        assert len(Grid(0.0, float(MAX_GRID_POINTS - 1), 1.0)) == MAX_GRID_POINTS
 
     def test_component_kinds_checked(self):
         with pytest.raises(ValidationError):

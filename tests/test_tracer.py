@@ -1,0 +1,33 @@
+"""The benchmark's tracer still finds every layer boundary it wraps.
+
+The tracer wraps a fixed list of public functions by name; a refactor that
+drops or reshapes one of them crashes every traced benchmark run, so one
+traced command runs here end to end.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import FIXTURES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_importance_run(tmp_path):
+    spans_path, out = tmp_path / "spans.json", tmp_path / "o.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_path), "t", "--",
+         "importance", "--forecasts", str(FIXTURES / "forecasts.csv"),
+         "--truth", str(FIXTURES / "truth.csv"), "--output", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans_path.read_text())
+    spans = [dict(zip(doc["fields"], span)) for span in doc["spans"]]
+    counts = {span["name"]: span["counts"] for span in spans}
+    assert counts["dataio.read_forecasts"]["records"] == 22
+    assert counts["dataio.write_results"]["bytes"] > 0
