@@ -175,6 +175,8 @@ def cmd_importance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.replicates < 1:
+        raise ValidationError(f"--replicates must be >= 1, got {args.replicates}")
     base = {
         "a-point": setting_a_point,
         "a-prob": setting_a_prob,
@@ -224,9 +226,6 @@ def cmd_decompose_check(args) -> int:
         resid = abs(ambiguity_check(errors, weights, i))
         if resid > max_ambiguity:
             max_ambiguity, worst_ambiguity = resid, f"instance {k} (n={n}, model {i})"
-    if args.inject_fault:
-        max_identity += 1e-6
-        worst_identity = "injected fault"
     print(f"instances: {args.instances}  seed: {args.seed}")
     print(f"max relative residual, direct vs decomposed: {max_identity:.6e} at {worst_identity}")
     print(f"max ambiguity reconstruction residual: {max_ambiguity:.6e} at {worst_ambiguity}")
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose-check", help="verify the point-forecast identities")
     p.add_argument("--instances", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_decompose_check)
 
     p = sub.add_parser("subset-variance", help="per-subset-size importance diagnostics")

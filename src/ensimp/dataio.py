@@ -202,18 +202,19 @@ def score_records(
     """Positively oriented score of every record whose task has a truth value.
 
     All records are scored in one array call, so they must share one
-    quantile level set. Each record without truth is listed in the report.
+    quantile level set. Each task without truth is listed once in the report.
     """
-    report = ReadReport()
     scored: list[ForecastRecord] = []
     y: list[float] = []
+    untruthed: set[TaskKey] = set()
     for rec in sorted(records, key=lambda r: (r.model, r.task)):
         obs = truth.get((rec.task.location, rec.task.target_end_date))
         if obs is None:
-            report.excluded_tasks.append(f"{rec.task}: no truth value")
+            untruthed.add(rec.task)
         else:
             scored.append(rec)
             y.append(obs.value)
+    report = ReadReport(excluded_tasks=[f"{task}: no truth value" for task in sorted(untruthed)])
     models = sorted({rec.model for rec in scored})
     tasks = sorted({rec.task for rec in scored})
     values = np.full((len(models), len(tasks)), np.nan)

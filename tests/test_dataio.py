@@ -24,9 +24,10 @@ from ensimp.dataio import (
     model_mean_scores,
     read_forecasts,
     read_truth,
+    score_records,
     write_results,
 )
-from ensimp.scoring import QuantileForecast, QuantileLevels, ValidationError
+from ensimp.scoring import Metric, QuantileForecast, QuantileLevels, ValidationError
 
 LEVELS = "0.25,0.5,0.75"
 
@@ -227,6 +228,23 @@ class TestBuildTaskPools:
         assert pools[0].truth.value == 22.0
         assert pools[0].pool.model_ids == ("alpha", "beta")
         assert not report.excluded_tasks
+
+
+class TestScoreRecords:
+    def test_task_without_truth_is_reported_once(self, tmp_path):
+        body = ""
+        for model in ("alpha", "beta"):
+            body += rows_for(model, "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
+            body += rows_for(model, "2021-11-06", "25", 2, "2021-11-20", TRIPLE)
+        records, _ = read_forecasts(forecast_csv(tmp_path, body))
+        truth = read_truth(truth_csv(tmp_path, "25,2021-11-20,22\n"))
+        panel, report = score_records(records, truth, Metric.WIS)
+        _, join_report = build_task_pools(records, truth)
+        assert len(report.excluded_tasks) == 1
+        assert report.excluded_tasks == join_report.excluded_tasks
+        assert "no truth" in report.excluded_tasks[0]
+        assert [t.horizon for t in panel.tasks] == [2]
+        assert panel.present.all()
 
 
 class TestTaskKey:

@@ -42,7 +42,10 @@ class TestNormalQuantile:
 
     def test_accuracy_against_scipy(self):
         ps = np.concatenate(
-            [np.linspace(1e-9, 1 - 1e-9, 100001), [1e-12, 0.00023, 0.02425, 0.5, 0.975]]
+            [
+                np.linspace(1e-9, 1 - 1e-9, 100001),
+                [1e-12, 0.00023, 0.02425, 0.5, 0.975, 5e-324, 1e-300, 1 - 2**-53],
+            ]
         )
         assert np.max(np.abs(normal_quantile(ps) - ndtri(ps))) < 1e-9
 
