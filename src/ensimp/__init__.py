@@ -2,11 +2,13 @@
 
 from .dataio import (
     NaPolicy,
-    ScorePanel,
+    Panel,
     TaskKey,
+    TaskPanel,
     TaskPool,
     apply_na_policy,
     build_task_pools,
+    from_pools,
     read_forecasts,
     read_truth,
     write_results,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import dataio
-from .dataio import NaPolicy, ScorePanel, apply_na_policy, model_mean_scores
+from .dataio import NaPolicy, Panel, apply_na_policy, model_mean_scores
 from .decomposition import ErrorVector, ambiguity_check, phi_decomposed, phi_direct
 from .importance import Algorithm, WeightScheme, compute_importance, rank_models
 from .scoring import Metric, ValidationError
@@ -28,8 +28,6 @@ from .simulation import (
     write_sweep_csv,
 )
 
-WORKERS_ENV = "ENSIMP_WORKERS"
-
 SUBSET_VARIANCE_HEADER = ("model", "subset_size", "mean", "variance", "n_subsets")
 
 
@@ -38,35 +36,26 @@ def _resolve_workers(requested: int | None) -> int:
         if requested < 1:
             raise ValidationError(f"--workers must be >= 1, got {requested}")
         return requested
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {value}")
-        return value
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _read_inputs(args):
-    records, report = dataio.read_forecasts(args.forecasts)
+    forecasts, report = dataio.read_forecasts(args.forecasts)
     truth = dataio.read_truth(args.truth)
     _print_report(report)
-    return records, truth
+    return forecasts, truth
 
 
-def _read_task_pools(args):
-    """Records, truth and the task pools they join into."""
-    records, truth = _read_inputs(args)
-    pools, join_report = dataio.build_task_pools(records, truth)
+def _read_task_panel(args):
+    """Truth and the panel of the tasks the forecasts and truth join into."""
+    forecasts, truth = _read_inputs(args)
+    tasks, join_report = dataio.build_task_pools(forecasts, truth)
     _print_report(join_report)
-    if not pools:
+    if not tasks:
         raise ValidationError("no scoreable tasks after joining forecasts with truth")
-    return records, truth, pools
+    return truth, tasks
 
 
 def _print_report(report: dataio.ReadReport) -> None:
@@ -78,7 +67,7 @@ def _print_report(report: dataio.ReadReport) -> None:
         print(f"excluded task: {line}", file=sys.stderr)
 
 
-def _task_rows(panel: ScorePanel, metric: str) -> list[dict]:
+def _task_rows(panel: Panel, metric: str) -> list[dict]:
     """One row per present cell, models then tasks in sorted order."""
     rows = []
     for model, values, present in zip(panel.models, panel.values.tolist(), panel.present):
@@ -96,7 +85,7 @@ def _task_rows(panel: ScorePanel, metric: str) -> list[dict]:
     return rows
 
 
-def _present_counts(panel: ScorePanel) -> dict[str, int]:
+def _present_counts(panel: Panel) -> dict[str, int]:
     return dict(zip(panel.models, panel.present.sum(axis=1).tolist()))
 
 
@@ -119,8 +108,8 @@ def _summary_rows(metric_values: dict[str, dict[str, float | int]], counts, n_ta
 
 def cmd_score(args) -> int:
     metric = Metric(args.metric)
-    records, truth = _read_inputs(args)
-    panel, report = dataio.score_records(records, truth, metric)
+    forecasts, truth = _read_inputs(args)
+    panel, report = dataio.score_records(forecasts, truth, metric)
     _print_report(report)
     means = model_mean_scores(apply_na_policy(panel, NaPolicy(args.na)))
     label = f"neg_{metric.value}"
@@ -140,13 +129,12 @@ def cmd_importance(args) -> int:
     algorithm = Algorithm(args.algorithm)
     policy = NaPolicy(args.na)
     workers = _resolve_workers(args.workers)
-    records, truth, pools = _read_task_pools(args)
+    truth, tasks = _read_task_panel(args)
 
     result = compute_importance(
-        pools, metric, algorithm, WeightScheme(args.weights), policy, n_workers=workers
+        tasks, metric, algorithm, WeightScheme(args.weights), policy, n_workers=workers
     )
-    kept = {tp.task for tp in pools}
-    scores, _ = dataio.score_records([r for r in records if r.task in kept], truth, metric)
+    scores, _ = dataio.score_records(tasks.forecasts, truth, metric)
     score_means = model_mean_scores(apply_na_policy(scores, policy))
     # The subset table also holds LOMO, so a LASOMO summary carries both
     # algorithms; the rank rows follow the algorithm that was asked for.
@@ -237,10 +225,10 @@ def cmd_decompose_check(args) -> int:
 def cmd_subset_variance(args) -> int:
     policy = NaPolicy(args.na)
     workers = _resolve_workers(args.workers)
-    _, _, pools = _read_task_pools(args)
+    _, tasks = _read_task_panel(args)
 
     result = compute_importance(
-        pools, Metric(args.metric), Algorithm.LASOMO, WeightScheme(args.weights), policy,
+        tasks, Metric(args.metric), Algorithm.LASOMO, WeightScheme(args.weights), policy,
         n_workers=workers,
     )
     # Under permutation weights the per-task mean over sizes equals the

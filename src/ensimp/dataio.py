@@ -1,16 +1,21 @@
-"""Hub-format CSV ingestion, array score panels, NA policies, and result output.
+"""Hub-format CSV ingestion, the array panel, NA policies, and result output.
 
 Forecast CSV header: ``model,forecast_date,location,horizon,target_end_date,quantile_level,value``
 (one row per quantile). Truth CSV header: ``location,target_end_date,value``.
 Dates are ISO-8601; locations are opaque string codes.
 
-Reading parses each distinct spelling of a row's key fields once and groups
-the rows into one validated :class:`ForecastRecord` per (model, task). From
-there a panel is arrays: a :class:`ScorePanel` holds sorted models and
-tasks, a (models, tasks) float64 ``values`` array and a ``present`` mask.
-:func:`score_records` fills one with a single call to the array scorer, the
-NA policies are column operations on it and the per-model means row
-operations, and :func:`write_results` writes every table the package emits.
+One type carries data from the CSV to the kernels: a :class:`Panel` holds
+sorted models and tasks, a ``present`` mask of the (models, tasks) cells
+that hold a value, and ``values``, either (models, tasks) scores or, with
+``levels`` set, (models, tasks, levels) quantile forecasts. Reading parses
+each distinct spelling of a row's key fields once and fills a forecast panel
+directly, checking monotonicity as one array check. :func:`build_task_pools`
+keeps the tasks that can be scored, as a :class:`TaskPanel` with their truth;
+:func:`score_records` scores every present cell in one call of the array
+scorer; the NA policies are column operations and the per-model means row
+operations; and :func:`write_results` writes every table the package emits.
+The object API's :class:`TaskPool` list reaches the same path through
+:func:`from_pools`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -31,7 +36,6 @@ from .ensembling import ForecastPool
 from .scoring import (
     Metric,
     Observation,
-    QuantileForecast,
     QuantileLevels,
     ValidationError,
     positive_scores,
@@ -41,16 +45,17 @@ from .scoring import (
 __all__ = [
     "FORECAST_HEADER",
     "TRUTH_HEADER",
-    "ForecastRecord",
     "NaPolicy",
+    "Panel",
     "ParseError",
     "ReadReport",
-    "ScorePanel",
     "TaskKey",
+    "TaskPanel",
     "TaskPool",
     "apply_na_policy",
     "build_task_pools",
     "format_float",
+    "from_pools",
     "model_mean_scores",
     "read_forecasts",
     "read_truth",
@@ -92,13 +97,6 @@ class TaskKey:
             )
 
 
-@dataclass(frozen=True)
-class ForecastRecord:
-    model: str
-    task: TaskKey
-    forecast: QuantileForecast
-
-
 @dataclass
 class ReadReport:
     """Non-fatal findings from a read: skipped records and consistency warnings."""
@@ -123,117 +121,187 @@ class TaskPool:
     truth: Observation
 
 
-def build_task_pools(
-    records: Sequence[ForecastRecord],
-    truth: Mapping[tuple[str, date], Observation],
-) -> tuple[list[TaskPool], ReadReport]:
-    """Join forecast records with truth into per-task pools.
-
-    Tasks without a truth value or with fewer than two models are excluded
-    and listed in the report; nothing is dropped silently.
-    """
-    report = ReadReport()
-    by_task: dict[TaskKey, dict[str, QuantileForecast]] = {}
-    for rec in records:
-        members = by_task.setdefault(rec.task, {})
-        if rec.model in members:
-            raise ValidationError(f"duplicate forecast for ({rec.model!r}, {rec.task})")
-        members[rec.model] = rec.forecast
-    pools: list[TaskPool] = []
-    for task in sorted(by_task):
-        members = by_task[task]
-        obs = truth.get((task.location, task.target_end_date))
-        if obs is None:
-            report.excluded_tasks.append(f"{task}: no truth value")
-            continue
-        if len(members) < 2:
-            report.excluded_tasks.append(f"{task}: fewer than 2 models")
-            continue
-        pools.append(TaskPool(task, ForecastPool.from_dict(members), obs))
-    return pools, report
-
-
 @dataclass(frozen=True, eq=False)
-class ScorePanel:
-    """Model x task matrix of positively oriented values with explicit missing cells.
+class Panel:
+    """Model x task cells with explicit missing ones: scores, or quantile forecasts.
 
-    ``values`` is (models, tasks) float64 and ``present`` the same-shaped
-    mask of cells that hold a value; absent cells read NaN and are the NA
-    cells. ``models`` and ``tasks`` are sorted and distinct. The same
-    container holds -WIS/-SPE panels and importance panels.
+    ``present`` is the (models, tasks) mask of the cells that hold a value.
+    Without ``levels``, ``values`` is (models, tasks) float64, one score or
+    point value per cell; with ``levels`` it is (models, tasks, levels)
+    quantile values, non-decreasing in level. Absent cells read NaN and are
+    the NA cells. ``models`` and ``tasks`` are sorted and distinct. The same
+    container holds forecasts, -WIS/-SPE panels and importance panels;
+    ``len()`` is the number of present cells.
     """
 
     models: tuple[str, ...]
     tasks: tuple[TaskKey, ...]
     values: np.ndarray
     present: np.ndarray
+    levels: QuantileLevels | None = None
 
     def __post_init__(self) -> None:
-        shape = (len(self.models), len(self.tasks))
+        cells = (len(self.models), len(self.tasks))
+        shape = cells if self.levels is None else cells + (len(self.levels),)
         values = np.asarray(self.values, dtype=np.float64)
         present = np.array(self.present, dtype=bool)
-        if values.shape != shape or present.shape != shape:
-            raise ValidationError(f"panel arrays must be {shape}, got {values.shape} and {present.shape}")
+        if values.shape != shape or present.shape != cells:
+            raise ValidationError(
+                f"panel arrays must be {shape} and {cells}, got {values.shape} and {present.shape}"
+            )
         for ids in (self.models, self.tasks):
             if any(not a < b for a, b in zip(ids, ids[1:])):
                 raise ValidationError("panel models and tasks must be sorted and distinct")
-        bad = np.argwhere(present & ~np.isfinite(values))
+        mask = present.reshape(cells + (1,) * (len(shape) - 2))
+        bad = np.argwhere(mask & ~np.isfinite(values))
         if len(bad):
-            i, j = bad[0]
+            i, j = bad[0][:2]
             raise ValidationError(f"cell ({self.models[i]!r}, {self.tasks[j]}) is not finite")
-        values = np.where(present, values, np.nan)
+        if self.levels is not None:
+            bad = np.argwhere(mask & (values[..., :-1] > values[..., 1:]))
+            if len(bad):
+                i, j, k = bad[0].tolist()
+                p = self.levels.levels
+                raise ValidationError(
+                    f"({self.models[i]!r}, {self.tasks[j]}): quantile values must be "
+                    f"non-decreasing in level; value {float(values[i, j, k])} at level {p[k]} "
+                    f"exceeds {float(values[i, j, k + 1])} at level {p[k + 1]}"
+                )
+        values = np.where(mask, values, np.nan)
         values.setflags(write=False)
         present.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "present", present)
 
-    def cell(self, model: str, task: TaskKey) -> float | None:
+    def __len__(self) -> int:
+        return int(self.present.sum())
+
+    def cell(self, model: str, task: TaskKey) -> float | list[float] | None:
+        """The cell's value (its quantile values when the panel has levels), or None."""
         if model not in self.models or task not in self.tasks:
             return None
         i, j = self.models.index(model), self.tasks.index(task)
-        return float(self.values[i, j]) if self.present[i, j] else None
+        return self.values[i, j].tolist() if self.present[i, j] else None
+
+
+def _fill(cells: Mapping[tuple[str, TaskKey], object], levels: QuantileLevels | None) -> Panel:
+    """The panel of a map from (model, task) to the cell's value or quantile values."""
+    models = sorted({model for model, _ in cells})
+    tasks = sorted({task for _, task in cells})
+    model_index = {m: i for i, m in enumerate(models)}
+    task_index = {t: j for j, t in enumerate(tasks)}
+    index = ([model_index[m] for m, _ in cells], [task_index[t] for _, t in cells])
+    shape = (len(models), len(tasks))
+    values = np.full(shape if levels is None else shape + (len(levels),), np.nan)
+    present = np.zeros(shape, dtype=bool)
+    values[index] = np.reshape(list(cells.values()), (len(cells),) + values.shape[2:])
+    present[index] = True
+    return Panel(tuple(models), tuple(tasks), values, present, levels)
+
+
+def _columns(panel: Panel, cols: Sequence[int]) -> Panel:
+    """The panel of the given task columns and the models present in them."""
+    present = panel.present[:, cols]
+    rows = present.any(axis=1)
+    models = tuple(m for m, kept in zip(panel.models, rows.tolist()) if kept)
+    tasks = tuple(panel.tasks[j] for j in cols)
+    return Panel(models, tasks, panel.values[np.ix_(rows, cols)], present[rows], panel.levels)
+
+
+@dataclass(frozen=True)
+class TaskPanel:
+    """The forecasts of the tasks to score and their truth; ``len()`` is the task count.
+
+    ``truth`` is the (tasks,) float64 vector of observed values, aligned
+    with ``forecasts.tasks``.
+    """
+
+    forecasts: Panel
+    truth: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.truth.shape != (len(self.forecasts.tasks),):
+            raise ValidationError(f"need one truth value per task, got shape {self.truth.shape}")
+
+    def __len__(self) -> int:
+        return len(self.forecasts.tasks)
+
+
+def from_pools(task_pools: Sequence[TaskPool]) -> TaskPanel:
+    """The task panel of a list of task pools: the object API's way onto the array path.
+
+    One call takes one level set: every pool holds quantile forecasts at the
+    same levels, or every pool point forecasts. A pool that differs from the
+    first task's is rejected, naming its task.
+    """
+    pools = sorted(task_pools, key=lambda tp: tp.task)
+    kinds = [tp.pool.levels if tp.pool.is_quantile else None for tp in pools]
+    for k, (tp, kind) in enumerate(zip(pools, kinds)):
+        if k and tp.task == pools[k - 1].task:
+            raise ValidationError(f"duplicate task {tp.task}")
+        if kind != kinds[0]:
+            raise ValidationError(
+                f"task {tp.task} has {kind or 'point forecasts'} where task {pools[0].task} "
+                f"has {kinds[0] or 'point forecasts'}; one call takes one level set"
+            )
+    cells = {(model, tp.task): values for tp in pools
+             for model, values in zip(tp.pool.model_ids, tp.pool.values_matrix().tolist())}
+    forecasts = _fill(cells, kinds[0] if kinds else None)
+    return TaskPanel(forecasts, np.asarray([tp.truth.value for tp in pools], dtype=np.float64))
+
+
+def _join_truth(
+    panel: Panel, truth: Mapping[tuple[str, date], Observation], min_models: int
+) -> tuple[TaskPanel, ReadReport]:
+    """The tasks with a truth value and ``min_models`` or more forecasts; the rest are reported."""
+    report = ReadReport()
+    kept: list[int] = []
+    y: list[float] = []
+    for j, (task, count) in enumerate(zip(panel.tasks, panel.present.sum(axis=0).tolist())):
+        obs = truth.get((task.location, task.target_end_date))
+        if obs is None:
+            report.excluded_tasks.append(f"{task}: no truth value")
+        elif count < min_models:
+            report.excluded_tasks.append(f"{task}: fewer than {min_models} models")
+        else:
+            kept.append(j)
+            y.append(obs.value)
+    return TaskPanel(_columns(panel, kept), np.asarray(y, dtype=np.float64)), report
+
+
+def build_task_pools(
+    panel: Panel, truth: Mapping[tuple[str, date], Observation]
+) -> tuple[TaskPanel, ReadReport]:
+    """Join a forecast panel with truth into the panel of the tasks to score.
+
+    Tasks without a truth value or with fewer than two models are excluded
+    and listed in the report; nothing is dropped silently.
+    """
+    return _join_truth(panel, truth, 2)
 
 
 def score_records(
-    records: Sequence[ForecastRecord],
+    panel: Panel,
     truth: Mapping[tuple[str, date], Observation],
     metric: Metric,
-) -> tuple[ScorePanel, ReadReport]:
-    """Positively oriented score of every record whose task has a truth value.
+) -> tuple[Panel, ReadReport]:
+    """Positively oriented score of every present cell whose task has a truth value.
 
-    All records are scored in one array call, so they must share one
-    quantile level set. Each task without truth is listed once in the report.
+    All cells are scored in one array call. Each task without truth is
+    listed once in the report.
     """
-    scored: list[ForecastRecord] = []
-    y: list[float] = []
-    untruthed: set[TaskKey] = set()
-    for rec in sorted(records, key=lambda r: (r.model, r.task)):
-        obs = truth.get((rec.task.location, rec.task.target_end_date))
-        if obs is None:
-            untruthed.add(rec.task)
-        else:
-            scored.append(rec)
-            y.append(obs.value)
-    report = ReadReport(excluded_tasks=[f"{task}: no truth value" for task in sorted(untruthed)])
-    models = sorted({rec.model for rec in scored})
-    tasks = sorted({rec.task for rec in scored})
-    values = np.full((len(models), len(tasks)), np.nan)
-    present = np.zeros(values.shape, dtype=bool)
-    if scored:
-        levels = scored[0].forecast.levels
-        if any(rec.forecast.levels != levels for rec in scored):
-            raise ValidationError("records to score must share one quantile level set")
-        quantiles = np.asarray([rec.forecast.values for rec in scored], dtype=np.float64)
-        model_index = {m: i for i, m in enumerate(models)}
-        task_index = {t: j for j, t in enumerate(tasks)}
-        rows = [model_index[rec.model] for rec in scored]
-        cols = [task_index[rec.task] for rec in scored]
-        values[rows, cols] = positive_scores(*scored_values(quantiles, levels, metric), np.asarray(y))
-        present[rows, cols] = True
-    return ScorePanel(tuple(models), tuple(tasks), values, present), report
+    tasks, report = _join_truth(panel, truth, 1)
+    scored = tasks.forecasts
+    values = np.full(scored.present.shape, np.nan)
+    if len(scored):
+        cells = scored.present
+        ys = np.broadcast_to(tasks.truth, cells.shape)[cells]
+        quantiles, levels = scored_values(scored.values[cells], scored.levels, metric)
+        values[cells] = positive_scores(quantiles, levels, ys)
+    return Panel(scored.models, scored.tasks, values, scored.present), report
 
 
-def apply_na_policy(panel: ScorePanel, policy: NaPolicy) -> ScorePanel:
+def apply_na_policy(panel: Panel, policy: NaPolicy) -> Panel:
     """Resolve missing cells: leave absent (drop), or fill per task column.
 
     ``worst`` fills with the column minimum of present values, ``mean`` with
@@ -250,10 +318,10 @@ def apply_na_policy(panel: ScorePanel, policy: NaPolicy) -> ScorePanel:
             fills.append(min(vals) if policy is NaPolicy.WORST else math.fsum(vals) / len(vals))
         values = np.where(present, values, np.asarray(fills, dtype=np.float64))
         present = np.ones_like(present)
-    return ScorePanel(panel.models, tasks, values, present)
+    return Panel(panel.models, tasks, values, present)
 
 
-def model_mean_scores(panel: ScorePanel) -> dict[str, float]:
+def model_mean_scores(panel: Panel) -> dict[str, float]:
     """Per-model mean over present cells, tasks in sorted order.
 
     Models with no present cell are omitted (reported missing, never zero).
@@ -317,8 +385,8 @@ def _parse_key(row: Sequence[str], rownum: int) -> tuple[str, TaskKey]:
 
 def read_forecasts(
     path: str, levels: QuantileLevels | None = None
-) -> tuple[list[ForecastRecord], ReadReport]:
-    """Read a hub-format forecast CSV into grouped quantile forecasts.
+) -> tuple[Panel, ReadReport]:
+    """Read a hub-format forecast CSV into a (models, tasks, levels) forecast panel.
 
     Rows are grouped per (model, task); duplicate (model, task, level) rows
     are an error. A group whose level set differs from the declared one is
@@ -326,7 +394,7 @@ def read_forecasts(
     declared set is inferred from the file: the most common signature, ties
     broken toward the one with more levels (an incomplete record is a subset
     of the declared set), then lexicographically. Non-monotone quantiles
-    raise a validation error naming model and task.
+    raise a validation error naming model, task and levels.
     """
     report = ReadReport()
     groups: dict[tuple[str, TaskKey], dict[float, float]] = {}
@@ -364,11 +432,10 @@ def read_forecasts(
             sig = tuple(sorted(body))
             signatures[sig] = signatures.get(sig, 0) + 1
         if not signatures:
-            return [], report
+            return _fill({}, None), report
         declared = max(sorted(signatures), key=lambda sig: (signatures[sig], len(sig)))
-    declared_levels = QuantileLevels(declared)
 
-    records: list[ForecastRecord] = []
+    kept: dict[tuple[str, TaskKey], list[float]] = {}
     for (model, task) in sorted(groups):
         body = groups[(model, task)]
         if tuple(sorted(body)) != declared:
@@ -377,19 +444,14 @@ def read_forecasts(
                 f"({len(body)} of {len(declared)} declared levels)"
             )
             continue
-        values = tuple(body[p] for p in declared)
-        try:
-            forecast = QuantileForecast(declared_levels, values)
-        except ValidationError as exc:
-            raise ValidationError(f"({model!r}, {task}): {exc}") from None
-        approx_end = task.forecast_date + timedelta(days=7 * task.horizon)
-        if abs((task.target_end_date - approx_end).days) > 6:
+        # Day counts, not dates: a date ``horizon`` weeks on can overflow.
+        if abs((task.target_end_date - task.forecast_date).days - 7 * task.horizon) > 6:
             report.warnings.append(
                 f"({model!r}, {task}): target_end_date is inconsistent with "
                 f"forecast_date + {task.horizon} week(s)"
             )
-        records.append(ForecastRecord(model, task, forecast))
-    return records, report
+        kept[(model, task)] = [body[p] for p in declared]
+    return _fill(kept, QuantileLevels(declared)), report
 
 
 def read_truth(path: str) -> dict[tuple[str, date], Observation]:

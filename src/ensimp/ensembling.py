@@ -69,9 +69,6 @@ class ForecastPool:
         ids = tuple(forecasts)
         return cls(ids, tuple(forecasts[m] for m in ids))
 
-    def __len__(self) -> int:
-        return len(self.model_ids)
-
     @property
     def is_quantile(self) -> bool:
         return isinstance(self.forecasts[0], QuantileForecast)
@@ -87,12 +84,6 @@ class ForecastPool:
         if self.is_quantile:
             return np.asarray([f.values for f in self.forecasts], dtype=np.float64)
         return np.asarray([f.value for f in self.forecasts], dtype=np.float64)
-
-    def forecast_for(self, model_id: str) -> QuantileForecast | PointForecast:
-        try:
-            return self.forecasts[self.model_ids.index(model_id)]
-        except ValueError:
-            raise ValidationError(f"model {model_id!r} not in pool") from None
 
     def subset_indices(self, subset: Iterable[str]) -> tuple[int, ...]:
         """Sorted member indices for a set of model ids; empty sets are rejected."""

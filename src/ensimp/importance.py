@@ -34,16 +34,17 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .dataio import (
     NaPolicy,
-    ScorePanel,
-    TaskKey,
+    Panel,
+    TaskPanel,
     TaskPool,
     apply_na_policy,
+    from_pools,
     model_mean_scores,
 )
 from .ensembling import member_means
@@ -79,11 +80,6 @@ MAX_EXACT_MODELS = 20
 _BATCH_TASKS = 128
 _BATCH_ELEMENTS = 1 << 22
 _SCORE_BLOCK_ELEMENTS = 1 << 21
-
-
-def _tasks_per_batch(n_models: int, row_elements: int) -> int:
-    by_memory = _BATCH_ELEMENTS // ((1 << n_models) * row_elements)
-    return max(1, min(_BATCH_TASKS, by_memory))
 
 
 class CapacityError(ValidationError):
@@ -155,14 +151,6 @@ def _size_weights(n: int, scheme: WeightScheme) -> np.ndarray:
         out[s] = float(exact(n, s))
     out.setflags(write=False)
     return out
-
-
-def _batch_arrays(tps: Sequence[TaskPool]):
-    """Member values (n, T[, K]), their levels (None for point pools) and truths of a batch."""
-    pool = tps[0].pool
-    values = np.stack([tp.pool.values_matrix() for tp in tps], axis=1)
-    y = np.asarray([tp.truth.value for tp in tps], dtype=np.float64)
-    return values, (pool.levels if pool.is_quantile else None), y
 
 
 def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric) -> np.ndarray:
@@ -281,19 +269,10 @@ def _pool_index(task_pool: TaskPool, model_id: str) -> int:
         raise ValidationError(f"model {model_id!r} not in the task's pool") from None
 
 
-def _task_table(task_pool: TaskPool, metric: Metric, scheme: WeightScheme) -> _Readouts:
-    n = len(task_pool.pool)
-    if n < 2:
-        raise ValidationError("need at least 2 models for importance")
-    _check_capacity(n)
-    return _subset_table(*_batch_arrays([task_pool]), metric, scheme)
-
-
 def lomo_all(task_pool: TaskPool, metric: Metric) -> np.ndarray:
     """LOMO importance for every pool member, in canonical member order."""
-    if len(task_pool.pool) < 2:
-        raise ValidationError("cannot leave out the only model in the pool")
-    return lomo_kernel(*_batch_arrays([task_pool]), metric)[:, 0]
+    result = compute_importance(from_pools([task_pool]), metric, Algorithm.LOMO)
+    return result.per_task.values[:, 0].copy()
 
 
 def lomo_task(task_pool: TaskPool, metric: Metric, model_id: str) -> float:
@@ -308,7 +287,8 @@ def lasomo_all(
     scheme: WeightScheme = WeightScheme.PERMUTATION,
 ) -> np.ndarray:
     """LASOMO importance for every pool member, in canonical member order."""
-    return _task_table(task_pool, metric, scheme).phi[:, 0]
+    result = compute_importance(from_pools([task_pool]), metric, Algorithm.LASOMO, scheme)
+    return result.per_task.values[:, 0].copy()
 
 
 def lasomo_task(
@@ -340,15 +320,12 @@ def importance_by_subset_size(
     permutation-weight LASOMO value: each size contributes C(n-1, r-1)
     subsets whose common weight is 1/((n-1) C(n-1, r-1)).
     """
-    i = _pool_index(task_pool, model_id)
-    out = _task_table(task_pool, metric, WeightScheme.PERMUTATION)
-    stats: dict[int, SizeStat] = {}
-    for k, count in enumerate(out.size_count.tolist()):
-        stats[k + 2] = SizeStat(float(out.size_mean[i, k]), float(out.size_m2[i, k]) / count, count)
-    return stats
+    _pool_index(task_pool, model_id)
+    result = compute_importance(from_pools([task_pool]), metric, Algorithm.LASOMO)
+    return result.by_subset_size[model_id]
 
 
-def overall_importance(panel: ScorePanel) -> dict[str, float]:
+def overall_importance(panel: Panel) -> dict[str, float]:
     """Average per-task importance into a per-model value.
 
     Tasks iterate in sorted key order; a model whose panel row has no scored
@@ -380,62 +357,58 @@ class ImportanceResult:
     weight_scheme: WeightScheme | None
     metric: Metric
     na_policy: NaPolicy
-    per_task: ScorePanel
+    per_task: Panel
     overall: Mapping[str, float]
     by_subset_size: Mapping[str, Mapping[int, SizeStat]] | None
-    lomo: ScorePanel | None = None
-    mean_over_sizes: ScorePanel | None = None
+    lomo: Panel | None = None
+    mean_over_sizes: Panel | None = None
 
 
 def compute_importance(
-    task_pools: Sequence[TaskPool],
+    tasks: TaskPanel,
     metric: Metric,
     algorithm: Algorithm,
     scheme: WeightScheme = WeightScheme.PERMUTATION,
     na_policy: NaPolicy = NaPolicy.DROP,
     n_workers: int | None = None,
 ) -> ImportanceResult:
-    """Compute importance for every (model, task) cell of a task collection.
+    """Compute importance for every (model, task) cell of a task panel.
 
-    Tasks sharing a pool signature are evaluated in fixed-size batches;
-    batches run in parallel when ``n_workers`` allows and are reduced in
-    sorted task order, so the output is invariant to the worker count.
+    Task columns with the same present models share a pool signature and
+    are evaluated in fixed-size batches, signatures in sorted model-id
+    order; batches run in parallel when ``n_workers`` allows and are reduced
+    in that order, so the output is invariant to the worker count. Build the
+    panel with :func:`~ensimp.dataio.build_task_pools` or
+    :func:`~ensimp.dataio.from_pools`.
     """
-    if not task_pools:
-        raise ValidationError("no task pools to score")
-    pools = sorted(task_pools, key=lambda tp: tp.task)
-    seen: set[TaskKey] = set()
-    for tp in pools:
-        if tp.task in seen:
-            raise ValidationError(f"duplicate task {tp.task}")
-        seen.add(tp.task)
-        if len(tp.pool) < 2:
-            raise ValidationError(f"task {tp.task} has fewer than 2 models")
+    panel = tasks.forecasts
+    if not tasks:
+        raise ValidationError("no tasks to score")
+    signatures: dict[tuple[int, ...], list[int]] = {}
+    for j, (task, col) in enumerate(zip(panel.tasks, panel.present.T.tolist())):
+        rows = tuple(i for i, present in enumerate(col) if present)
+        if len(rows) < 2:
+            raise ValidationError(f"task {task} has fewer than 2 models")
         if algorithm is Algorithm.LASOMO:
-            _check_capacity(len(tp.pool))
+            _check_capacity(len(rows))
+        signatures.setdefault(rows, []).append(j)
 
-    groups: dict[tuple, list[TaskPool]] = {}
-    for tp in pools:
-        pl = tp.pool
-        sig = (pl.model_ids, pl.is_quantile, pl.levels.levels if pl.is_quantile else None)
-        groups.setdefault(sig, []).append(tp)
-
-    jobs: list[list[TaskPool]] = []
-    for sig in sorted(groups, key=lambda s: s[0]):
-        chunk = groups[sig]
+    jobs: list[tuple[tuple[int, ...], list[int]]] = []
+    row_elements = 1 if panel.levels is None else len(panel.levels)
+    # Models are sorted, so row-index order is model-id order.
+    for rows in sorted(signatures):
+        cols = signatures[rows]
+        per_batch = _BATCH_TASKS
         if algorithm is Algorithm.LASOMO:
-            row_elements = len(sig[2]) if sig[1] else 1
-            per_batch = _tasks_per_batch(len(sig[0]), row_elements)
-        else:
-            per_batch = _BATCH_TASKS
-        for k in range(0, len(chunk), per_batch):
-            jobs.append(chunk[k : k + per_batch])
+            per_batch = max(1, min(per_batch, _BATCH_ELEMENTS // ((1 << len(rows)) * row_elements)))
+        jobs += [(rows, cols[k : k + per_batch]) for k in range(0, len(cols), per_batch)]
 
-    def run(job: list[TaskPool]):
-        arrays = _batch_arrays(job)
+    def run(job):
+        rows, cols = job
+        values, y = panel.values[np.ix_(rows, cols)], tasks.truth[cols]
         if algorithm is Algorithm.LASOMO:
-            return job, _subset_table(*arrays, metric, scheme)
-        return job, _Readouts(lomo_kernel(*arrays, metric))
+            return _subset_table(values, panel.levels, y, metric, scheme)
+        return _Readouts(lomo_kernel(values, panel.levels, y, metric))
 
     if n_workers is not None and n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -443,36 +416,28 @@ def compute_importance(
     else:
         outputs = [run(job) for job in jobs]
 
-    models = tuple(sorted({m for tp in pools for m in tp.pool.model_ids}))
-    tasks = tuple(tp.task for tp in pools)
-    model_index = {m: i for i, m in enumerate(models)}
-    task_index = {t: j for j, t in enumerate(tasks)}
-    shape = (len(models), len(tasks))
-    phi, lomo, mos = np.full(shape, np.nan), np.full(shape, np.nan), np.full(shape, np.nan)
-    present = np.zeros(shape, dtype=bool)
+    phi, lomo, mos = (np.full(panel.present.shape, np.nan) for _ in range(3))
     moments: dict[tuple[str, int], tuple[int, float, float]] = {}
-    for job, out in outputs:
-        ids = job[0].pool.model_ids
-        cells = np.ix_([model_index[m] for m in ids], [task_index[tp.task] for tp in job])
-        present[cells] = True
+    for (rows, cols), out in zip(jobs, outputs):
+        cells = np.ix_(rows, cols)
         phi[cells] = out.phi
-        if out.lomo is not None:
-            lomo[cells] = out.lomo
-            mos[cells] = out.mean_over_sizes
-        if out.size_count is not None:
-            # Batches merge in sorted batch order, which fixes the result.
-            for i, model in enumerate(ids):
-                for k, count in enumerate(out.size_count.tolist()):
-                    part = (count, float(out.size_mean[i, k]), float(out.size_m2[i, k]))
-                    key = (model, k + 2)
-                    moments[key] = _merge_moments(moments[key], part) if key in moments else part
+        if out.lomo is None:
+            continue
+        lomo[cells] = out.lomo
+        mos[cells] = out.mean_over_sizes
+        # Batches merge in sorted batch order, which fixes the result.
+        for i, row in enumerate(rows):
+            for k, count in enumerate(out.size_count.tolist()):
+                part = (count, float(out.size_mean[i, k]), float(out.size_m2[i, k]))
+                key = (panel.models[row], k + 2)
+                moments[key] = _merge_moments(moments[key], part) if key in moments else part
 
-    panel = ScorePanel(models, tasks, phi, present)
-    overall = model_mean_scores(apply_na_policy(panel, na_policy))
+    per_task = Panel(panel.models, panel.tasks, phi, panel.present)
+    overall = model_mean_scores(apply_na_policy(per_task, na_policy))
     if algorithm is Algorithm.LOMO:
-        return ImportanceResult(algorithm, None, metric, na_policy, panel, overall, None)
+        return ImportanceResult(algorithm, None, metric, na_policy, per_task, overall, None)
 
-    by_size: dict[str, dict[int, SizeStat]] = {m: {} for m in models}
+    by_size: dict[str, dict[int, SizeStat]] = {m: {} for m in panel.models}
     for (model, r), (count, mean, m2) in sorted(moments.items()):
         by_size[model][r] = SizeStat(mean, m2 / count, count)
     return ImportanceResult(
@@ -480,9 +445,9 @@ def compute_importance(
         weight_scheme=scheme,
         metric=metric,
         na_policy=na_policy,
-        per_task=panel,
+        per_task=per_task,
         overall=overall,
         by_subset_size=by_size,
-        lomo=ScorePanel(models, tasks, lomo, present),
-        mean_over_sizes=ScorePanel(models, tasks, mos, present),
+        lomo=Panel(panel.models, panel.tasks, lomo, panel.present),
+        mean_over_sizes=Panel(panel.models, panel.tasks, mos, panel.present),
     )

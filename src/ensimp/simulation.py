@@ -162,10 +162,6 @@ class SimulationSpec:
             if not want_point and not isinstance(comp, NormalSpec):
                 raise ValidationError("probabilistic scenarios take NormalSpec components")
 
-    @property
-    def n_forecasters(self) -> int:
-        return len(self.fixed_components) + 1
-
 
 def setting_a_point() -> SimulationSpec:
     """Point forecasts -1 and -0.5 plus a swept bias b in [-1, 3]."""
@@ -242,11 +238,9 @@ def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
         values = np.asarray([[c.value] for c in components], dtype=np.float64)
         phi = lomo_kernel(values, None, y, Metric.SPE)
     else:
-        quantiles = np.asarray(
-            [normal_quantile_forecast(c, spec.levels).values for c in components],
-            dtype=np.float64,
-        )
-        phi = lomo_kernel(quantiles[:, None, :], spec.levels, y, Metric.WIS)
+        z = normal_quantile(spec.levels.as_array())
+        quantiles = np.stack([[c.mean + c.sd * z] for c in components])
+        phi = lomo_kernel(quantiles, spec.levels, y, Metric.WIS)
     return phi.mean(axis=1), phi.std(axis=1)
 
 

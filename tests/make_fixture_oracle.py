@@ -28,15 +28,17 @@ POLICIES = ("drop", "worst", "mean")
 
 
 def load():
-    records, _ = read_forecasts(str(FIXTURES / "forecasts.csv"))
+    forecasts, _ = read_forecasts(str(FIXTURES / "forecasts.csv"))
     truth = read_truth(str(FIXTURES / "truth.csv"))
-    levels = records[0].forecast.levels.levels
-    tasks = sorted({rec.task for rec in records})
+    levels = forecasts.levels.levels
+    tasks = list(forecasts.tasks)
     by_task = {}
-    for rec in records:
-        by_task.setdefault(rec.task, {})[rec.model] = list(rec.forecast.values)
+    for i, model in enumerate(forecasts.models):
+        for j, task in enumerate(tasks):
+            if forecasts.present[i, j]:
+                by_task.setdefault(task, {})[model] = forecasts.values[i, j].tolist()
     truth_of = {t: truth[(t.location, t.target_end_date)].value for t in tasks}
-    models = sorted({rec.model for rec in records})
+    models = list(forecasts.models)
     return models, tasks, by_task, truth_of, levels
 
 

@@ -14,7 +14,7 @@ import bruteforce as bf
 from conftest import FIXTURES, ORACLES, point_pool, random_quantile_pool, same_cells
 
 from ensimp.cli import main
-from ensimp.dataio import TaskKey, TaskPool, read_forecasts, read_truth
+from ensimp.dataio import TaskKey, TaskPool, from_pools, read_forecasts, read_truth
 from ensimp.decomposition import (
     ErrorVector,
     GaussianErrorModel,
@@ -265,12 +265,13 @@ def test_criterion_11_fixture_pipeline_oracle(tmp_path):
 
     # the recorded files must themselves match a fresh run of the
     # independent enumerator before the pipeline is held to them
-    records, _ = read_forecasts(fc)
+    forecasts, _ = read_forecasts(fc)
     truth = read_truth(truth_path)
-    levels = records[0].forecast.levels.levels
+    levels = forecasts.levels.levels
     by_task = {}
-    for rec in records:
-        by_task.setdefault(rec.task, {})[rec.model] = list(rec.forecast.values)
+    for i, model in enumerate(forecasts.models):
+        for j in np.flatnonzero(forecasts.present[i]).tolist():
+            by_task.setdefault(forecasts.tasks[j], {})[model] = forecasts.values[i, j].tolist()
     recorded = {}
     with open(ORACLES / "importance_worst.csv") as fh:
         import csv as _csv
@@ -318,13 +319,15 @@ def test_criterion_12_performance_ten_models():
 
     start = time.perf_counter()
     r4 = compute_importance(
-        pools, Metric.WIS, Algorithm.LASOMO, scheme=WeightScheme.PERMUTATION, n_workers=4
+        from_pools(pools), Metric.WIS, Algorithm.LASOMO, scheme=WeightScheme.PERMUTATION,
+        n_workers=4,
     )
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s on 4 workers"
 
     r1 = compute_importance(
-        pools, Metric.WIS, Algorithm.LASOMO, scheme=WeightScheme.PERMUTATION, n_workers=1
+        from_pools(pools), Metric.WIS, Algorithm.LASOMO, scheme=WeightScheme.PERMUTATION,
+        n_workers=1,
     )
     assert same_cells(r1.per_task, r4.per_task)
     assert r1.overall == r4.overall

@@ -11,6 +11,8 @@ from conftest import FIXTURES, ORACLES
 
 from ensimp import cli
 from ensimp.cli import _resolve_workers, main
+from ensimp.ensembling import ForecastPool
+from ensimp.scoring import QuantileForecast
 
 FC = str(FIXTURES / "forecasts.csv")
 TRUTH = str(FIXTURES / "truth.csv")
@@ -55,15 +57,6 @@ class TestScore:
         assert code != 0
         assert "nope.csv" in err
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        out = tmp_path / "imp.csv"
-        monkeypatch.setenv("ENSIMP_WORKERS", "2")
-        assert main(["importance", "--forecasts", FC, "--truth", TRUTH,
-                     "--output", str(out)]) == 0
-        monkeypatch.setenv("ENSIMP_WORKERS", "zero")
-        assert main(["importance", "--forecasts", FC, "--truth", TRUTH,
-                     "--output", str(out)]) != 0
-
     def test_utf8_bom_is_accepted(self, tmp_path):
         fc_bom, truth_bom = tmp_path / "fc.csv", tmp_path / "truth.csv"
         fc_bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "forecasts.csv").read_bytes())
@@ -89,6 +82,17 @@ class TestImportance:
                      "--na", policy, "--output", str(out)])
         assert code == 0
         assert out.read_bytes() == (ORACLES / f"importance_{policy}.csv").read_bytes()
+
+    def test_builds_no_per_forecast_objects(self, tmp_path, monkeypatch):
+        # The CLI path stays on the array panel from the CSV to the kernels.
+        def refuse(obj):
+            raise AssertionError(f"{type(obj).__name__} built on the CLI path")
+
+        monkeypatch.setattr(QuantileForecast, "__post_init__", refuse)
+        monkeypatch.setattr(ForecastPool, "__post_init__", refuse)
+        out = tmp_path / "imp.csv"
+        assert main(["importance", "--forecasts", FC, "--truth", TRUTH, "--output", str(out)]) == 0
+        assert out.read_bytes() == (ORACLES / "importance_worst.csv").read_bytes()
 
     def test_lomo_equals_lasomo_on_two_model_tasks(self, tmp_path):
         fc2 = two_model_fixture(tmp_path)
@@ -263,13 +267,11 @@ class TestSubsetVariance:
 
 class TestWorkers:
     def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.delenv("ENSIMP_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert _resolve_workers(None) == 3
 
     def test_default_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("ENSIMP_WORKERS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert _resolve_workers(None) == 5

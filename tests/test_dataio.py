@@ -9,25 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, task_key
+from conftest import FIXTURES, point_pool, quantile_pool, same_cells, task_key
 
 from ensimp.dataio import (
     FORECAST_HEADER,
-    ForecastRecord,
     NaPolicy,
+    Panel,
     ParseError,
-    ScorePanel,
     TaskKey,
     apply_na_policy,
     build_task_pools,
     format_float,
+    from_pools,
     model_mean_scores,
     read_forecasts,
     read_truth,
     score_records,
     write_results,
 )
-from ensimp.scoring import Metric, QuantileForecast, QuantileLevels, ValidationError
+from ensimp.scoring import Metric, QuantileLevels, ValidationError
 
 LEVELS = "0.25,0.5,0.75"
 
@@ -57,10 +57,11 @@ TRIPLE = [(0.25, 10.0), (0.5, 20.0), (0.75, 30.0)]
 class TestReadForecasts:
     def test_groups_rows_into_forecasts(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
-        records, report = read_forecasts(forecast_csv(tmp_path, body))
-        assert len(records) == 1
-        assert records[0].model == "alpha"
-        assert records[0].forecast.values == (10.0, 20.0, 30.0)
+        panel, report = read_forecasts(forecast_csv(tmp_path, body))
+        assert len(panel) == 1
+        assert panel.models == ("alpha",)
+        assert panel.levels.levels == (0.25, 0.5, 0.75)
+        assert panel.values[0, 0].tolist() == [10.0, 20.0, 30.0]
         assert not report.invalid
 
     def test_two_models_two_tasks(self, tmp_path):
@@ -68,8 +69,8 @@ class TestReadForecasts:
         for m in ("alpha", "beta"):
             for fd, end in (("2021-11-06", "2021-11-13"), ("2021-11-13", "2021-11-20")):
                 body += rows_for(m, fd, "25", 1, end, TRIPLE)
-        records, _ = read_forecasts(forecast_csv(tmp_path, body))
-        assert len(records) == 4
+        panel, _ = read_forecasts(forecast_csv(tmp_path, body))
+        assert len(panel) == 4
 
     def test_duplicate_level_row_is_an_error(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
@@ -80,17 +81,17 @@ class TestReadForecasts:
     def test_incomplete_level_set_is_flagged_not_fatal(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
         body += rows_for("beta", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:2])
-        records, report = read_forecasts(forecast_csv(tmp_path, body))
-        assert [r.model for r in records] == ["alpha"]
+        panel, report = read_forecasts(forecast_csv(tmp_path, body))
+        assert len(panel) == 1 and panel.models == ("alpha",)
         assert len(report.invalid) == 1
         assert "beta" in report.invalid[0]
 
     def test_declared_levels_override(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
-        records, report = read_forecasts(
+        panel, report = read_forecasts(
             forecast_csv(tmp_path, body), levels=QuantileLevels((0.25, 0.5))
         )
-        assert not records
+        assert not panel
         assert len(report.invalid) == 1
 
     def test_non_monotone_quantiles_name_the_offender(self, tmp_path):
@@ -100,6 +101,20 @@ class TestReadForecasts:
         )
         with pytest.raises(ValidationError, match="alpha"):
             read_forecasts(forecast_csv(tmp_path, body))
+
+    def test_non_monotone_error_names_model_task_and_both_levels(self, tmp_path):
+        body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
+        body += rows_for(
+            "beta", "2021-11-06", "25", 1, "2021-11-13",
+            [(0.25, 10.0), (0.5, 30.0), (0.75, 20.0)],
+        )
+        task = TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13))
+        with pytest.raises(ValidationError) as err:
+            read_forecasts(forecast_csv(tmp_path, body))
+        assert str(err.value) == (
+            f"('beta', {task}): quantile values must be non-decreasing in level; "
+            "value 30.0 at level 0.5 exceeds 20.0 at level 0.75"
+        )
 
     def test_malformed_rows_carry_row_numbers(self, tmp_path):
         body = "alpha,not-a-date,25,1,2021-11-13,0.5,20.0\n"
@@ -118,11 +133,11 @@ class TestReadForecasts:
             "alpha,2021-11-06,25,1,2021-11-13,0.5,20.0\n"
             "alpha,2021-11-06, 25,1,2021-11-13,0.75,30.0\n"
         )
-        records, report = read_forecasts(forecast_csv(tmp_path, body))
-        assert [(r.model, r.task) for r in records] == [
-            ("alpha", TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13)))
-        ]
-        assert records[0].forecast.values == (10.0, 20.0, 30.0)
+        panel, report = read_forecasts(forecast_csv(tmp_path, body))
+        assert len(panel) == 1
+        assert panel.models == ("alpha",)
+        assert panel.tasks == (TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13)),)
+        assert panel.values[0, 0].tolist() == [10.0, 20.0, 30.0]
         assert not report.invalid
 
     def test_level_repeated_across_spellings_names_the_row(self, tmp_path):
@@ -142,15 +157,22 @@ class TestReadForecasts:
         _, report = read_forecasts(forecast_csv(tmp_path, body))
         assert report.warnings
 
+    def test_huge_horizon_warns_instead_of_overflowing(self, tmp_path):
+        body = rows_for("alpha", "2021-11-06", "25", 999999, "2021-11-13", TRIPLE)
+        panel, report = read_forecasts(forecast_csv(tmp_path, body))
+        assert len(panel) == 1 and panel.tasks[0].horizon == 999999
+        assert len(report.warnings) == 1
+        assert "inconsistent with forecast_date + 999999 week(s)" in report.warnings[0]
+
     def test_fixture_reads_clean(self):
-        records, report = read_forecasts(str(FIXTURES / "forecasts.csv"))
-        assert len(records) == 22
+        panel, report = read_forecasts(str(FIXTURES / "forecasts.csv"))
+        assert len(panel) == 22
         assert not report.invalid and not report.warnings
 
 
 @st.composite
-def hub_records(draw):
-    """Records sharing one level set, in the reader's (model, task) order."""
+def hub_panels(draw):
+    """A forecast panel of one level set."""
     levels = QuantileLevels(tuple(sorted(draw(
         st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4, unique=True)
     ))))
@@ -160,23 +182,30 @@ def hub_records(draw):
         min_size=1, max_size=6, unique=True,
     ))
     value = st.floats(-1e9, 1e9, allow_nan=False)
-    records = []
+    cells = {}
     for model, day, location, horizon in keys:
         fd = date(2021, 11, 1) + timedelta(days=day)
         task = TaskKey(fd, location, horizon, fd + timedelta(days=7 * horizon))
-        values = sorted(draw(st.lists(value, min_size=len(levels), max_size=len(levels))))
-        records.append(ForecastRecord(model, task, QuantileForecast(levels, tuple(values))))
-    return sorted(records, key=lambda r: (r.model, r.task))
+        cells[(model, task)] = sorted(draw(st.lists(value, min_size=len(levels), max_size=len(levels))))
+    models = sorted({model for model, _ in cells})
+    tasks = sorted({task for _, task in cells})
+    values = np.full((len(models), len(tasks), len(levels)), np.nan)
+    present = np.zeros((len(models), len(tasks)), dtype=bool)
+    for (model, task), quantiles in cells.items():
+        i, j = models.index(model), tasks.index(task)
+        values[i, j], present[i, j] = quantiles, True
+    return Panel(tuple(models), tuple(tasks), values, present, levels)
 
 
 @settings(max_examples=50, deadline=None)
-@given(hub_records(), st.randoms(use_true_random=False))
-def test_hub_rows_round_trip(records, shuffle):
+@given(hub_panels(), st.randoms(use_true_random=False))
+def test_hub_rows_round_trip(panel, shuffle):
     rows = [
-        (r.model, r.task.forecast_date.isoformat(), r.task.location, str(r.task.horizon),
-         r.task.target_end_date.isoformat(), format_float(p), format_float(v))
-        for r in records
-        for p, v in zip(r.forecast.levels.levels, r.forecast.values)
+        (model, task.forecast_date.isoformat(), task.location, str(task.horizon),
+         task.target_end_date.isoformat(), format_float(p), format_float(v))
+        for i, model in enumerate(panel.models)
+        for j, task in enumerate(panel.tasks) if panel.present[i, j]
+        for p, v in zip(panel.levels.levels, panel.values[i, j].tolist())
     ]
     shuffle.shuffle(rows)
     with tempfile.TemporaryDirectory() as tmp:
@@ -186,7 +215,8 @@ def test_hub_rows_round_trip(records, shuffle):
             writer.writerow(FORECAST_HEADER)
             writer.writerows(rows)
         got, report = read_forecasts(str(path))
-    assert got == records
+    assert got.levels == panel.levels
+    assert same_cells(got, panel)
     assert not report.invalid and not report.warnings
 
 
@@ -205,29 +235,52 @@ class TestBuildTaskPools:
     def test_missing_truth_excludes_task_with_report(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
         body += rows_for("beta", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
-        records, _ = read_forecasts(forecast_csv(tmp_path, body))
-        pools, report = build_task_pools(records, {})
-        assert not pools
+        forecasts, _ = read_forecasts(forecast_csv(tmp_path, body))
+        tasks, report = build_task_pools(forecasts, {})
+        assert not tasks
         assert "no truth" in report.excluded_tasks[0]
 
     def test_single_model_task_excluded_with_report(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
-        records, _ = read_forecasts(forecast_csv(tmp_path, body))
+        forecasts, _ = read_forecasts(forecast_csv(tmp_path, body))
         truth = read_truth(truth_csv(tmp_path, "25,2021-11-13,20\n"))
-        pools, report = build_task_pools(records, truth)
-        assert not pools
+        tasks, report = build_task_pools(forecasts, truth)
+        assert not tasks
         assert "fewer than 2" in report.excluded_tasks[0]
 
     def test_joined_pool_carries_truth(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
         body += rows_for("beta", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
-        records, _ = read_forecasts(forecast_csv(tmp_path, body))
+        forecasts, _ = read_forecasts(forecast_csv(tmp_path, body))
         truth = read_truth(truth_csv(tmp_path, "25,2021-11-13,22\n"))
-        pools, report = build_task_pools(records, truth)
-        assert len(pools) == 1
-        assert pools[0].truth.value == 22.0
-        assert pools[0].pool.model_ids == ("alpha", "beta")
+        tasks, report = build_task_pools(forecasts, truth)
+        assert len(tasks) == 1
+        assert tasks.truth.tolist() == [22.0]
+        assert tasks.forecasts.models == ("alpha", "beta")
+        assert tasks.forecasts.present.all()
         assert not report.excluded_tasks
+
+
+class TestFromPools:
+    LEVELS = QuantileLevels((0.25, 0.5, 0.75))
+
+    def test_pools_with_different_level_sets_are_rejected_naming_the_task(self):
+        pools = [
+            quantile_pool({"a": (1.0, 2.0, 3.0), "b": (2.0, 3.0, 4.0)}, self.LEVELS, 2.0, i=0),
+            quantile_pool({"a": (1.0, 3.0), "b": (2.0, 4.0)}, QuantileLevels((0.25, 0.75)), 2.0, i=1),
+        ]
+        with pytest.raises(ValidationError, match="one level set") as err:
+            from_pools(pools)
+        assert str(task_key(1)) in str(err.value)
+
+    def test_point_and_quantile_pools_are_rejected_naming_the_task(self):
+        pools = [
+            quantile_pool({"a": (1.0, 2.0, 3.0), "b": (2.0, 3.0, 4.0)}, self.LEVELS, 2.0, i=0),
+            point_pool({"a": 1.0, "b": 2.0}, 2.0, i=1),
+        ]
+        with pytest.raises(ValidationError, match="point forecasts") as err:
+            from_pools(pools)
+        assert str(task_key(1)) in str(err.value)
 
 
 class TestScoreRecords:
@@ -236,10 +289,10 @@ class TestScoreRecords:
         for model in ("alpha", "beta"):
             body += rows_for(model, "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
             body += rows_for(model, "2021-11-06", "25", 2, "2021-11-20", TRIPLE)
-        records, _ = read_forecasts(forecast_csv(tmp_path, body))
+        forecasts, _ = read_forecasts(forecast_csv(tmp_path, body))
         truth = read_truth(truth_csv(tmp_path, "25,2021-11-20,22\n"))
-        panel, report = score_records(records, truth, Metric.WIS)
-        _, join_report = build_task_pools(records, truth)
+        panel, report = score_records(forecasts, truth, Metric.WIS)
+        _, join_report = build_task_pools(forecasts, truth)
         assert len(report.excluded_tasks) == 1
         assert report.excluded_tasks == join_report.excluded_tasks
         assert "no truth" in report.excluded_tasks[0]
@@ -263,7 +316,7 @@ class TestNaPolicy:
     def panel(self):
         t = task_key(0)
         return (
-            ScorePanel(("A", "B", "C"), (t,), [[-10.0], [-20.0], [np.nan]], [[True], [True], [False]]),
+            Panel(("A", "B", "C"), (t,), [[-10.0], [-20.0], [np.nan]], [[True], [True], [False]]),
             t,
         )
 
@@ -285,7 +338,7 @@ class TestNaPolicy:
 
     def test_empty_column_removed_under_every_policy(self):
         t0, t1 = task_key(0), task_key(1)
-        panel = ScorePanel(
+        panel = Panel(
             ("A", "B"), (t0, t1), [[1.0, np.nan], [2.0, np.nan]], [[True, False], [True, False]]
         )
         for policy in NaPolicy:
@@ -294,14 +347,14 @@ class TestNaPolicy:
 
     def test_full_panel_identical_under_all_policies(self, rng):
         tasks = tuple(task_key(i) for i in range(4))
-        panel = ScorePanel(("A", "B", "C"), tasks, rng.normal(size=(3, 4)), np.ones((3, 4), bool))
+        panel = Panel(("A", "B", "C"), tasks, rng.normal(size=(3, 4)), np.ones((3, 4), bool))
         means = [model_mean_scores(apply_na_policy(panel, p)) for p in NaPolicy]
         assert means[0] == means[1] == means[2]
 
     def test_worst_never_beats_mean(self, rng):
         tasks = tuple(task_key(i) for i in range(6))
         present = rng.random((4, 6)) < 0.7
-        panel = ScorePanel(("A", "B", "C", "D"), tasks, rng.normal(size=(4, 6)), present)
+        panel = Panel(("A", "B", "C", "D"), tasks, rng.normal(size=(4, 6)), present)
         worst = model_mean_scores(apply_na_policy(panel, NaPolicy.WORST))
         mean = model_mean_scores(apply_na_policy(panel, NaPolicy.MEAN))
         for m in worst:

@@ -7,7 +7,7 @@ import pytest
 import bruteforce as bf
 from conftest import point_pool, quantile_pool, random_quantile_pool, same_cells, task_key
 
-from ensimp.dataio import NaPolicy, ScorePanel, TaskPool
+from ensimp.dataio import NaPolicy, Panel, TaskPool, from_pools
 from ensimp.importance import (
     Algorithm,
     CapacityError,
@@ -84,7 +84,7 @@ class TestLomo:
 
     def test_single_member_rejected(self):
         tp = point_pool({"a": 0.0}, y=0.0)
-        with pytest.raises(ValidationError, match="only model"):
+        with pytest.raises(ValidationError, match="fewer than 2 models"):
             lomo_task(tp, Metric.SPE, "a")
 
     def test_unknown_model_rejected(self):
@@ -179,7 +179,7 @@ class TestBySubsetSize:
 class TestOverallAndRanks:
     def test_overall_importance_examples(self):
         tasks = (task_key(0), task_key(1), task_key(2))
-        panel = ScorePanel(
+        panel = Panel(
             ("a", "b"),
             tasks,
             [[3.0, -1.0, np.nan], [2.0, 4.0, 6.0]],
@@ -191,7 +191,7 @@ class TestOverallAndRanks:
 
     def test_zero_task_model_reported_missing(self):
         tasks = (task_key(0),)
-        panel = ScorePanel(("a", "b"), tasks, [[0.0], [np.nan]], [[True], [False]])
+        panel = Panel(("a", "b"), tasks, [[0.0], [np.nan]], [[True], [False]])
         overall = overall_importance(panel)
         assert overall["a"] == 0.0
         assert "b" not in overall
@@ -208,7 +208,7 @@ class TestComputeImportance:
         for i in range(9):
             tp, _, _, _ = random_quantile_pool(rng, 5)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
-        result = compute_importance(pools, Metric.WIS, Algorithm.LASOMO)
+        result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO)
         for tp in pools:
             vals = lasomo_all(tp, Metric.WIS)
             for i, m in enumerate(tp.pool.model_ids):
@@ -219,8 +219,8 @@ class TestComputeImportance:
         for i in range(7):
             tp, _, _, _ = random_quantile_pool(rng, 4)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
-        r1 = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, n_workers=1)
-        r3 = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, n_workers=3)
+        r1 = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, n_workers=1)
+        r3 = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, n_workers=3)
         assert same_cells(r1.per_task, r3.per_task)
         assert r1.overall == r3.overall
 
@@ -231,7 +231,7 @@ class TestComputeImportance:
             TaskPool(task_key(0), tp1.pool, tp1.truth),
             TaskPool(task_key(1), tp2_full.pool, tp2_full.truth),
         ]
-        result = compute_importance(pools, Metric.WIS, Algorithm.LASOMO)
+        result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO)
         missing = set(result.per_task.models) - set(pools[1].pool.model_ids)
         assert missing
         for m in missing:
@@ -242,7 +242,7 @@ class TestComputeImportance:
         for i in range(3):
             tp, _, _, _ = random_quantile_pool(rng, 4)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
-        result = compute_importance(pools, Metric.WIS, Algorithm.LOMO)
+        result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LOMO)
         assert result.by_subset_size is None
         assert result.weight_scheme is None
         for tp in pools:
@@ -255,7 +255,7 @@ class TestComputeImportance:
         for i in range(4):
             tp, _, _, _ = random_quantile_pool(rng, 3)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
-        result = compute_importance(pools, Metric.WIS, Algorithm.LASOMO)
+        result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO)
         for m, stats in result.by_subset_size.items():
             for r, st in stats.items():
                 assert st.count == math.comb(2, r - 1) * 4
@@ -270,7 +270,7 @@ class TestComputeImportance:
             pts["m9"] = 1700.0 + 1e-5 * float(rng.normal())
             pools.append(point_pool(pts, y=0.0, i=t))
             points.append(pts)
-        result = compute_importance(pools, Metric.SPE, Algorithm.LASOMO)
+        result = compute_importance(from_pools(pools), Metric.SPE, Algorithm.LASOMO)
         for m in ("m0", "m9"):
             pooled: dict[int, list[float]] = {}
             for pts in points:
@@ -289,7 +289,7 @@ class TestComputeImportance:
         for i in range(5):
             tp, _, _, _ = random_quantile_pool(rng, 3)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
-        result = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.DROP)
+        result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.DROP)
         for m in result.per_task.models:
             vals = [result.per_task.cell(m, tp.task) for tp in pools
                     if result.per_task.cell(m, tp.task) is not None]
@@ -300,7 +300,7 @@ class TestComputeImportance:
         for i in range(6):
             tp, _, _, _ = random_quantile_pool(rng, 4)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
-        result = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.DROP)
+        result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.DROP)
         for m in result.per_task.models:
             stats = result.by_subset_size[m]
             mos = math.fsum(stats[r].mean for r in sorted(stats)) / len(stats)
@@ -313,8 +313,8 @@ class TestComputeImportance:
             TaskPool(task_key(0), tp_abc.pool, tp_abc.truth),
             TaskPool(task_key(1), tp_ab.pool, tp_ab.truth),
         ]
-        worst = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.WORST)
-        mean = compute_importance(pools, Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.MEAN)
+        worst = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.WORST)
+        mean = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.MEAN)
         # worst fills with the column minimum, mean with the column average,
         # so no model's average may come out higher under worst.
         for m in worst.overall:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import quantile_pool, same_cells
 
-from ensimp.dataio import TaskPool
+from ensimp.dataio import TaskPool, from_pools
 from ensimp.importance import (
     Algorithm,
     WeightScheme,
@@ -94,8 +94,8 @@ def test_lomo_equals_lasomo_at_two_models(members, y, metric, scheme):
 @FEW
 @given(panels(), metric)
 def test_table_lomo_equals_lomo_kernel(pools, metric):
-    table = compute_importance(pools, metric, Algorithm.LASOMO)
-    kernel = compute_importance(pools, metric, Algorithm.LOMO)
+    table = compute_importance(from_pools(pools), metric, Algorithm.LASOMO)
+    kernel = compute_importance(from_pools(pools), metric, Algorithm.LOMO)
     assert same_cells(table.lomo, kernel.per_task)
     for tp in pools:
         for m, v in by_name(tp, lomo_all(tp, metric)).items():
@@ -105,8 +105,8 @@ def test_table_lomo_equals_lomo_kernel(pools, metric):
 @FEW
 @given(panels(), metric, scheme)
 def test_cells_do_not_depend_on_worker_count(pools, metric, scheme):
-    one = compute_importance(pools, metric, Algorithm.LASOMO, scheme, n_workers=1)
-    three = compute_importance(pools, metric, Algorithm.LASOMO, scheme, n_workers=3)
+    one = compute_importance(from_pools(pools), metric, Algorithm.LASOMO, scheme, n_workers=1)
+    three = compute_importance(from_pools(pools), metric, Algorithm.LASOMO, scheme, n_workers=3)
     assert same_cells(one.per_task, three.per_task)
     assert same_cells(one.lomo, three.lomo)
     assert same_cells(one.mean_over_sizes, three.mean_over_sizes)
