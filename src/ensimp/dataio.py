@@ -390,11 +390,13 @@ def read_forecasts(
 
     Rows are grouped per (model, task); duplicate (model, task, level) rows
     are an error. A group whose level set differs from the declared one is
-    flagged invalid and reported, not returned. When ``levels`` is omitted the
-    declared set is inferred from the file: the most common signature, ties
-    broken toward the one with more levels (an incomplete record is a subset
-    of the declared set), then lexicographically. Non-monotone quantiles
-    raise a validation error naming model, task and levels.
+    flagged invalid and reported, not returned: the report names its levels
+    outside the declared set, or else counts the declared levels it has.
+    When ``levels`` is omitted the declared set is inferred from the file:
+    the most common signature, ties broken toward the one with more levels
+    (an incomplete record is a subset of the declared set), then
+    lexicographically. Non-monotone quantiles raise a validation error
+    naming model, task and levels.
     """
     report = ReadReport()
     groups: dict[tuple[str, TaskKey], dict[float, float]] = {}
@@ -439,10 +441,15 @@ def read_forecasts(
     for (model, task) in sorted(groups):
         body = groups[(model, task)]
         if tuple(sorted(body)) != declared:
-            report.invalid.append(
-                f"({model!r}, {task}): incomplete quantile set "
-                f"({len(body)} of {len(declared)} declared levels)"
-            )
+            extra = sorted(set(body).difference(declared))
+            if extra:
+                problem = (
+                    f"levels {', '.join(map(str, extra))} outside the "
+                    f"{len(declared)} declared levels"
+                )
+            else:
+                problem = f"incomplete quantile set ({len(body)} of {len(declared)} declared levels)"
+            report.invalid.append(f"({model!r}, {task}): {problem}")
             continue
         # Day counts, not dates: a date ``horizon`` weeks on can overflow.
         if abs((task.target_end_date - task.forecast_date).days - 7 * task.horizon) > 6:

@@ -20,10 +20,18 @@ of the marginal contributions at each subset size and their per-task mean
 over sizes. The LOMO kernel scores only the n + 1 top-layer ensembles, so it
 has no model cap; the panel path and the simulation engine both use it.
 
-Member values sum left to right in canonical order and weighted terms
-accumulate in ascending bitmask order, so a cell is reproducible bit for
-bit across runs and worker counts, does not depend on which tasks share its
-batch, and the LOMO read from the table equals the LOMO kernel's.
+The subset sums behind the table are streamed, never held whole: a
+depth-first walk builds them in blocks of at most ``_BLOCK_ELEMENTS``
+float64 values and scores each block as it is built. A worker's LASOMO
+memory is thus the (2^n, T) score table, its size vector and readouts of
+the same order, plus at most n - L + 2 blocks (7.5 MB at n = 20, T = 1 and
+23 levels), not the (2^n, T, levels) sum table (193 MB there).
+
+Member values sum left to right in canonical order, WIS terms sum left to
+right over the levels and weighted terms accumulate in ascending bitmask
+order, so a cell is reproducible bit for bit across runs, worker counts and
+block budgets, does not depend on which tasks share its batch, and the LOMO
+read from the table equals the LOMO kernel's.
 """
 
 from __future__ import annotations
@@ -74,12 +82,13 @@ __all__ = [
 # enumeration; beyond that the computation refuses rather than sampling.
 MAX_EXACT_MODELS = 20
 
-# Panel evaluation batches same-shaped tasks to keep array work coarse.
-# Batch sizes are derived from these bounds so the subset-sum table and the
-# scorer's temporaries stay within a fixed float64 budget at any pool size.
+# Panel evaluation batches same-shaped tasks to keep array work coarse. A
+# LASOMO batch spans at most _BATCH_ELEMENTS (subset, task, level) cells.
 _BATCH_TASKS = 128
 _BATCH_ELEMENTS = 1 << 22
-_SCORE_BLOCK_ELEMENTS = 1 << 21
+# The float64 budget of one block of the streamed subset sums: it sets how
+# many low members a block enumerates, and so the kernel's working memory.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 class CapacityError(ValidationError):
@@ -172,26 +181,65 @@ def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y, metric: Me
     return scores[0] - scores[1:]
 
 
+def _low_members(n: int, cell_elements: int) -> int:
+    """How many low members L the streamed subset table enumerates per block.
+
+    The most, down to one, whose (2^L subsets x ``cell_elements``) block fits
+    ``_BLOCK_ELEMENTS``; L = n when the whole table fits, a single block.
+    """
+    low = n
+    while low > 1 and cell_elements << low > _BLOCK_ELEMENTS:
+        low -= 1
+    return low
+
+
 def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
     """Positively oriented ensemble score of every subset, and its member count.
 
-    Both are indexed by bitmask over canonical member order. Members join in
-    ascending bit order, so each subset's sum is the plain left-to-right sum
-    of its members, bit for bit. Score row 0, the empty coalition, is NaN
-    and is never read.
+    Both are indexed by bitmask over canonical member order. The sums are
+    streamed, never held whole: the low L members' 2^L subset sums form one
+    level-major (levels, 2^L, T) block, and a depth-first walk over the high
+    bits gets each high mask's block from its parent's (the mask without its
+    top bit) by adding that member. Members thus join in ascending bit order,
+    so each subset's sum is the plain left-to-right sum of its members, bit
+    for bit, and each block is scored as soon as it is built. Only the blocks
+    on the current path are alive, at most n - L + 1 of them. Score row 0,
+    the empty coalition, is NaN and is never divided, scored or read.
     """
-    n = values.shape[0]
-    sums = np.zeros((1 << n,) + values.shape[1:], dtype=np.float64)
+    n, t = values.shape[:2]
+    # Level-major members, (n, levels, T); point values get one level.
+    members = (values[:, None] if levels is None else np.moveaxis(values, -1, 1)).copy()
+    low = _low_members(n, members[0].size)
+    block = np.zeros((members.shape[1], 1 << low, t))
     sizes = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
-        sums[1 << i : 2 << i] = sums[: 1 << i] + values[i]
+        if i < low:
+            block[:, 1 << i : 2 << i] = block[:, : 1 << i] + members[i][:, None]
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    scores = np.full((1 << n, values.shape[1]), np.nan, dtype=np.float64)
-    block = max(1, _SCORE_BLOCK_ELEMENTS // int(np.prod(sums.shape[1:])))
-    for start in range(1, 1 << n, block):
-        stop = min(start + block, 1 << n)
-        sz = sizes[start:stop].reshape((-1,) + (1,) * (sums.ndim - 1))
-        scores[start:stop] = positive_scores(sums[start:stop] / sz, levels, y)
+    scores = np.full((1 << n, t), np.nan, dtype=np.float64)
+
+    def score(high: int, block: np.ndarray) -> None:
+        first = 1 if high == 0 else 0  # skip mask 0
+        rows = slice((high << low) + first, (high + 1) << low)
+        means = block[:, first:] / sizes[rows, None]
+        if levels is None:
+            scores[rows] = positive_scores(means[0], None, y)
+        else:
+            scores[rows] = positive_scores(np.moveaxis(means, 0, -1), levels, y)
+
+    # Depth first: each path entry is a high mask, its block and the next
+    # member that may join it, so only the blocks on the path are alive.
+    score(0, block)
+    path = [(0, block, low)]
+    while path:
+        high, block, j = path[-1]
+        if j == n:
+            path.pop()
+            continue
+        path[-1] = (high, block, j + 1)
+        child = (high | 1 << (j - low), block + members[j][:, None], j + 1)
+        score(*child[:2])
+        path.append(child)
     return scores, sizes
 
 
@@ -217,6 +265,10 @@ def _subset_table(
     values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric, scheme: WeightScheme
 ) -> _Readouts:
     """Score every subset of a batch once and read all LASOMO outputs from it.
+
+    The (2^n, T) score table comes from the streamed walk of
+    :func:`_subset_scores`; the readouts then hold at most six more arrays
+    of half its length at a time.
 
     For model i the masks without bit i and the masks with it are the two
     halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
@@ -246,8 +298,9 @@ def _subset_table(
         sums = np.add.reduceat(grouped, starts, axis=0)
         mos[i] = np.add.accumulate(sums / counts[:, None], axis=0)[-1] / (n - 1)
         mean[i] = np.add.reduce(sums, axis=1) / (counts * t)
-        dev = grouped - np.repeat(mean[i], counts)[:, None]
-        m2[i] = np.add.reduce(np.add.reduceat(dev * dev, starts, axis=0), axis=1)
+        grouped -= np.repeat(mean[i], counts)[:, None]
+        grouped *= grouped
+        m2[i] = np.add.reduce(np.add.reduceat(grouped, starts, axis=0), axis=1)
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
     return _Readouts(phi, lomo, mos, counts * t, mean, m2)

@@ -166,17 +166,26 @@ def wis_batch(values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray)
     scalar and batched calls share one floating-point code path.
     """
     values = np.asarray(values, dtype=np.float64)
-    tau = levels.as_array()
-    if values.shape[-1] != tau.shape[0]:
+    if values.shape[-1] != len(levels):
         raise ValidationError(
-            f"quantile axis of length {values.shape[-1]} does not match {tau.shape[0]} levels"
+            f"quantile axis of length {values.shape[-1]} does not match {len(levels)} levels"
         )
-    yb = np.asarray(y, dtype=np.float64)[..., None]
-    indicator = (yb <= values).astype(np.float64)
-    terms = 2.0 * (indicator - tau) * (values - yb)
-    # accumulate pins a strict left-to-right level sum, independent of the
-    # blocked reduction numpy would pick for long contiguous axes.
-    return np.add.accumulate(terms, axis=-1)[..., -1] / len(levels)
+    y = np.asarray(y, dtype=np.float64)
+    # Level-major memory gives each level one contiguous slab; the copy is a
+    # free view when the caller already holds the values that way. Terms sum
+    # strictly left to right over the levels.
+    by_level = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    total = None
+    for tau, q in zip(levels.levels, by_level):
+        term = (y <= q).astype(np.float64)
+        term -= tau
+        term *= 2.0
+        term *= q - y
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total / len(levels)
 
 
 def wis(forecast: QuantileForecast, obs: Observation) -> float:

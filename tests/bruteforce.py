@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is deliberately naive: plain Python floats, explicit
-enumeration of coalitions, exact Fraction weights converted at the end.
+enumeration of coalitions, exact Fraction weights converted at the end. The
+one array reference, :func:`subset_scores`, holds the whole subset table.
 The only convention shared with the package under test is the canonical
 arithmetic order it documents (members and WIS terms sum left to right,
 subset terms accumulate in ascending bitmask order, cross-task averages use
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def wis(levels, values, y):
@@ -105,3 +108,30 @@ def by_subset_size(score_of, model_ids, target):
     """Per ensemble-size mean and population variance of marginal contributions."""
     groups = contributions_by_size(score_of, model_ids, target)
     return {r: two_pass(vals) for r, vals in sorted(groups.items())}
+
+
+def subset_scores(values, levels, y):
+    """Positively oriented score of every subset from the materialised sum table.
+
+    ``values`` is (n, T) point values (``levels`` None) or (n, T, K) quantile
+    values at the level tuple ``levels``. The whole (2^n, ...) sum table is
+    built with members joining in ascending bit order, then every non-empty
+    mask is scored with WIS terms accumulated left to right. Row 0, the
+    empty coalition, stays NaN. Returns the scores and the member counts.
+    """
+    n = values.shape[0]
+    sums = np.zeros((1 << n,) + values.shape[1:])
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        sums[1 << i : 2 << i] = sums[: 1 << i] + values[i]
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    means = sums[1:] / sizes[1:].reshape((-1,) + (1,) * (sums.ndim - 1))
+    scores = np.full((1 << n, values.shape[1]), np.nan)
+    if levels is None:
+        d = y - means
+        scores[1:] = -(d * d)
+    else:
+        yb = np.asarray(y)[..., None]
+        terms = 2.0 * ((yb <= means) - np.asarray(levels)) * (means - yb)
+        scores[1:] = -(np.add.accumulate(terms, axis=-1)[..., -1] / len(levels))
+    return scores, sizes

@@ -83,8 +83,22 @@ class TestReadForecasts:
         body += rows_for("beta", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:2])
         panel, report = read_forecasts(forecast_csv(tmp_path, body))
         assert len(panel) == 1 and panel.models == ("alpha",)
-        assert len(report.invalid) == 1
-        assert "beta" in report.invalid[0]
+        task = TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13))
+        assert report.invalid == [
+            f"('beta', {task}): incomplete quantile set (2 of 3 declared levels)"
+        ]
+
+    def test_levels_outside_the_declared_set_are_named(self, tmp_path):
+        body = ""
+        for m in ("alpha", "beta"):
+            body += rows_for(m, "2021-11-06", "25", 1, "2021-11-13", [(0.5, 20.0)])
+        body += rows_for("gamma", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:2])
+        panel, report = read_forecasts(forecast_csv(tmp_path, body))
+        task = TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13))
+        assert panel.models == ("alpha", "beta")
+        assert report.invalid == [
+            f"('gamma', {task}): levels 0.25 outside the 1 declared levels"
+        ]
 
     def test_declared_levels_override(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)

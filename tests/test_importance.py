@@ -1,12 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from conftest import point_pool, quantile_pool, random_quantile_pool, same_cells, task_key
 
+from ensimp import importance
 from ensimp.dataio import NaPolicy, Panel, TaskPool, from_pools
 from ensimp.importance import (
     Algorithm,
@@ -23,7 +28,7 @@ from ensimp.importance import (
     shapley_weight,
     shapley_weight_exact,
 )
-from ensimp.scoring import Metric, QuantileLevels, ValidationError
+from ensimp.scoring import CANONICAL_LEVELS, Metric, QuantileLevels, ValidationError
 
 
 class TestShapleyWeight:
@@ -319,3 +324,61 @@ class TestComputeImportance:
         # so no model's average may come out higher under worst.
         for m in worst.overall:
             assert worst.overall[m] <= mean.overall[m] + 1e-12
+
+
+class TestStreamedSubsetTable:
+    """The streamed kernel against the materialised table it replaces."""
+
+    LEVELS = QuantileLevels((0.1, 0.5, 0.9))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @settings(max_examples=4, deadline=None)
+    @given(t=st.sampled_from((1, 2, 5)), quantile=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_every_block_split_gives_the_same_bits(self, n, t, quantile, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, t, len(self.LEVELS)) if quantile else (n, t)
+        # Mixed magnitudes make the summation order show in the low bits.
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        values[rng.integers(n)] = 0.0
+        levels = None
+        if quantile:
+            values.sort(axis=-1)
+            levels = self.LEVELS
+        y = rng.normal(size=t) * 10.0
+        want_scores, want_sizes = bf.subset_scores(values, levels and levels.levels, y)
+        cell = values[0].size
+        for low in range(1, n + 1):
+            with mock.patch.object(importance, "_BLOCK_ELEMENTS", cell << low):
+                assert importance._low_members(n, cell) == low
+                scores, sizes = importance._subset_scores(values, levels, y)
+            assert scores.tobytes() == want_scores.tobytes(), low
+            assert np.array_equal(sizes, want_sizes)
+
+    def test_peak_memory_follows_the_planned_blocks(self):
+        n, t, k = 20, 1, len(CANONICAL_LEVELS)
+        rng = np.random.default_rng(3)
+        values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
+        y = rng.normal(size=t)
+        low = importance._low_members(n, t * k)
+        block = 8 * (t * k << low)
+        table = 8 * (t << n)
+        # The walk holds the score table, the size vector, the n - low + 1
+        # blocks on its path and one block of means, plus level slabs.
+        walk_bound = 2 * table + (n - low + 3) * block
+        # The readouts then hold at most six arrays of half its length.
+        table_bound = walk_bound + 3 * table
+        assert table_bound < 100e6
+        tracemalloc.start()
+        try:
+            importance._subset_scores(values, CANONICAL_LEVELS, y)
+            walk_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            importance._subset_table(
+                values, CANONICAL_LEVELS, y, Metric.WIS, WeightScheme.PERMUTATION
+            )
+            table_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert walk_peak < walk_bound
+        assert table_peak < table_bound

@@ -2,6 +2,7 @@
 and the reproducibility the package documents, over generated pools."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import quantile_pool, same_cells
 
+from ensimp import importance
 from ensimp.dataio import TaskPool, from_pools
 from ensimp.importance import (
     Algorithm,
@@ -31,6 +33,9 @@ member = st.tuples(coordinate, spread)
 metric = st.sampled_from(Metric)
 scheme = st.sampled_from(WeightScheme)
 FEW = settings(max_examples=25, deadline=None)
+# Block budgets of the streamed subset table: the small ones split the walk
+# into many blocks, down to one low member per block.
+block_budget = st.sampled_from((1, 12, 1 << 17))
 
 
 def make_pool(members, y, names=None, i=0) -> TaskPool:
@@ -128,3 +133,38 @@ def test_lomo_of_a_large_pool_uses_exact_sums(members, y):
 
     want = [neg_wis(rows) - neg_wis(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
     assert lomo_all(tp, Metric.WIS).tolist() == want
+
+
+@FEW
+@given(st.lists(member, min_size=2, max_size=9), coordinate, metric, block_budget)
+def test_permutation_lasomo_is_efficient(members, y, metric, budget):
+    """Shapley efficiency with the empty coalition dropped and weights rescaled:
+    ``sum_i phi_i == n/(n-1) * (v(N) - mean_i v({i}))``."""
+    tp = make_pool(members, y)
+    with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
+        phi = lasomo_all(tp, metric, WeightScheme.PERMUTATION)
+    ids, n = tp.pool.model_ids, len(members)
+    forecasts = {m: f.values for m, f in zip(ids, tp.pool.forecasts)}
+    if metric is Metric.WIS:
+        v = lambda sub: bf.neg_wis_score(forecasts, sub, LEVELS.levels, y)
+    else:
+        medians = {m: q[LEVELS.index_of(0.5)] for m, q in forecasts.items()}
+        v = lambda sub: bf.neg_spe_score(medians, sub, y)
+    singles = [v((m,)) for m in ids]
+    want = n / (n - 1) * (v(ids) - math.fsum(singles) / n)
+    scale = max(abs(x) for x in singles + [v(ids)])
+    assert math.fsum(phi) == pytest.approx(want, rel=1e-9, abs=1e-12 * scale)
+
+
+@FEW
+@given(st.lists(member, min_size=1, max_size=8), st.data(), coordinate, metric, scheme, block_budget)
+def test_identical_neighbours_get_identical_phi(members, data, y, metric, scheme, budget):
+    """Symmetry: twins adjacent in canonical order take the same place in every
+    left-to-right member sum, so their phi agree bit for bit."""
+    k = data.draw(st.integers(0, len(members) - 1))
+    tp = make_pool(members[: k + 1] + members[k:], y)
+    with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
+        phi = lasomo_all(tp, metric, scheme)
+    assert phi[k] == phi[k + 1]
+    lomo = lomo_all(tp, metric)
+    assert lomo[k] == lomo[k + 1]
