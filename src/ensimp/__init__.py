@@ -23,7 +23,6 @@ from .decomposition import (
     phi_direct,
 )
 from .ensembling import (
-    EmptyPoolError,
     ForecastPool,
     mean_point_ensemble,
     mean_quantile_ensemble,
@@ -39,9 +38,7 @@ from .importance import (
     lasomo_task,
     lomo_all,
     lomo_task,
-    overall_importance,
     rank_models,
-    shapley_weight,
     shapley_weight_exact,
 )
 from .scoring import (
@@ -51,9 +48,7 @@ from .scoring import (
     PointForecast,
     QuantileForecast,
     QuantileLevels,
-    Score,
     ValidationError,
-    mean_score,
     positive_score,
     spe,
     wis,

@@ -247,10 +247,9 @@ def cmd_subset_variance(args) -> int:
     return 0
 
 
-def _add_io_flags(p, needs_data=True):
-    if needs_data:
-        p.add_argument("--forecasts", required=True, help="forecast CSV path")
-        p.add_argument("--truth", required=True, help="truth CSV path")
+def _add_io_flags(p):
+    p.add_argument("--forecasts", required=True, help="forecast CSV path")
+    p.add_argument("--truth", required=True, help="truth CSV path")
     p.add_argument("--output", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

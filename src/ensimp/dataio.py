@@ -54,7 +54,6 @@ __all__ = [
     "TaskPool",
     "apply_na_policy",
     "build_task_pools",
-    "format_float",
     "from_pools",
     "model_mean_scores",
     "read_forecasts",
@@ -175,13 +174,6 @@ class Panel:
 
     def __len__(self) -> int:
         return int(self.present.sum())
-
-    def cell(self, model: str, task: TaskKey) -> float | list[float] | None:
-        """The cell's value (its quantile values when the panel has levels), or None."""
-        if model not in self.models or task not in self.tasks:
-            return None
-        i, j = self.models.index(model), self.tasks.index(task)
-        return self.values[i, j].tolist() if self.present[i, j] else None
 
 
 def _fill(cells: Mapping[tuple[str, TaskKey], object], levels: QuantileLevels | None) -> Panel:
@@ -374,29 +366,28 @@ def _parse_key(row: Sequence[str], rownum: int) -> tuple[str, TaskKey]:
     model = row[0].strip()
     if not model:
         raise ParseError(f"row {rownum}: empty model id")
-    task = TaskKey(
-        forecast_date=_parse_date(row[1], rownum, "forecast_date"),
-        location=row[2].strip(),
-        horizon=_parse_int(row[3], rownum, "horizon"),
-        target_end_date=_parse_date(row[4], rownum, "target_end_date"),
-    )
-    return model, task
+    forecast_date = _parse_date(row[1], rownum, "forecast_date")
+    horizon = _parse_int(row[3], rownum, "horizon")
+    target_end_date = _parse_date(row[4], rownum, "target_end_date")
+    try:
+        return model, TaskKey(forecast_date, row[2].strip(), horizon, target_end_date)
+    except ValidationError as exc:
+        raise ParseError(f"row {rownum}: {exc}") from None
 
 
-def read_forecasts(
-    path: str, levels: QuantileLevels | None = None
-) -> tuple[Panel, ReadReport]:
+def read_forecasts(path: str) -> tuple[Panel, ReadReport]:
     """Read a hub-format forecast CSV into a (models, tasks, levels) forecast panel.
 
     Rows are grouped per (model, task); duplicate (model, task, level) rows
     are an error. A group whose level set differs from the declared one is
     flagged invalid and reported, not returned: the report names its levels
     outside the declared set, or else counts the declared levels it has.
-    When ``levels`` is omitted the declared set is inferred from the file:
-    the most common signature, ties broken toward the one with more levels
-    (an incomplete record is a subset of the declared set), then
-    lexicographically. Non-monotone quantiles raise a validation error
-    naming model, task and levels.
+    The declared set is inferred from the file: the most common signature,
+    ties broken toward the one with more levels (an incomplete record is a
+    subset of the declared set), then lexicographically. Non-monotone
+    quantiles raise a validation error naming model, task and levels; an
+    invalid task key raises a parse error naming its row, and a declared set
+    outside (0, 1) one naming the file.
     """
     report = ReadReport()
     groups: dict[tuple[str, TaskKey], dict[float, float]] = {}
@@ -426,16 +417,17 @@ def read_forecasts(
                 )
             body[level] = value
 
-    if levels is not None:
-        declared = levels.levels
-    else:
-        signatures: dict[tuple[float, ...], int] = {}
-        for body in groups.values():
-            sig = tuple(sorted(body))
-            signatures[sig] = signatures.get(sig, 0) + 1
-        if not signatures:
-            return _fill({}, None), report
-        declared = max(sorted(signatures), key=lambda sig: (signatures[sig], len(sig)))
+    signatures: dict[tuple[float, ...], int] = {}
+    for body in groups.values():
+        sig = tuple(sorted(body))
+        signatures[sig] = signatures.get(sig, 0) + 1
+    if not signatures:
+        return _fill({}, None), report
+    declared = max(sorted(signatures), key=lambda sig: (signatures[sig], len(sig)))
+    try:
+        levels = QuantileLevels(declared)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
     kept: dict[tuple[str, TaskKey], list[float]] = {}
     for (model, task) in sorted(groups):
@@ -458,7 +450,7 @@ def read_forecasts(
                 f"forecast_date + {task.horizon} week(s)"
             )
         kept[(model, task)] = [body[p] for p in declared]
-    return _fill(kept, QuantileLevels(declared)), report
+    return _fill(kept, levels), report
 
 
 def read_truth(path: str) -> dict[tuple[str, date], Observation]:
@@ -475,21 +467,17 @@ def read_truth(path: str) -> dict[tuple[str, date], Observation]:
                 raise ParseError(f"row {rownum}: expected {len(TRUTH_HEADER)} fields, got {len(row)}")
             key = (row[0].strip(), _parse_date(row[1], rownum, "target_end_date"))
             if key in truth:
-                raise ParseError(f"row {rownum}: duplicate truth for {key}")
+                raise ParseError(f"row {rownum}: duplicate truth for location {key[0]!r} on {key[1]}")
             truth[key] = Observation(_parse_float(row[2], rownum, "value"))
     return truth
-
-
-def format_float(value: float) -> str:
-    """Render with 17 significant digits so values survive a CSV round trip."""
-    return format(float(value), ".17g")
 
 
 def _result_cell(value: object) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return format_float(value)
+        # 17 significant digits: the value survives a CSV round trip.
+        return format(float(value), ".17g")
     return str(value)
 
 

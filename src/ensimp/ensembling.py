@@ -16,7 +16,6 @@ import numpy as np
 from .scoring import PointForecast, QuantileForecast, QuantileLevels, ValidationError
 
 __all__ = [
-    "EmptyPoolError",
     "ForecastPool",
     "mean_point_ensemble",
     "mean_quantile_ensemble",
@@ -25,10 +24,6 @@ __all__ = [
 # Plain left-to-right summation is exact enough for small pools; beyond this
 # many members the per-level sums switch to compensated (fsum) accumulation.
 _PLAIN_SUM_LIMIT = 32
-
-
-class EmptyPoolError(ValidationError):
-    """An ensemble of zero models makes no prediction and cannot be scored."""
 
 
 @dataclass(frozen=True)
@@ -85,16 +80,6 @@ class ForecastPool:
             return np.asarray([f.values for f in self.forecasts], dtype=np.float64)
         return np.asarray([f.value for f in self.forecasts], dtype=np.float64)
 
-    def subset_indices(self, subset: Iterable[str]) -> tuple[int, ...]:
-        """Sorted member indices for a set of model ids; empty sets are rejected."""
-        wanted = set(subset)
-        if not wanted:
-            raise EmptyPoolError("empty model subset: no prediction to score")
-        unknown = wanted.difference(self.model_ids)
-        if unknown:
-            raise ValidationError(f"model ids not in pool: {sorted(unknown)}")
-        return tuple(i for i, m in enumerate(self.model_ids) if m in wanted)
-
 
 def member_means(rows: np.ndarray) -> np.ndarray:
     """Mean over the leading member axis of values in canonical member order.
@@ -113,6 +98,17 @@ def member_means(rows: np.ndarray) -> np.ndarray:
     return np.asarray([math.fsum(col) for col in cols]).reshape(rows.shape[1:]) / m
 
 
+def _subset_mean(pool: ForecastPool, subset: Iterable[str]) -> np.ndarray:
+    """Mean of the pool members named in ``subset``; an empty subset predicts nothing."""
+    wanted = set(subset)
+    if not wanted:
+        raise ValidationError("empty model subset: no prediction to score")
+    unknown = wanted.difference(pool.model_ids)
+    if unknown:
+        raise ValidationError(f"model ids not in pool: {sorted(unknown)}")
+    return member_means(pool.values_matrix()[[m in wanted for m in pool.model_ids]])
+
+
 def mean_quantile_ensemble(pool: ForecastPool, subset: Iterable[str]) -> QuantileForecast:
     """Equal-weight ensemble: at each level, the mean of the members' quantiles.
 
@@ -121,14 +117,11 @@ def mean_quantile_ensemble(pool: ForecastPool, subset: Iterable[str]) -> Quantil
     """
     if not pool.is_quantile:
         raise ValidationError("mean_quantile_ensemble requires a quantile pool")
-    idx = pool.subset_indices(subset)
-    rows = pool.values_matrix()[list(idx)]
-    return QuantileForecast(pool.levels, tuple(member_means(rows)))
+    return QuantileForecast(pool.levels, tuple(_subset_mean(pool, subset)))
 
 
 def mean_point_ensemble(pool: ForecastPool, subset: Iterable[str]) -> PointForecast:
     """Equal-weight ensemble of point forecasts, summed as :func:`member_means` sums."""
     if pool.is_quantile:
         raise ValidationError("mean_point_ensemble requires a point-forecast pool")
-    idx = pool.subset_indices(subset)
-    return PointForecast(float(member_means(pool.values_matrix()[list(idx)])))
+    return PointForecast(float(_subset_mean(pool, subset)))

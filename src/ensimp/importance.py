@@ -72,9 +72,7 @@ __all__ = [
     "lasomo_task",
     "lomo_all",
     "lomo_task",
-    "overall_importance",
     "rank_models",
-    "shapley_weight",
     "shapley_weight_exact",
 ]
 
@@ -138,11 +136,6 @@ def shapley_weight_exact(n: int, s: int) -> Fraction:
     """
     _check_size_args(n, s)
     return Fraction(1, (n - 1) * math.comb(n - 1, s))
-
-
-def shapley_weight(n: int, s: int) -> float:
-    """Coalition weight ``s!(n-s-1)!/((n-1)!(n-1))`` as a float."""
-    return float(shapley_weight_exact(n, s))
 
 
 def equal_weight_exact(n: int, s: int) -> Fraction:
@@ -376,15 +369,6 @@ def importance_by_subset_size(
     _pool_index(task_pool, model_id)
     result = compute_importance(from_pools([task_pool]), metric, Algorithm.LASOMO)
     return result.by_subset_size[model_id]
-
-
-def overall_importance(panel: Panel) -> dict[str, float]:
-    """Average per-task importance into a per-model value.
-
-    Tasks iterate in sorted key order; a model whose panel row has no scored
-    task is reported by omission, never as zero.
-    """
-    return model_mean_scores(panel)
 
 
 def rank_models(values: Mapping[str, float]) -> dict[str, int]:

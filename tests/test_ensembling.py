@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ensimp.ensembling import (
-    EmptyPoolError,
     ForecastPool,
     mean_point_ensemble,
     mean_quantile_ensemble,
@@ -42,12 +41,12 @@ class TestMeanQuantileEnsemble:
 
     def test_empty_subset_is_no_prediction(self):
         pool = qpool(a=[1.0, 2.0, 3.0])
-        with pytest.raises(EmptyPoolError):
+        with pytest.raises(ValidationError, match="^empty model subset: no prediction to score$"):
             mean_quantile_ensemble(pool, ())
 
     def test_unknown_member_rejected(self):
         pool = qpool(a=[1.0, 2.0, 3.0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^model ids not in pool: \['zz'\]$"):
             mean_quantile_ensemble(pool, ("a", "zz"))
 
     def test_permutation_invariance_bitwise(self, rng):

@@ -12,7 +12,7 @@ import bruteforce as bf
 from conftest import point_pool, quantile_pool, random_quantile_pool, same_cells, task_key
 
 from ensimp import importance
-from ensimp.dataio import NaPolicy, Panel, TaskPool, from_pools
+from ensimp.dataio import NaPolicy, Panel, TaskPool, from_pools, model_mean_scores
 from ensimp.importance import (
     Algorithm,
     CapacityError,
@@ -23,9 +23,7 @@ from ensimp.importance import (
     lasomo_task,
     lomo_all,
     lomo_task,
-    overall_importance,
     rank_models,
-    shapley_weight,
     shapley_weight_exact,
 )
 from ensimp.scoring import CANONICAL_LEVELS, Metric, QuantileLevels, ValidationError
@@ -33,9 +31,9 @@ from ensimp.scoring import CANONICAL_LEVELS, Metric, QuantileLevels, ValidationE
 
 class TestShapleyWeight:
     def test_examples(self):
-        assert shapley_weight(3, 1) == 0.25
-        assert shapley_weight(3, 2) == 0.5
-        assert shapley_weight(2, 1) == 1.0
+        assert shapley_weight_exact(3, 1) == Fraction(1, 4)
+        assert shapley_weight_exact(3, 2) == Fraction(1, 2)
+        assert shapley_weight_exact(2, 1) == 1
 
     def test_matches_factorial_form(self):
         for n in range(2, 21):
@@ -53,13 +51,13 @@ class TestShapleyWeight:
 
     def test_domain_errors(self):
         with pytest.raises(CapacityError):
-            shapley_weight(21, 1)
+            shapley_weight_exact(21, 1)
         with pytest.raises(ValidationError):
-            shapley_weight(3, 0)
+            shapley_weight_exact(3, 0)
         with pytest.raises(ValidationError):
-            shapley_weight(3, 3)
+            shapley_weight_exact(3, 3)
         with pytest.raises(ValidationError):
-            shapley_weight(1, 1)
+            shapley_weight_exact(1, 1)
 
 
 class TestLomo:
@@ -138,7 +136,7 @@ class TestLasomo:
     def test_capacity_cap(self, rng):
         tp, _, _, _ = random_quantile_pool(rng, 3)
         with pytest.raises(CapacityError):
-            shapley_weight(21, 5)
+            shapley_weight_exact(21, 5)
         big = point_pool({f"m{i:02d}": float(i) for i in range(21)}, y=0.0)
         with pytest.raises(CapacityError, match="lomo"):
             lasomo_task(big, Metric.SPE, "m00")
@@ -190,14 +188,14 @@ class TestOverallAndRanks:
             [[3.0, -1.0, np.nan], [2.0, 4.0, 6.0]],
             [[True, True, False], [True, True, True]],
         )
-        overall = overall_importance(panel)
+        overall = model_mean_scores(panel)
         assert overall["a"] == 1.0
         assert overall["b"] == 4.0
 
     def test_zero_task_model_reported_missing(self):
         tasks = (task_key(0),)
         panel = Panel(("a", "b"), tasks, [[0.0], [np.nan]], [[True], [False]])
-        overall = overall_importance(panel)
+        overall = model_mean_scores(panel)
         assert overall["a"] == 0.0
         assert "b" not in overall
 
@@ -214,10 +212,11 @@ class TestComputeImportance:
             tp, _, _, _ = random_quantile_pool(rng, 5)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
         result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO)
+        panel = result.per_task
         for tp in pools:
-            vals = lasomo_all(tp, Metric.WIS)
-            for i, m in enumerate(tp.pool.model_ids):
-                assert result.per_task.cell(m, tp.task) == vals[i]
+            rows = [panel.models.index(m) for m in tp.pool.model_ids]
+            column = panel.values[rows, panel.tasks.index(tp.task)]
+            assert column.tolist() == lasomo_all(tp, Metric.WIS).tolist()
 
     def test_worker_count_invariance(self, rng):
         pools = []
@@ -237,10 +236,12 @@ class TestComputeImportance:
             TaskPool(task_key(1), tp2_full.pool, tp2_full.truth),
         ]
         result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO)
-        missing = set(result.per_task.models) - set(pools[1].pool.model_ids)
+        panel = result.per_task
+        missing = set(panel.models) - set(pools[1].pool.model_ids)
         assert missing
+        j = panel.tasks.index(pools[1].task)
         for m in missing:
-            assert result.per_task.cell(m, pools[1].task) is None
+            assert not panel.present[panel.models.index(m), j]
 
     def test_lomo_panel(self, rng):
         pools = []
@@ -250,10 +251,11 @@ class TestComputeImportance:
         result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LOMO)
         assert result.by_subset_size is None
         assert result.weight_scheme is None
+        panel = result.per_task
         for tp in pools:
-            vals = lomo_all(tp, Metric.WIS)
-            for i, m in enumerate(tp.pool.model_ids):
-                assert result.per_task.cell(m, tp.task) == vals[i]
+            rows = [panel.models.index(m) for m in tp.pool.model_ids]
+            column = panel.values[rows, panel.tasks.index(tp.task)]
+            assert column.tolist() == lomo_all(tp, Metric.WIS).tolist()
 
     def test_by_subset_size_pools_all_tasks(self, rng):
         pools = []
@@ -295,9 +297,9 @@ class TestComputeImportance:
             tp, _, _, _ = random_quantile_pool(rng, 3)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
         result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, na_policy=NaPolicy.DROP)
-        for m in result.per_task.models:
-            vals = [result.per_task.cell(m, tp.task) for tp in pools
-                    if result.per_task.cell(m, tp.task) is not None]
+        panel = result.per_task
+        for m, row, present in zip(panel.models, panel.values, panel.present):
+            vals = row[present].tolist()
             assert result.overall[m] == math.fsum(vals) / len(vals)
 
     def test_overall_equals_mean_over_size_means_on_uniform_panels(self, rng):

@@ -102,9 +102,11 @@ def test_table_lomo_equals_lomo_kernel(pools, metric):
     table = compute_importance(from_pools(pools), metric, Algorithm.LASOMO)
     kernel = compute_importance(from_pools(pools), metric, Algorithm.LOMO)
     assert same_cells(table.lomo, kernel.per_task)
+    panel = kernel.per_task
     for tp in pools:
-        for m, v in by_name(tp, lomo_all(tp, metric)).items():
-            assert kernel.per_task.cell(m, tp.task) == v
+        rows = [panel.models.index(m) for m in tp.pool.model_ids]
+        column = panel.values[rows, panel.tasks.index(tp.task)]
+        assert column.tolist() == lomo_all(tp, metric).tolist()
 
 
 @FEW
@@ -116,9 +118,11 @@ def test_cells_do_not_depend_on_worker_count(pools, metric, scheme):
     assert same_cells(one.lomo, three.lomo)
     assert same_cells(one.mean_over_sizes, three.mean_over_sizes)
     assert one.by_subset_size == three.by_subset_size
+    panel = one.per_task
     for tp in pools:
-        for m, v in by_name(tp, lasomo_all(tp, metric, scheme)).items():
-            assert one.per_task.cell(m, tp.task) == v
+        rows = [panel.models.index(m) for m in tp.pool.model_ids]
+        column = panel.values[rows, panel.tasks.index(tp.task)]
+        assert column.tolist() == lasomo_all(tp, metric, scheme).tolist()
 
 
 @settings(max_examples=10, deadline=None)

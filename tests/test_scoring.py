@@ -10,9 +10,7 @@ from ensimp.scoring import (
     PointForecast,
     QuantileForecast,
     QuantileLevels,
-    Score,
     ValidationError,
-    mean_score,
     positive_score,
     positive_scores,
     scored_values,
@@ -102,15 +100,15 @@ class TestWis:
 class TestPositiveScore:
     def test_wis_negated(self):
         score = positive_score(Metric.WIS, qf([0.5], [1.0]), Observation(0.0))
-        assert score == Score(-1.0)
+        assert type(score) is float and score == -1.0
 
     def test_spe_negated(self):
-        assert positive_score(Metric.SPE, PointForecast(3.0), Observation(3.0)) == Score(0.0)
-        assert positive_score(Metric.SPE, PointForecast(1.0), Observation(3.0)) == Score(-4.0)
+        assert positive_score(Metric.SPE, PointForecast(3.0), Observation(3.0)) == 0.0
+        assert positive_score(Metric.SPE, PointForecast(1.0), Observation(3.0)) == -4.0
 
     def test_spe_on_quantiles_scores_the_median(self):
         fc = qf([0.25, 0.5, 0.75], [1.0, 2.0, 3.0])
-        assert positive_score(Metric.SPE, fc, Observation(5.0)) == Score(-9.0)
+        assert positive_score(Metric.SPE, fc, Observation(5.0)) == -9.0
 
     def test_spe_on_quantiles_requires_median_level(self):
         fc = qf([0.25, 0.75], [1.0, 3.0])
@@ -123,31 +121,20 @@ class TestPositiveScore:
         y = rng.normal(scale=300.0, size=200)
         for metric in Metric:
             batch = positive_scores(*scored_values(values, levels, metric), y)
-            one = [positive_score(metric, qf(levels.levels, v), Observation(o)).value
+            one = [positive_score(metric, qf(levels.levels, v), Observation(o))
                    for v, o in zip(values, y)]
             assert batch.tolist() == one
         point = positive_scores(*scored_values(values[:, 1], None, Metric.SPE), y)
-        one = [positive_score(Metric.SPE, PointForecast(v), Observation(o)).value
+        one = [positive_score(Metric.SPE, PointForecast(v), Observation(o))
                for v, o in zip(values[:, 1], y)]
         assert point.tolist() == one
         assert positive_score(
             Metric.SPE, PointForecast(0.0), Observation(-163.3882222222221)
-        ).value == float(positive_scores(np.float64(0.0), None, -163.3882222222221))
+) == float(positive_scores(np.float64(0.0), None, -163.3882222222221))
 
     def test_wis_rejects_point_forecast(self):
         with pytest.raises(ValidationError):
             positive_score(Metric.WIS, PointForecast(1.0), Observation(0.0))
-
-
-class TestMeanScore:
-    def test_examples(self):
-        assert mean_score([Score(-2.0), Score(-4.0)]) == Score(-3.0)
-        assert mean_score([Score(0.0)]) == Score(0.0)
-        assert mean_score([Score(-1.0), Score(-1.0), Score(-4.0)]) == Score(-2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            mean_score([])
 
 
 class TestQuantileTypes:
@@ -185,7 +172,9 @@ class TestQuantileTypes:
         assert fc.values == (1.0, 1.0, 3.0)
 
     def test_median_property(self):
-        assert qf([0.25, 0.5, 0.75], [1.0, 2.0, 3.0]).median == 2.0
+        fc = qf([0.25, 0.5, 0.75], [1.0, 2.0, 3.0])
+        median, levels = scored_values(fc.as_array(), fc.levels, Metric.SPE)
+        assert median == 2.0 and levels is None
 
 
 def test_wis_matches_explicit_formula(rng):

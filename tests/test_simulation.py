@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -16,9 +18,11 @@ from ensimp.simulation import (
     setting_a_point,
     setting_a_prob,
     setting_b_dispersion,
-    sweep_rows,
     truth_draws,
+    write_sweep_csv,
 )
+
+MEDIAN = CANONICAL_LEVELS.index_of(0.5)
 
 
 class TestNormalQuantile:
@@ -67,11 +71,11 @@ class TestNormalQuantile:
 class TestNormalQuantileForecast:
     def test_standard_normal_median(self):
         fc = normal_quantile_forecast(NormalSpec(0.0, 1.0), CANONICAL_LEVELS)
-        assert fc.median == 0.0
+        assert fc.values[MEDIAN] == 0.0
 
     def test_location_shift(self):
         fc = normal_quantile_forecast(NormalSpec(1.75, 1.0), CANONICAL_LEVELS)
-        assert fc.median == 1.75
+        assert fc.values[MEDIAN] == 1.75
 
     def test_scale(self):
         fc = normal_quantile_forecast(NormalSpec(0.0, 2.0), QuantileLevels((0.5, 0.975)))
@@ -170,7 +174,7 @@ class TestRunSweep:
             }
         )
         ens = mean_quantile_ensemble(pool, pool.model_ids)
-        assert ens.median == 0.0
+        assert ens.values[MEDIAN] == 0.0
 
     def test_dispersion_ensemble_correctly_specified_at_1_8(self):
         pool = ForecastPool.from_dict(
@@ -185,7 +189,7 @@ class TestRunSweep:
         for got, want in zip(ens.values, target.values):
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_sweep_rows_shape(self):
+    def test_sweep_rows_shape(self, tmp_path):
         spec = SimulationSpec(
             Scenario.A_POINT,
             setting_a_point().fixed_components,
@@ -193,8 +197,11 @@ class TestRunSweep:
             replicates=10,
             seed=5,
         )
-        rows = sweep_rows(run_sweep(spec))
+        write_sweep_csv(run_sweep(spec), str(tmp_path / "sweep.csv"))
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 3
         assert rows[0]["scenario"] == "a_point"
-        assert {r["forecaster"] for r in rows} == {"forecaster_1", "forecaster_2", "forecaster_3"}
-        assert all(r["replicates"] == 10 and r["seed"] == 5 for r in rows)
+        assert [r["grid_value"] for r in rows[::3]] == ["-1", "-0.75", "-0.5"]
+        assert [r["forecaster"] for r in rows[:3]] == ["forecaster_1", "forecaster_2", "forecaster_3"]
+        assert all(r["replicates"] == "10" and r["seed"] == "5" for r in rows)
