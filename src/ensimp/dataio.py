@@ -7,9 +7,19 @@ Dates are ISO-8601; locations are opaque string codes.
 One type carries data from the CSV to the kernels: a :class:`Panel` holds
 sorted models and tasks, a ``present`` mask of the (models, tasks) cells
 that hold a value, and ``values``, either (models, tasks) scores or, with
-``levels`` set, (models, tasks, levels) quantile forecasts. Reading parses
-each distinct spelling of a row's key fields once and fills a forecast panel
-directly, checking monotonicity as one array check. :func:`build_task_pools`
+``levels`` set, (models, tasks, levels) quantile forecasts.
+
+A plain forecast file, with no ``"`` and no carriage return, is read
+column-wise in 1 MB blocks: each line is split once from the right into key
+text, level and value, each distinct key text is parsed once, and each
+block's levels and values are cast in one numpy call each. Anything
+irregular sends the read back to the start, through the :mod:`csv` row
+reader, which also takes quoted fields, CRLF and blank rows and is the one
+source of row errors, each naming the file and row. Both readers hand the
+same columns (the (model, task) keys, and per row a key index, level and
+value) to one array back half, which finds repeated levels, infers the
+declared level set, reports invalid groups and calendar slips, and fills the
+forecast panel, checking monotonicity as one array check. :func:`build_task_pools`
 keeps the tasks that can be scored, as a :class:`TaskPanel` with their truth;
 :func:`score_records` scores every present cell in one call of the array
 scorer; the NA policies are column operations and the per-model means row
@@ -25,6 +35,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -176,17 +187,19 @@ class Panel:
         return int(self.present.sum())
 
 
-def _fill(cells: Mapping[tuple[str, TaskKey], object], levels: QuantileLevels | None) -> Panel:
-    """The panel of a map from (model, task) to the cell's value or quantile values."""
-    models = sorted({model for model, _ in cells})
-    tasks = sorted({task for _, task in cells})
+def _fill(
+    keys: Sequence[tuple[str, TaskKey]], cells: object, levels: QuantileLevels | None
+) -> Panel:
+    """The panel of distinct (model, task) keys and, per key, its value or quantile values."""
+    models = sorted({model for model, _ in keys})
+    tasks = sorted({task for _, task in keys})
     model_index = {m: i for i, m in enumerate(models)}
     task_index = {t: j for j, t in enumerate(tasks)}
-    index = ([model_index[m] for m, _ in cells], [task_index[t] for _, t in cells])
+    index = ([model_index[m] for m, _ in keys], [task_index[t] for _, t in keys])
     shape = (len(models), len(tasks))
     values = np.full(shape if levels is None else shape + (len(levels),), np.nan)
     present = np.zeros(shape, dtype=bool)
-    values[index] = np.reshape(list(cells.values()), (len(cells),) + values.shape[2:])
+    values[index] = np.reshape(cells, (len(keys),) + values.shape[2:])
     present[index] = True
     return Panel(tuple(models), tuple(tasks), values, present, levels)
 
@@ -238,7 +251,7 @@ def from_pools(task_pools: Sequence[TaskPool]) -> TaskPanel:
             )
     cells = {(model, tp.task): values for tp in pools
              for model, values in zip(tp.pool.model_ids, tp.pool.values_matrix().tolist())}
-    forecasts = _fill(cells, kinds[0] if kinds else None)
+    forecasts = _fill(list(cells), list(cells.values()), kinds[0] if kinds else None)
     return TaskPanel(forecasts, np.asarray([tp.truth.value for tp in pools], dtype=np.float64))
 
 
@@ -326,28 +339,28 @@ def model_mean_scores(panel: Panel) -> dict[str, float]:
     return means
 
 
-def _parse_date(text: str, row: int, col: str) -> date:
+def _parse_date(text: str, where: str, col: str) -> date:
     try:
         return date.fromisoformat(text.strip())
     except ValueError:
-        raise ParseError(f"row {row}: invalid ISO-8601 date in {col!r}: {text!r}") from None
+        raise ParseError(f"{where}: invalid ISO-8601 date in {col!r}: {text!r}") from None
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
+def _parse_float(text: str, where: str, col: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"row {row}: invalid number in {col!r}: {text!r}") from None
+        raise ParseError(f"{where}: invalid number in {col!r}: {text!r}") from None
     if not math.isfinite(value):
-        raise ParseError(f"row {row}: non-finite number in {col!r}: {text!r}")
+        raise ParseError(f"{where}: non-finite number in {col!r}: {text!r}")
     return value
 
 
-def _parse_int(text: str, row: int, col: str) -> int:
+def _parse_int(text: str, where: str, col: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"row {row}: invalid integer in {col!r}: {text!r}") from None
+        raise ParseError(f"{where}: invalid integer in {col!r}: {text!r}") from None
 
 
 def _open_reader(path: str):
@@ -362,17 +375,186 @@ def _check_header(got: Sequence[str] | None, expected: tuple[str, ...], path: st
         )
 
 
-def _parse_key(row: Sequence[str], rownum: int) -> tuple[str, TaskKey]:
+def _parse_key(row: Sequence[str], where: str) -> tuple[str, TaskKey]:
     model = row[0].strip()
     if not model:
-        raise ParseError(f"row {rownum}: empty model id")
-    forecast_date = _parse_date(row[1], rownum, "forecast_date")
-    horizon = _parse_int(row[3], rownum, "horizon")
-    target_end_date = _parse_date(row[4], rownum, "target_end_date")
+        raise ParseError(f"{where}: empty model id")
+    forecast_date = _parse_date(row[1], where, "forecast_date")
+    horizon = _parse_int(row[3], where, "horizon")
+    target_end_date = _parse_date(row[4], where, "target_end_date")
     try:
         return model, TaskKey(forecast_date, row[2].strip(), horizon, target_end_date)
     except ValidationError as exc:
-        raise ParseError(f"row {rownum}: {exc}") from None
+        raise ParseError(f"{where}: {exc}") from None
+
+
+# Characters per block of the column-wise read: the text in memory at once.
+_BLOCK_CHARS = 1 << 20
+
+# The columns both forecast readers hand on: the distinct (model, task) keys
+# in order of first appearance, then per data row its key's index, its
+# quantile level and its value.
+_Columns = tuple[list[tuple[str, TaskKey]], np.ndarray, np.ndarray, np.ndarray]
+
+
+class _Irregular(Exception):
+    """The file holds something only the row reader may judge or name."""
+
+
+def _plain_block(
+    lines: list[str], by_text: dict[str, int], by_key: dict[tuple[str, TaskKey], int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key index, level and value of each line, or :class:`_Irregular`."""
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        raise _Irregular  # csv.reader refuses a field this long
+    texts: list[str] = []
+    levels: list[str] = []
+    values: list[str] = []
+    # A loop, not a comprehension: each split is freed at once, so the many
+    # short-lived lists do not set off the cyclic garbage collector.
+    for line in lines:
+        try:
+            text, level, value = line.rsplit(",", 2)
+        except ValueError:
+            raise _Irregular from None
+        texts.append(text)
+        levels.append(level)
+        values.append(value)
+    for text in dict.fromkeys(texts):
+        if text not in by_text:
+            fields = text.split(",")
+            if len(fields) != 5:
+                raise _Irregular
+            try:
+                key = _parse_key(fields, "")
+            except ParseError:
+                raise _Irregular from None
+            by_text[text] = by_key.setdefault(key, len(by_key))
+    gid = np.fromiter(map(by_text.__getitem__, texts), dtype=np.intp, count=len(texts))
+    try:
+        # Casting str to float64 parses each item as float() does.
+        level = np.array(levels, dtype=np.float64)
+        value = np.array(values, dtype=np.float64)
+    except ValueError:
+        raise _Irregular from None
+    if not (np.isfinite(level).all() and np.isfinite(value).all()):
+        raise _Irregular
+    return gid, level, value
+
+
+def _plain_columns(fh) -> _Columns:
+    """The columns of a plain file (no quote, no carriage return), read column-wise.
+
+    The text is split on ``\\n`` only, block by block, and each line once
+    from the right into key text, level and value. Each distinct key text is
+    parsed once; spellings that parse alike share one key. A blank line, a
+    wrong field count, a bad key or number, a non-finite value or a header
+    mismatch raises :class:`_Irregular`.
+    """
+    if fh.readline().rstrip("\n") != ",".join(FORECAST_HEADER):
+        raise _Irregular
+    by_text: dict[str, int] = {}
+    by_key: dict[tuple[str, TaskKey], int] = {}
+    parts = [(np.empty(0, np.intp), np.empty(0), np.empty(0))]
+    tail = ""
+    while block := fh.read(_BLOCK_CHARS):
+        if '"' in block or "\r" in block:
+            raise _Irregular
+        lines = (tail + block).split("\n")
+        tail = lines.pop()  # the partial last line goes on to the next block
+        parts.append(_plain_block(lines, by_text, by_key))
+    if tail:
+        parts.append(_plain_block([tail], by_text, by_key))
+    gid, level, value = map(np.concatenate, zip(*parts))
+    return list(by_key), gid, level, value
+
+
+def _row_columns(fh, path: str) -> _Columns:
+    """The columns of any forecast file, read row by row with :mod:`csv`.
+
+    This reader takes quoted fields, carriage returns and blank rows, and is
+    the one source of row errors, each naming the file and row.
+    """
+    reader = csv.reader(fh)
+    _check_header(next(reader, None), FORECAST_HEADER, path)
+    by_text: dict[tuple[str, ...], int] = {}
+    by_key: dict[tuple[str, TaskKey], int] = {}
+    gid: list[int] = []
+    level: list[float] = []
+    value: list[float] = []
+    seen: set[tuple[int, float]] = set()
+    for rownum, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        where = f"{path}: row {rownum}"
+        if len(row) != len(FORECAST_HEADER):
+            raise ParseError(f"{where}: expected {len(FORECAST_HEADER)} fields, got {len(row)}")
+        text = tuple(row[:5])
+        g = by_text.get(text)
+        if g is None:
+            g = by_text[text] = by_key.setdefault(_parse_key(row, where), len(by_key))
+        p = _parse_float(row[5], where, "quantile_level")
+        v = _parse_float(row[6], where, "value")
+        if (g, p) in seen:
+            model, task = list(by_key)[g]
+            raise ParseError(f"{where}: duplicate quantile row for ({model!r}, {task}, {p})")
+        seen.add((g, p))
+        gid.append(g)
+        level.append(p)
+        value.append(v)
+    return list(by_key), np.array(gid, dtype=np.intp), np.array(level), np.array(value)
+
+
+def _forecast_panel(
+    path: str, keys: list[tuple[str, TaskKey]], gid: np.ndarray, level: np.ndarray,
+    value: np.ndarray,
+) -> tuple[Panel, ReadReport]:
+    """The panel and report of a forecast file's columns (see ``_Columns``)."""
+    report = ReadReport()
+    if not keys:
+        return _fill([], [], None), report
+    order = np.lexsort((level, gid))
+    gid, level, value = gid[order], level[order], value[order]
+    same = gid[1:] == gid[:-1]
+    if (same & (level[1:] == level[:-1])).any():
+        raise _Irregular  # a repeated (key, level) pair: the row reader names its row
+    # Every key has a row, so after the sort key g's levels are slice g.
+    bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(gid)]
+    ordered = level.tolist()
+    signatures = [tuple(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
+    counts = Counter(signatures)
+    declared = max(sorted(counts), key=lambda sig: (counts[sig], len(sig)))
+    try:
+        levels = QuantileLevels(declared)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+    valid = [sig == declared for sig in signatures]
+    for g in sorted((g for g, ok in enumerate(valid) if not ok), key=keys.__getitem__):
+        extra = sorted(set(signatures[g]).difference(declared))
+        if extra:
+            problem = (
+                f"levels {', '.join(map(str, extra))} outside the "
+                f"{len(declared)} declared levels"
+            )
+        else:
+            problem = (
+                f"incomplete quantile set ({len(signatures[g])} of "
+                f"{len(declared)} declared levels)"
+            )
+        model, task = keys[g]
+        report.invalid.append(f"({model!r}, {task}): {problem}")
+    kept = [keys[g] for g, ok in enumerate(valid) if ok]
+    # Day counts, not dates: a date ``horizon`` weeks on can overflow.
+    late = [(model, task) for model, task in kept
+            if abs((task.target_end_date - task.forecast_date).days - 7 * task.horizon) > 6]
+    for model, task in sorted(late):
+        report.warnings.append(
+            f"({model!r}, {task}): target_end_date is inconsistent with "
+            f"forecast_date + {task.horizon} week(s)"
+        )
+    cells = value[np.repeat(valid, np.diff(bounds))]
+    return _fill(kept, cells, levels), report
 
 
 def read_forecasts(path: str) -> tuple[Panel, ReadReport]:
@@ -385,72 +567,21 @@ def read_forecasts(path: str) -> tuple[Panel, ReadReport]:
     The declared set is inferred from the file: the most common signature,
     ties broken toward the one with more levels (an incomplete record is a
     subset of the declared set), then lexicographically. Non-monotone
-    quantiles raise a validation error naming model, task and levels; an
-    invalid task key raises a parse error naming its row, and a declared set
-    outside (0, 1) one naming the file.
+    quantiles raise a validation error naming model, task and levels; a
+    malformed row raises a parse error naming the file and row, and a
+    declared set outside (0, 1) one naming the file.
+
+    A plain file is read column-wise; anything irregular sends the read back
+    to the start, through the row reader, which names the fault if there is one.
     """
-    report = ReadReport()
-    groups: dict[tuple[str, TaskKey], dict[float, float]] = {}
-    # Rows repeat their key fields once per level, so each distinct spelling
-    # of a key is parsed once; spellings that parse alike share one group.
-    by_text: dict[tuple[str, ...], tuple[tuple[str, TaskKey], dict[float, float]]] = {}
     with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, FORECAST_HEADER, path)
-        for rownum, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(FORECAST_HEADER):
-                raise ParseError(f"row {rownum}: expected {len(FORECAST_HEADER)} fields, got {len(row)}")
-            text = tuple(row[:5])
-            entry = by_text.get(text)
-            if entry is None:
-                key = _parse_key(row, rownum)
-                entry = by_text[text] = (key, groups.setdefault(key, {}))
-            (model, task), body = entry
-            level = _parse_float(row[5], rownum, "quantile_level")
-            value = _parse_float(row[6], rownum, "value")
-            if level in body:
-                raise ParseError(
-                    f"row {rownum}: duplicate quantile row for ({model!r}, {task}, {level})"
-                )
-            body[level] = value
-
-    signatures: dict[tuple[float, ...], int] = {}
-    for body in groups.values():
-        sig = tuple(sorted(body))
-        signatures[sig] = signatures.get(sig, 0) + 1
-    if not signatures:
-        return _fill({}, None), report
-    declared = max(sorted(signatures), key=lambda sig: (signatures[sig], len(sig)))
-    try:
-        levels = QuantileLevels(declared)
-    except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-    kept: dict[tuple[str, TaskKey], list[float]] = {}
-    for (model, task) in sorted(groups):
-        body = groups[(model, task)]
-        if tuple(sorted(body)) != declared:
-            extra = sorted(set(body).difference(declared))
-            if extra:
-                problem = (
-                    f"levels {', '.join(map(str, extra))} outside the "
-                    f"{len(declared)} declared levels"
-                )
-            else:
-                problem = f"incomplete quantile set ({len(body)} of {len(declared)} declared levels)"
-            report.invalid.append(f"({model!r}, {task}): {problem}")
-            continue
-        # Day counts, not dates: a date ``horizon`` weeks on can overflow.
-        if abs((task.target_end_date - task.forecast_date).days - 7 * task.horizon) > 6:
-            report.warnings.append(
-                f"({model!r}, {task}): target_end_date is inconsistent with "
-                f"forecast_date + {task.horizon} week(s)"
-            )
-        kept[(model, task)] = [body[p] for p in declared]
-    return _fill(kept, levels), report
+        try:
+            return _forecast_panel(path, *_plain_columns(fh))
+        except (_Irregular, UnicodeDecodeError):
+            # A bad byte fails its whole block; the row reader reaches it only
+            # after the rows before it, so an earlier row error still wins.
+            fh.seek(0)
+        return _forecast_panel(path, *_row_columns(fh, path))
 
 
 def read_truth(path: str) -> dict[tuple[str, date], Observation]:
@@ -463,12 +594,13 @@ def read_truth(path: str) -> dict[tuple[str, date], Observation]:
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            where = f"{path}: row {rownum}"
             if len(row) != len(TRUTH_HEADER):
-                raise ParseError(f"row {rownum}: expected {len(TRUTH_HEADER)} fields, got {len(row)}")
-            key = (row[0].strip(), _parse_date(row[1], rownum, "target_end_date"))
+                raise ParseError(f"{where}: expected {len(TRUTH_HEADER)} fields, got {len(row)}")
+            key = (row[0].strip(), _parse_date(row[1], where, "target_end_date"))
             if key in truth:
-                raise ParseError(f"row {rownum}: duplicate truth for location {key[0]!r} on {key[1]}")
-            truth[key] = Observation(_parse_float(row[2], rownum, "value"))
+                raise ParseError(f"{where}: duplicate truth for location {key[0]!r} on {key[1]}")
+            truth[key] = Observation(_parse_float(row[2], where, "value"))
     return truth
 
 

@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+import sys
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, point_pool, quantile_pool, same_cells, task_key
+from conftest import FIXTURES, ORACLES, point_pool, quantile_pool, same_cells, task_key
 
+from ensimp import dataio
+from ensimp.cli import main
 from ensimp.dataio import (
     FORECAST_HEADER,
     NaPolicy,
@@ -135,13 +139,17 @@ class TestReadForecasts:
     def test_invalid_task_key_names_the_row(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:1])
         body += rows_for("alpha", "2021-11-06", "25", 0, "2021-11-13", TRIPLE[:1])
+        path = forecast_csv(tmp_path, body)
         with pytest.raises(ParseError) as err:
-            read_forecasts(forecast_csv(tmp_path, body))
-        assert str(err.value) == "row 3: horizon must be >= 1, got 0"
+            read_forecasts(path)
+        assert str(err.value) == f"{path}: row 3: horizon must be >= 1, got 0"
         body = rows_for("alpha", "2021-11-13", "25", 1, "2021-11-06", TRIPLE[:1])
+        path = forecast_csv(tmp_path, body)
         with pytest.raises(ParseError) as err:
-            read_forecasts(forecast_csv(tmp_path, body))
-        assert str(err.value) == "row 2: target_end_date 2021-11-06 precedes forecast_date 2021-11-13"
+            read_forecasts(path)
+        assert str(err.value) == (
+            f"{path}: row 2: target_end_date 2021-11-06 precedes forecast_date 2021-11-13"
+        )
 
     def test_declared_levels_outside_unit_interval_name_the_file(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", [(1.5, 10.0)])
@@ -192,6 +200,70 @@ class TestReadForecasts:
         panel, report = read_forecasts(str(FIXTURES / "forecasts.csv"))
         assert len(panel) == 22
         assert not report.invalid and not report.warnings
+
+
+def perfbench_inputs():
+    """The benchmark's input generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestColumnWiseRead:
+    """Plain forecast files never reach the row reader; other files still read alike."""
+
+    @pytest.fixture
+    def no_row_reader(self, monkeypatch):
+        real = csv.reader
+
+        def reader(fh, *args, **kwargs):
+            if Path(fh.name).name.startswith("forecasts"):
+                raise AssertionError(f"row reader used on {fh.name}")
+            return real(fh, *args, **kwargs)
+
+        monkeypatch.setattr(dataio.csv, "reader", reader)
+
+    def test_fixture_and_benchmark_panel(self, tmp_path, no_row_reader):
+        panel, report = read_forecasts(str(FIXTURES / "forecasts.csv"))
+        assert len(panel) == 22 and not report.invalid
+        inputs = perfbench_inputs()
+        shape = inputs.PanelShape(4, 3, 2, 2, 0.1, 0.0, 2)
+        fc, truth = tmp_path / "forecasts.csv", tmp_path / "truth.csv"
+        tallies = inputs.write_panel(shape, (0.1, 0.5, 0.9), 3, fc, truth)
+        panel, report = read_forecasts(str(fc))
+        assert len(panel) == tallies["groups"] - tallies["incomplete_groups"]
+        assert len(report.invalid) == tallies["incomplete_groups"]
+
+    def test_fixture_importance_matches_oracle(self, tmp_path, no_row_reader):
+        out = tmp_path / "imp.csv"
+        assert main(["importance", "--forecasts", str(FIXTURES / "forecasts.csv"),
+                     "--truth", str(FIXTURES / "truth.csv"), "--na", "drop",
+                     "--workers", "1", "--output", str(out)]) == 0
+        assert out.read_bytes() == (ORACLES / "importance_drop.csv").read_bytes()
+
+    def test_row_error_before_an_undecodable_byte_is_reported(self, tmp_path):
+        good = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
+        path = forecast_csv(tmp_path, "alpha,2021-11-06,25,x,2021-11-13,0.5,20.0\n" + good * 300)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(ParseError) as err:
+            read_forecasts(path)
+        assert str(err.value) == f"{path}: row 2: invalid integer in 'horizon': 'x'"
+
+    def test_quoted_crlf_copy_with_blank_rows_reads_identically(self, tmp_path):
+        src = FIXTURES / "forecasts.csv"
+        with open(src, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[3:3] = [[], ["   "], [""] * 7]
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        want, want_report = read_forecasts(str(src))
+        got, got_report = read_forecasts(str(quoted))
+        assert same_cells(got, want) and got.levels == want.levels
+        assert got_report == want_report
 
 
 @st.composite
@@ -251,9 +323,16 @@ class TestReadTruth:
 
     def test_duplicate_key_is_an_error(self, tmp_path):
         body = "MA,2021-12-25,150\nMA,2021-12-25,151\n"
+        path = truth_csv(tmp_path, body)
         with pytest.raises(ParseError) as err:
-            read_truth(truth_csv(tmp_path, body))
-        assert str(err.value) == "row 3: duplicate truth for location 'MA' on 2021-12-25"
+            read_truth(path)
+        assert str(err.value) == f"{path}: row 3: duplicate truth for location 'MA' on 2021-12-25"
+
+    def test_bad_row_names_the_file(self, tmp_path):
+        path = truth_csv(tmp_path, "MA,2021-12-25,inf\n")
+        with pytest.raises(ParseError) as err:
+            read_truth(path)
+        assert str(err.value) == f"{path}: row 2: non-finite number in 'value': 'inf'"
 
 
 class TestBuildTaskPools:

@@ -1,7 +1,11 @@
 """Property tests for the importance kernels: the identities the paper proves
-and the reproducibility the package documents, over generated pools."""
+and the reproducibility the package documents, over generated pools; and for
+the forecast reader, whose column-wise and row readers must agree."""
 
 import math
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,8 +16,8 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import quantile_pool, same_cells
 
-from ensimp import importance
-from ensimp.dataio import TaskPool, from_pools
+from ensimp import dataio, importance
+from ensimp.dataio import FORECAST_HEADER, TaskPool, from_pools, read_forecasts
 from ensimp.importance import (
     Algorithm,
     WeightScheme,
@@ -22,7 +26,7 @@ from ensimp.importance import (
     lasomo_all,
     lomo_all,
 )
-from ensimp.scoring import Metric, QuantileLevels
+from ensimp.scoring import Metric, QuantileLevels, ValidationError
 
 LEVELS = QuantileLevels((0.25, 0.5, 0.75))
 SHAPE = (-1.0, 0.0, 1.0)
@@ -172,3 +176,101 @@ def test_identical_neighbours_get_identical_phi(members, data, y, metric, scheme
     assert phi[k] == phi[k + 1]
     lomo = lomo_all(tp, metric)
     assert lomo[k] == lomo[k + 1]
+
+
+# Number spellings float() reads, or refuses, that a hub file may hold.
+ODD_NUMBERS = (" 1.5 ", "1_0", "+.5", "\uff11\uff12", "nan", "inf", "0x10", "1e400", "-0", "")
+LEVEL_SPELLINGS = {0.25: ("0.25", ".25", "2.5e-1"), 0.5: ("0.5", " 0.50"),
+                   0.75: ("0.75", "7.5e-1"), 0.9: ("0.9",)}
+HORIZON_SPELLINGS = {1: ("1", "01", " 1", "\uff11"), 2: ("2", "02")}
+
+
+# The kinds of fault a generated file may hold, each at one place; about half
+# the files hold none.
+FAULTS = ("quote", "crlf", "blank", "odd_number", "field_count", "duplicate", "bad_key", "header")
+BAD_KEY_FIELDS = {0: " ", 1: "2021-13-01", 3: "0", 4: "2021-10-01"}
+
+
+@st.composite
+def hub_files(draw):
+    """The bytes of a forecast file, with key spellings that parse alike, gaps,
+    extra levels and calendar slips, and at most two kinds of fault."""
+    faults = set()
+    if draw(st.booleans()):
+        faults = draw(st.sets(st.sampled_from(FAULTS), min_size=1, max_size=2))
+    groups = draw(st.lists(st.tuples(st.sampled_from(("alpha", "beta")), st.integers(0, 1),
+                                     st.sampled_from(("25", "MA")), st.sampled_from((1, 2))),
+                           max_size=5, unique=True))
+    rows = []
+    for model, week, location, h in groups:
+        fd = date(2021, 11, 1) + timedelta(days=7 * week)
+        end = fd + timedelta(days=draw(st.sampled_from((7 * h - 2, 7 * h + 9))))
+        levels = draw(st.sampled_from(([0.25, 0.5, 0.75], [0.25, 0.5], [0.5, 0.75],
+                                       [0.25, 0.5, 0.75, 0.9])))
+        values = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=len(levels),
+                                      max_size=len(levels))))
+        for p, v in zip(levels, values):
+            rows.append([
+                draw(st.sampled_from(("", " "))) + model,
+                draw(st.sampled_from(("", " "))) + fd.isoformat(),
+                draw(st.sampled_from(("", " "))) + location,
+                draw(st.sampled_from(HORIZON_SPELLINGS[h])),
+                end.isoformat(),
+                draw(st.sampled_from(LEVEL_SPELLINGS[p])),
+                repr(v),
+            ])
+    rows = draw(st.permutations(rows))
+    if rows:
+        row = draw(st.sampled_from(rows))
+        if "bad_key" in faults:
+            k = draw(st.sampled_from(sorted(BAD_KEY_FIELDS)))
+            row[k] = BAD_KEY_FIELDS[k]
+        if "odd_number" in faults:
+            row[draw(st.sampled_from((5, 6)))] = draw(st.sampled_from(ODD_NUMBERS))
+        if "quote" in faults:
+            k = draw(st.integers(0, 6))
+            row[k] = f'"{row[k]}"'
+        if "duplicate" in faults:
+            rows.append(list(row))
+        if "field_count" in faults:
+            k = draw(st.integers(0, 6))
+            if draw(st.booleans()):
+                row.insert(k, "x")
+            else:
+                del row[k]
+    if "blank" in faults:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(([], ["   "], [""] * 7))))
+    header = list(FORECAST_HEADER)
+    if "header" in faults:
+        header = draw(st.sampled_from((["model", "date"], [f'"{x}"' for x in header])))
+    lines = [",".join(row) for row in [header] + rows]
+    if "crlf" in faults:
+        k = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            lines[k:] = ["\r\n".join(lines[k:])]  # CRLF line ends from line k on
+        else:
+            lines[k] = lines[k][:1] + "\r" + lines[k][1:]  # a lone carriage return
+    text = "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "").encode("utf-8") + text.encode("utf-8")
+
+
+def read_outcome(path):
+    """Everything a read returns, values bit for bit, or its error."""
+    try:
+        panel, report = read_forecasts(path)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return (panel.models, panel.tasks, panel.levels, panel.present.tolist(),
+            panel.values.shape, panel.values.tobytes(), report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hub_files())
+def test_column_and_row_readers_agree(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fc.csv"
+        path.write_bytes(data)
+        got = read_outcome(str(path))
+        with mock.patch.object(dataio, "_plain_columns", side_effect=dataio._Irregular):
+            want = read_outcome(str(path))
+    assert got == want
