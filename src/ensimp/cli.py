@@ -49,13 +49,13 @@ def _read_inputs(args):
 
 
 def _read_task_panel(args):
-    """Truth and the panel of the tasks the forecasts and truth join into."""
+    """The panel of the tasks the forecasts and truth join into."""
     forecasts, truth = _read_inputs(args)
     tasks, join_report = dataio.build_task_pools(forecasts, truth)
     _print_report(join_report)
     if not tasks:
         raise ValidationError("no scoreable tasks after joining forecasts with truth")
-    return truth, tasks
+    return tasks
 
 
 def _print_report(report: dataio.ReadReport) -> None:
@@ -129,12 +129,12 @@ def cmd_importance(args) -> int:
     algorithm = Algorithm(args.algorithm)
     policy = NaPolicy(args.na)
     workers = _resolve_workers(args.workers)
-    truth, tasks = _read_task_panel(args)
+    tasks = _read_task_panel(args)
 
     result = compute_importance(
         tasks, metric, algorithm, WeightScheme(args.weights), policy, n_workers=workers
     )
-    scores, _ = dataio.score_records(tasks.forecasts, truth, metric)
+    scores = dataio.score_tasks(tasks, metric)
     score_means = model_mean_scores(apply_na_policy(scores, policy))
     # The subset table also holds LOMO, so a LASOMO summary carries both
     # algorithms; the rank rows follow the algorithm that was asked for.
@@ -195,6 +195,8 @@ def cmd_simulate(args) -> int:
 def cmd_decompose_check(args) -> int:
     if args.instances < 1:
         raise ValidationError(f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     max_identity = 0.0
     max_ambiguity = 0.0
@@ -225,7 +227,7 @@ def cmd_decompose_check(args) -> int:
 def cmd_subset_variance(args) -> int:
     policy = NaPolicy(args.na)
     workers = _resolve_workers(args.workers)
-    _, tasks = _read_task_panel(args)
+    tasks = _read_task_panel(args)
 
     result = compute_importance(
         tasks, Metric(args.metric), Algorithm.LASOMO, WeightScheme(args.weights), policy,

@@ -21,9 +21,10 @@ value) to one array back half, which finds repeated levels, infers the
 declared level set, reports invalid groups and calendar slips, and fills the
 forecast panel, checking monotonicity as one array check. :func:`build_task_pools`
 keeps the tasks that can be scored, as a :class:`TaskPanel` with their truth;
-:func:`score_records` scores every present cell in one call of the array
-scorer; the NA policies are column operations and the per-model means row
-operations; and :func:`write_results` writes every table the package emits.
+:func:`score_records` and :func:`score_tasks` score every present cell in
+one call of the array scorer; the NA policies are column operations and the
+per-model means row operations; and :func:`write_results` writes every table
+the package emits.
 The object API's :class:`TaskPool` list reaches the same path through
 :func:`from_pools`.
 """
@@ -70,6 +71,7 @@ __all__ = [
     "read_forecasts",
     "read_truth",
     "score_records",
+    "score_tasks",
     "write_results",
 ]
 
@@ -292,10 +294,14 @@ def score_records(
 ) -> tuple[Panel, ReadReport]:
     """Positively oriented score of every present cell whose task has a truth value.
 
-    All cells are scored in one array call. Each task without truth is
-    listed once in the report.
+    Each task without truth is listed once in the report.
     """
     tasks, report = _join_truth(panel, truth, 1)
+    return score_tasks(tasks, metric), report
+
+
+def score_tasks(tasks: TaskPanel, metric: Metric) -> Panel:
+    """Positively oriented score of every present cell of a task panel, in one array call."""
     scored = tasks.forecasts
     values = np.full(scored.present.shape, np.nan)
     if len(scored):
@@ -303,7 +309,7 @@ def score_records(
         ys = np.broadcast_to(tasks.truth, cells.shape)[cells]
         quantiles, levels = scored_values(scored.values[cells], scored.levels, metric)
         values[cells] = positive_scores(quantiles, levels, ys)
-    return Panel(scored.models, scored.tasks, values, scored.present), report
+    return Panel(scored.models, scored.tasks, values, scored.present)
 
 
 def apply_na_policy(panel: Panel, policy: NaPolicy) -> Panel:
@@ -373,6 +379,22 @@ def _check_header(got: Sequence[str] | None, expected: tuple[str, ...], path: st
         raise ParseError(
             f"{path}: expected header {','.join(expected)}, got {','.join(got or ())}"
         )
+
+
+def _csv_rows(fh, path: str, header: tuple[str, ...]):
+    """The numbered rows of a CSV file after its header, which must be ``header``.
+
+    A byte that is not UTF-8, or a field :mod:`csv` refuses (such as one over
+    its field size limit), raises a :class:`ParseError` naming the file.
+    """
+    reader = csv.reader(fh)
+    try:
+        _check_header(next(reader, None), header, path)
+        yield from enumerate(reader, start=2)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
 def _parse_key(row: Sequence[str], where: str) -> tuple[str, TaskKey]:
@@ -475,15 +497,13 @@ def _row_columns(fh, path: str) -> _Columns:
     This reader takes quoted fields, carriage returns and blank rows, and is
     the one source of row errors, each naming the file and row.
     """
-    reader = csv.reader(fh)
-    _check_header(next(reader, None), FORECAST_HEADER, path)
     by_text: dict[tuple[str, ...], int] = {}
     by_key: dict[tuple[str, TaskKey], int] = {}
     gid: list[int] = []
     level: list[float] = []
     value: list[float] = []
     seen: set[tuple[int, float]] = set()
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in _csv_rows(fh, path, FORECAST_HEADER):
         if not "".join(row).strip():
             continue
         where = f"{path}: row {rownum}"
@@ -588,10 +608,7 @@ def read_truth(path: str) -> dict[tuple[str, date], Observation]:
     """Read the ground-truth CSV into a (location, target_end_date) map."""
     truth: dict[tuple[str, date], Observation] = {}
     with _open_reader(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        _check_header(header, TRUTH_HEADER, path)
-        for rownum, row in enumerate(reader, start=2):
+        for rownum, row in _csv_rows(fh, path, TRUTH_HEADER):
             if not row or all(not c.strip() for c in row):
                 continue
             where = f"{path}: row {rownum}"

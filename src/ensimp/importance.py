@@ -20,18 +20,22 @@ of the marginal contributions at each subset size and their per-task mean
 over sizes. The LOMO kernel scores only the n + 1 top-layer ensembles, so it
 has no model cap; the panel path and the simulation engine both use it.
 
-The subset sums behind the table are streamed, never held whole: a
-depth-first walk builds them in blocks of at most ``_BLOCK_ELEMENTS``
-float64 values and scores each block as it is built. A worker's LASOMO
-memory is thus the (2^n, T) score table, its size vector and readouts of
-the same order, plus at most n - L + 2 blocks (7.5 MB at n = 20, T = 1 and
+One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
+A batch takes the most tasks, at least one, whose largest array fits it: the
+(2^n, T) score table and the smallest (levels, 2, T) block of sums for
+LASOMO, the (n + 1, T, levels) ensembles for LOMO. The subset sums are
+streamed, never held whole: a depth-first walk builds them in blocks of at
+most that many values and scores each block as it is built. A worker's
+LASOMO memory is thus the (2^n, T) score table, its size vector and readouts
+of the same order, plus at most n - L + 2 blocks (7.5 MB at n = 20, T = 1 and
 23 levels), not the (2^n, T, levels) sum table (193 MB there).
 
 Member values sum left to right in canonical order, WIS terms sum left to
-right over the levels and weighted terms accumulate in ascending bitmask
-order, so a cell is reproducible bit for bit across runs, worker counts and
-block budgets, does not depend on which tasks share its batch, and the LOMO
-read from the table equals the LOMO kernel's.
+right over the levels, weighted terms accumulate in ascending bitmask order,
+and each task's per-size moments are pooled once over all tasks, in task
+order. So every output is reproducible bit for bit across runs, worker
+counts, block budgets and batch widths, and the LOMO read from the table
+equals the LOMO kernel's.
 """
 
 from __future__ import annotations
@@ -80,12 +84,9 @@ __all__ = [
 # enumeration; beyond that the computation refuses rather than sampling.
 MAX_EXACT_MODELS = 20
 
-# Panel evaluation batches same-shaped tasks to keep array work coarse. A
-# LASOMO batch spans at most _BATCH_ELEMENTS (subset, task, level) cells.
-_BATCH_TASKS = 128
-_BATCH_ELEMENTS = 1 << 22
-# The float64 budget of one block of the streamed subset sums: it sets how
-# many low members a block enumerates, and so the kernel's working memory.
+# The one float64 budget of the kernels' working memory. It sets how many
+# tasks share a batch (the most whose largest array fits it) and how many low
+# members a block of the streamed subset sums enumerates.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -241,9 +242,10 @@ class _Readouts:
     """What the kernels yield for a batch of T tasks sharing one pool.
 
     ``phi`` holds the (n, T) importance cells. The subset table adds the
-    LOMO and mean-over-sizes cells and, per ensemble size r = 2..n (column
-    r - 2), the count of marginal contributions of each model pooled over
-    the batch, and per model their mean and sum of squared deviations (M2).
+    LOMO and mean-over-sizes cells and, per ensemble size r = 2..n (index
+    r - 2), the count of each model's marginal contributions in one task,
+    and per model and task their (n, n - 1, T) mean and sum of squared
+    deviations from that mean (M2).
     """
 
     phi: np.ndarray
@@ -280,7 +282,7 @@ def _subset_table(
     counts = np.asarray([math.comb(n - 1, s) for s in range(1, n)])
     starts = np.cumsum(counts) - counts
     phi, mos = np.empty((n, t)), np.empty((n, t))
-    mean, m2 = np.empty((n, n - 1)), np.empty((n, n - 1))
+    mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
     for i in range(n):
         halves = scores.reshape(half >> i, 2, 1 << i, t)
         diffs = (halves[:, 1] - halves[:, 0]).reshape(half, t)[1:]
@@ -288,24 +290,14 @@ def _subset_table(
         # reduce over a (N, 1) array would sum pairwise instead.
         phi[i] = np.add.accumulate(weights * diffs, axis=0)[-1]
         grouped = diffs[by_size]
-        sums = np.add.reduceat(grouped, starts, axis=0)
-        mos[i] = np.add.accumulate(sums / counts[:, None], axis=0)[-1] / (n - 1)
-        mean[i] = np.add.reduce(sums, axis=1) / (counts * t)
-        grouped -= np.repeat(mean[i], counts)[:, None]
+        mean[i] = np.add.reduceat(grouped, starts, axis=0) / counts[:, None]
+        mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
+        grouped -= np.repeat(mean[i], counts, axis=0)
         grouped *= grouped
-        m2[i] = np.add.reduce(np.add.reduceat(grouped, starts, axis=0), axis=1)
+        m2[i] = np.add.reduceat(grouped, starts, axis=0)
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
-    return _Readouts(phi, lomo, mos, counts * t, mean, m2)
-
-
-def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
-    """Chan, Golub & LeVeque's pairwise update of two (count, mean, M2) summaries."""
-    n_a, mean_a, m2_a = a
-    n_b, mean_b, m2_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+    return _Readouts(phi, lomo, mos, counts, mean, m2)
 
 
 def _pool_index(task_pool: TaskPool, model_id: str) -> int:
@@ -412,11 +404,10 @@ def compute_importance(
     """Compute importance for every (model, task) cell of a task panel.
 
     Task columns with the same present models share a pool signature and
-    are evaluated in fixed-size batches, signatures in sorted model-id
-    order; batches run in parallel when ``n_workers`` allows and are reduced
-    in that order, so the output is invariant to the worker count. Build the
-    panel with :func:`~ensimp.dataio.build_task_pools` or
-    :func:`~ensimp.dataio.from_pools`.
+    are evaluated in batches as wide as ``_BLOCK_ELEMENTS`` allows,
+    signatures in sorted model-id order, in parallel when ``n_workers``
+    allows; the output does not depend on either. Build the panel with
+    :func:`~ensimp.dataio.build_task_pools` or :func:`~ensimp.dataio.from_pools`.
     """
     panel = tasks.forecasts
     if not tasks:
@@ -431,13 +422,13 @@ def compute_importance(
         signatures.setdefault(rows, []).append(j)
 
     jobs: list[tuple[tuple[int, ...], list[int]]] = []
-    row_elements = 1 if panel.levels is None else len(panel.levels)
+    levels = 1 if panel.levels is None else len(panel.levels)
     # Models are sorted, so row-index order is model-id order.
     for rows in sorted(signatures):
-        cols = signatures[rows]
-        per_batch = _BATCH_TASKS
-        if algorithm is Algorithm.LASOMO:
-            per_batch = max(1, min(per_batch, _BATCH_ELEMENTS // ((1 << len(rows)) * row_elements)))
+        cols, n = signatures[rows], len(rows)
+        # Per task, the largest array of a batch (see the module docstring).
+        widest = (n + 1) * levels if algorithm is Algorithm.LOMO else max(1 << n, 2 * levels)
+        per_batch = max(1, _BLOCK_ELEMENTS // widest)
         jobs += [(rows, cols[k : k + per_batch]) for k in range(0, len(cols), per_batch)]
 
     def run(job):
@@ -454,7 +445,7 @@ def compute_importance(
         outputs = [run(job) for job in jobs]
 
     phi, lomo, mos = (np.full(panel.present.shape, np.nan) for _ in range(3))
-    moments: dict[tuple[str, int], tuple[int, float, float]] = {}
+    moments: dict[tuple[str, int], list[tuple[np.ndarray, ...]]] = {}
     for (rows, cols), out in zip(jobs, outputs):
         cells = np.ix_(rows, cols)
         phi[cells] = out.phi
@@ -462,12 +453,10 @@ def compute_importance(
             continue
         lomo[cells] = out.lomo
         mos[cells] = out.mean_over_sizes
-        # Batches merge in sorted batch order, which fixes the result.
         for i, row in enumerate(rows):
             for k, count in enumerate(out.size_count.tolist()):
-                part = (count, float(out.size_mean[i, k]), float(out.size_m2[i, k]))
-                key = (panel.models[row], k + 2)
-                moments[key] = _merge_moments(moments[key], part) if key in moments else part
+                part = (np.full(len(cols), count), out.size_mean[i, k], out.size_m2[i, k])
+                moments.setdefault((panel.models[row], k + 2), []).append(part)
 
     per_task = Panel(panel.models, panel.tasks, phi, panel.present)
     overall = model_mean_scores(apply_na_policy(per_task, na_policy))
@@ -475,8 +464,16 @@ def compute_importance(
         return ImportanceResult(algorithm, None, metric, na_policy, per_task, overall, None)
 
     by_size: dict[str, dict[int, SizeStat]] = {m: {} for m in panel.models}
-    for (model, r), (count, mean, m2) in sorted(moments.items()):
-        by_size[model][r] = SizeStat(mean, m2 / count, count)
+    # The exact two-level formula: N = sum(c), mean = sum(c * mean_t) / N and
+    # M2 = sum(M2_t) + sum(c * (mean_t - mean)^2), each sum over the tasks in
+    # (signature, column) order, which the batching does not change.
+    for (model, r), parts in sorted(moments.items()):
+        count, mean, m2 = map(np.concatenate, zip(*parts))
+        total = int(count.sum())
+        pooled = np.add.reduce(count * mean) / total
+        dev = mean - pooled
+        m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
+        by_size[model][r] = SizeStat(float(pooled), float(m2 / total), total)
     return ImportanceResult(
         algorithm=algorithm,
         weight_scheme=scheme,

@@ -110,6 +110,9 @@ class Grid:
     step: float
 
     def __post_init__(self) -> None:
+        for name, value in (("start", self.start), ("end", self.end)):
+            if not math.isfinite(value):
+                raise ValidationError(f"grid {name} must be finite, got {value}")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValidationError(f"grid step must be positive, got {self.step}")
         if self.end < self.start:

@@ -190,6 +190,15 @@ class TestSimulate:
         assert code == 1
         assert "--grid-step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name, value", [("--grid-start", "start", "nan"),
+                                                   ("--grid-end", "end", "inf")])
+    def test_non_finite_grid_bound_is_named(self, capsys, flag, name, value):
+        code = main(["simulate", "--scenario", "b", flag, value, "--output", "-"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --grid-start/--grid-end/--grid-step: "
+                       f"grid {name} must be finite, got {value}\n")
+
 
 class TestDecomposeCheck:
     def test_passes_by_default(self, capsys):
@@ -200,6 +209,10 @@ class TestDecomposeCheck:
     def test_zero_instances_rejected(self, capsys):
         assert main(["decompose-check", "--instances", "0"]) == 1
         assert "--instances" in capsys.readouterr().err
+
+    def test_negative_seed_rejected_naming_the_flag(self, capsys):
+        assert main(["decompose-check", "--instances", "1", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
         exact = cli.phi_decomposed

@@ -335,6 +335,33 @@ class TestReadTruth:
         assert str(err.value) == f"{path}: row 2: non-finite number in 'value': 'inf'"
 
 
+class TestUnreadableInput:
+    """A byte that is not UTF-8, or a field over csv's size limit, in either input
+    file ends the command with an error naming the file, not a traceback."""
+
+    FAULTS = {
+        "undecodable": (b"\xff", "not UTF-8 text: invalid start byte"),
+        "over_long": (b"9" * (csv.field_size_limit() + 1),
+                      f"row 3: field larger than field limit ({csv.field_size_limit()})"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("bad_file", ("forecasts", "truth"))
+    def test_score_names_the_file(self, tmp_path, capsys, fault, bad_file):
+        row = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[1:2])
+        paths = {"forecasts": forecast_csv(tmp_path, row + row.replace("alpha", "beta")),
+                 "truth": truth_csv(tmp_path, "25,2021-11-13,20.0\n26,2021-11-13,5.0\n")}
+        junk, problem = self.FAULTS[fault]
+        with open(paths[bad_file], "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"2021-11-13", b"2021-11-13" + junk, 1)
+        with open(paths[bad_file], "wb") as fh:
+            fh.write(b"".join(lines))
+        assert main(["score", "--forecasts", paths["forecasts"], "--truth", paths["truth"],
+                     "--output", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {paths[bad_file]}: {problem}\n"
+
+
 class TestBuildTaskPools:
     def test_missing_truth_excludes_task_with_report(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)

@@ -12,7 +12,7 @@ import bruteforce as bf
 from conftest import point_pool, quantile_pool, random_quantile_pool, same_cells, task_key
 
 from ensimp import importance
-from ensimp.dataio import NaPolicy, Panel, TaskPool, from_pools, model_mean_scores
+from ensimp.dataio import NaPolicy, Panel, TaskPanel, TaskPool, from_pools, model_mean_scores
 from ensimp.importance import (
     Algorithm,
     CapacityError,
@@ -384,3 +384,28 @@ class TestStreamedSubsetTable:
             tracemalloc.stop()
         assert walk_peak < walk_bound
         assert table_peak < table_bound
+
+    @pytest.mark.parametrize("n, t", [(2, 20_000), (10, 2_000)])
+    @pytest.mark.parametrize("algorithm", Algorithm)
+    def test_batch_peak_follows_the_one_budget(self, n, t, algorithm):
+        """A batch's arrays fit ``_BLOCK_ELEMENTS``, however many tasks there are.
+
+        At n = 2 a width set by the (2^n, T) score table alone would put
+        every task in one batch, and its (levels, 2, T) blocks of sums would
+        take 39 MB."""
+        k = len(CANONICAL_LEVELS)
+        rng = np.random.default_rng(3)
+        values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
+        forecasts = Panel(tuple(f"m{i}" for i in range(n)), tuple(task_key(j) for j in range(t)),
+                          values, np.ones((n, t), dtype=bool), CANONICAL_LEVELS)
+        tasks = TaskPanel(forecasts, rng.normal(size=t))
+        # Per task and model: the phi, LOMO and mean-over-sizes cells, their
+        # panels, and a count, mean and M2 per ensemble size.
+        outputs = 8 * t * n * (6 + 3 * n)
+        tracemalloc.start()
+        try:
+            compute_importance(tasks, Metric.WIS, algorithm, n_workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs + 8 * 8 * importance._BLOCK_ELEMENTS

@@ -116,12 +116,25 @@ def test_table_lomo_equals_lomo_kernel(pools, metric):
 @FEW
 @given(panels(), metric, scheme)
 def test_cells_do_not_depend_on_worker_count(pools, metric, scheme):
-    one = compute_importance(from_pools(pools), metric, Algorithm.LASOMO, scheme, n_workers=1)
-    three = compute_importance(from_pools(pools), metric, Algorithm.LASOMO, scheme, n_workers=3)
-    assert same_cells(one.per_task, three.per_task)
-    assert same_cells(one.lomo, three.lomo)
-    assert same_cells(one.mean_over_sizes, three.mean_over_sizes)
-    assert one.by_subset_size == three.by_subset_size
+    """Nor on the batch width: block budgets that put one task, two tasks or
+    all of a signature's tasks in each batch, each with one and three workers."""
+    widest = max(max(1 << len(tp.pool.model_ids), 2 * len(LEVELS)) for tp in pools)
+    runs = []
+    for budget in (1, 2 * widest, 1 << 30):
+        with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
+            for workers in (1, 3):
+                runs.append(tuple(
+                    compute_importance(from_pools(pools), metric, algorithm, scheme,
+                                       n_workers=workers)
+                    for algorithm in (Algorithm.LASOMO, Algorithm.LOMO)
+                ))
+    one, lomo = runs[0]
+    for other, other_lomo in runs[1:]:
+        assert same_cells(one.per_task, other.per_task)
+        assert same_cells(one.lomo, other.lomo)
+        assert same_cells(one.mean_over_sizes, other.mean_over_sizes)
+        assert one.by_subset_size == other.by_subset_size
+        assert same_cells(lomo.per_task, other_lomo.per_task)
     panel = one.per_task
     for tp in pools:
         rows = [panel.models.index(m) for m in tp.pool.model_ids]
