@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,8 +20,6 @@ from .decomposition import ErrorVector, ambiguity_check, phi_decomposed, phi_dir
 from .importance import Algorithm, WeightScheme, compute_importance, rank_models
 from .scoring import Metric, ValidationError
 from .simulation import (
-    Grid,
-    SimulationSpec,
     run_sweep,
     setting_a_point,
     setting_a_prob,
@@ -170,23 +169,12 @@ def cmd_simulate(args) -> int:
         "a-prob": setting_a_prob,
         "b": setting_b_dispersion,
     }[args.scenario]()
-    grid = base.sweep
-    if args.grid_start is not None or args.grid_end is not None or args.grid_step is not None:
-        try:
-            grid = Grid(
-                base.sweep.start if args.grid_start is None else args.grid_start,
-                base.sweep.end if args.grid_end is None else args.grid_end,
-                base.sweep.step if args.grid_step is None else args.grid_step,
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"--grid-start/--grid-end/--grid-step: {exc}") from None
-    spec = SimulationSpec(
-        scenario=base.scenario,
-        fixed_components=base.fixed_components,
-        sweep=grid,
-        replicates=args.replicates,
-        seed=args.seed,
-    )
+    bounds = {"start": args.grid_start, "end": args.grid_end, "step": args.grid_step}
+    try:
+        grid = replace(base.sweep, **{k: v for k, v in bounds.items() if v is not None})
+    except ValidationError as exc:
+        raise ValidationError(f"--grid-start/--grid-end/--grid-step: {exc}") from None
+    spec = replace(base, sweep=grid, replicates=args.replicates, seed=args.seed)
     result = run_sweep(spec, n_workers=_resolve_workers(args.workers))
     write_sweep_csv(result, args.output)
     return 0
@@ -249,11 +237,14 @@ def cmd_subset_variance(args) -> int:
     return 0
 
 
-def _add_io_flags(p):
+def _add_panel_flags(p, na_default: str) -> None:
+    """The flags of every command that scores a forecast CSV against a truth CSV."""
     p.add_argument("--forecasts", required=True, help="forecast CSV path")
     p.add_argument("--truth", required=True, help="truth CSV path")
     p.add_argument("--output", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--metric", choices=("wis", "spe"), default="wis")
+    p.add_argument("--na", choices=("drop", "worst", "mean"), default=na_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,17 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", help="score forecasts against truth")
-    _add_io_flags(p)
-    p.add_argument("--metric", choices=("wis", "spe"), default="wis")
-    p.add_argument("--na", choices=("drop", "worst", "mean"), default="drop")
+    _add_panel_flags(p, na_default="drop")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("importance", help="per-model importance and rankings")
-    _add_io_flags(p)
-    p.add_argument("--metric", choices=("wis", "spe"), default="wis")
+    _add_panel_flags(p, na_default="worst")
     p.add_argument("--algorithm", choices=("lomo", "lasomo"), default="lasomo")
     p.add_argument("--weights", choices=("permutation", "equal"), default="permutation")
-    p.add_argument("--na", choices=("drop", "worst", "mean"), default="worst")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_importance)
 
@@ -295,10 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose_check)
 
     p = sub.add_parser("subset-variance", help="per-subset-size importance diagnostics")
-    _add_io_flags(p)
-    p.add_argument("--metric", choices=("wis", "spe"), default="wis")
+    _add_panel_flags(p, na_default="worst")
     p.add_argument("--weights", choices=("permutation", "equal"), default="permutation")
-    p.add_argument("--na", choices=("drop", "worst", "mean"), default="worst")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_subset_variance)
 

@@ -108,6 +108,10 @@ class TaskKey:
                 f"target_end_date {self.target_end_date} precedes forecast_date {self.forecast_date}"
             )
 
+    def __str__(self) -> str:
+        """How messages name the task, e.g. ``2021-11-15/46/h1/2021-11-20``."""
+        return f"{self.forecast_date}/{self.location}/h{self.horizon}/{self.target_end_date}"
+
 
 @dataclass
 class ReadReport:

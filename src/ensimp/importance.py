@@ -13,12 +13,13 @@ accuracy on a task:
 
 Both are differences of ensemble scores over the lattice of model subsets,
 enumerated by bitmask over the pool's canonical (sorted) model order. For a
-batch of tasks sharing one pool, the LASOMO kernel builds one table that
-scores every subset once, and everything else is a readout of it: LASOMO,
-LOMO (the top layer, ``score[full] - score[full without i]``), the moments
-of the marginal contributions at each subset size and their per-task mean
-over sizes. The LOMO kernel scores only the n + 1 top-layer ensembles, so it
-has no model cap; the panel path and the simulation engine both use it.
+batch of T tasks sharing one pool, the walk :func:`_subset_scores` scores
+every subset once into a (2^n, T) table, and :func:`_table_readouts` reads
+every LASOMO output from that table and its size vector alone: LASOMO, LOMO
+(the top layer, ``score[full] - score[full without i]``), the moments of the
+marginal contributions at each subset size and their per-task mean over
+sizes. The LOMO kernel scores only the n + 1 top-layer ensembles, so it has
+no model cap; the panel path and the simulation engine both use it.
 
 One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
@@ -45,7 +46,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -118,16 +118,6 @@ def _check_capacity(n: int) -> None:
         )
 
 
-def _check_size_args(n: int, s: int) -> None:
-    if n < 2:
-        raise ValidationError(f"need at least 2 models, got {n}")
-    _check_capacity(n)
-    if not 1 <= s <= n - 1:
-        raise ValidationError(
-            f"subset size {s} outside [1, {n - 1}] (the empty coalition is excluded)"
-        )
-
-
 def shapley_weight_exact(n: int, s: int) -> Fraction:
     """Exact coalition weight for a subset of size ``s`` among ``n`` models.
 
@@ -135,25 +125,25 @@ def shapley_weight_exact(n: int, s: int) -> Fraction:
     ``sum over all admissible subsets == 1`` free of rounding for every
     supported ``n``.
     """
-    _check_size_args(n, s)
+    if n < 2:
+        raise ValidationError(f"need at least 2 models, got {n}")
+    _check_capacity(n)
+    if not 1 <= s <= n - 1:
+        raise ValidationError(
+            f"subset size {s} outside [1, {n - 1}] (the empty coalition is excluded)"
+        )
     return Fraction(1, (n - 1) * math.comb(n - 1, s))
 
 
-def equal_weight_exact(n: int, s: int) -> Fraction:
-    """Uniform weight over the ``2**(n-1) - 1`` admissible subsets."""
-    _check_size_args(n, s)
-    return Fraction(1, 2 ** (n - 1) - 1)
-
-
-@lru_cache(maxsize=None)
 def _size_weights(n: int, scheme: WeightScheme) -> np.ndarray:
-    """Weight per subset size, indexed by ``s``; slot 0 is unused."""
-    exact = shapley_weight_exact if scheme is WeightScheme.PERMUTATION else equal_weight_exact
-    out = np.zeros(n, dtype=np.float64)
-    for s in range(1, n):
-        out[s] = float(exact(n, s))
-    out.setflags(write=False)
-    return out
+    """Weight per subset size, indexed by ``s``; slot 0 is never read.
+
+    Each weight is 1/d for an integer d < 2^53, which converts exactly, so
+    the division rounds it as ``float(Fraction(1, d))`` does.
+    """
+    if scheme is WeightScheme.EQUAL:
+        return np.full(n, 1.0 / (2 ** (n - 1) - 1))
+    return np.asarray([1.0 / ((n - 1) * math.comb(n - 1, s)) for s in range(n)])
 
 
 def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric) -> np.ndarray:
@@ -237,33 +227,14 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
     return scores, sizes
 
 
-@dataclass(frozen=True)
-class _Readouts:
-    """What the kernels yield for a batch of T tasks sharing one pool.
+def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme):
+    """Every output read from a (2^n, T) subset score table and its size vector.
 
-    ``phi`` holds the (n, T) importance cells. The subset table adds the
-    LOMO and mean-over-sizes cells and, per ensemble size r = 2..n (index
-    r - 2), the count of each model's marginal contributions in one task,
-    and per model and task their (n, n - 1, T) mean and sum of squared
-    deviations from that mean (M2).
-    """
-
-    phi: np.ndarray
-    lomo: np.ndarray | None = None
-    mean_over_sizes: np.ndarray | None = None
-    size_count: np.ndarray | None = None
-    size_mean: np.ndarray | None = None
-    size_m2: np.ndarray | None = None
-
-
-def _subset_table(
-    values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric, scheme: WeightScheme
-) -> _Readouts:
-    """Score every subset of a batch once and read all LASOMO outputs from it.
-
-    The (2^n, T) score table comes from the streamed walk of
-    :func:`_subset_scores`; the readouts then hold at most six more arrays
-    of half its length at a time.
+    Returns ``(phi, lomo, mos, mean, m2)``: the (n, T) LASOMO, LOMO and
+    mean-over-sizes cells, and per ensemble size r = 2..n (index r - 2) the
+    (n, n - 1, T) mean of each model's marginal contributions in each task
+    and their sum of squared deviations from it (M2). Besides the table and
+    these outputs it holds at most six arrays of half the table's length.
 
     For model i the masks without bit i and the masks with it are the two
     halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
@@ -272,9 +243,7 @@ def _subset_table(
     of the coalition i joins, whatever i is: one popcount vector serves
     every model.
     """
-    values, levels = scored_values(values, levels, metric)
-    n, t = values.shape[:2]
-    scores, sizes = _subset_scores(values, levels, y)
+    n, t = int(sizes[-1]), scores.shape[1]  # the full mask holds all n members
     half = 1 << (n - 1)
     sizes = sizes[1:half]  # mask 0, the empty coalition, has no score
     weights = _size_weights(n, scheme)[sizes][:, None]
@@ -297,7 +266,7 @@ def _subset_table(
         m2[i] = np.add.reduceat(grouped, starts, axis=0)
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
-    return _Readouts(phi, lomo, mos, counts, mean, m2)
+    return phi, lomo, mos, mean, m2
 
 
 def _pool_index(task_pool: TaskPool, model_id: str) -> int:
@@ -382,13 +351,9 @@ class ImportanceResult:
     subset) pairs; all three are None for LOMO.
     """
 
-    algorithm: Algorithm
-    weight_scheme: WeightScheme | None
-    metric: Metric
-    na_policy: NaPolicy
     per_task: Panel
     overall: Mapping[str, float]
-    by_subset_size: Mapping[str, Mapping[int, SizeStat]] | None
+    by_subset_size: Mapping[str, Mapping[int, SizeStat]] | None = None
     lomo: Panel | None = None
     mean_over_sizes: Panel | None = None
 
@@ -434,9 +399,10 @@ def compute_importance(
     def run(job):
         rows, cols = job
         values, y = panel.values[np.ix_(rows, cols)], tasks.truth[cols]
-        if algorithm is Algorithm.LASOMO:
-            return _subset_table(values, panel.levels, y, metric, scheme)
-        return _Readouts(lomo_kernel(values, panel.levels, y, metric))
+        if algorithm is Algorithm.LOMO:
+            return (lomo_kernel(values, panel.levels, y, metric),)
+        values, levels = scored_values(values, panel.levels, metric)
+        return _table_readouts(*_subset_scores(values, levels, y), scheme)
 
     if n_workers is not None and n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -446,22 +412,22 @@ def compute_importance(
 
     phi, lomo, mos = (np.full(panel.present.shape, np.nan) for _ in range(3))
     moments: dict[tuple[str, int], list[tuple[np.ndarray, ...]]] = {}
-    for (rows, cols), out in zip(jobs, outputs):
-        cells = np.ix_(rows, cols)
-        phi[cells] = out.phi
-        if out.lomo is None:
+    for (rows, cols), (cells_phi, *table) in zip(jobs, outputs):
+        cells, n = np.ix_(rows, cols), len(rows)
+        phi[cells] = cells_phi
+        if not table:
             continue
-        lomo[cells] = out.lomo
-        mos[cells] = out.mean_over_sizes
+        lomo[cells], mos[cells], mean, m2 = table
         for i, row in enumerate(rows):
-            for k, count in enumerate(out.size_count.tolist()):
-                part = (np.full(len(cols), count), out.size_mean[i, k], out.size_m2[i, k])
+            for k in range(n - 1):
+                # C(n - 1, k + 1) contributions of size r = k + 2 per task
+                part = (np.full(len(cols), math.comb(n - 1, k + 1)), mean[i, k], m2[i, k])
                 moments.setdefault((panel.models[row], k + 2), []).append(part)
 
     per_task = Panel(panel.models, panel.tasks, phi, panel.present)
     overall = model_mean_scores(apply_na_policy(per_task, na_policy))
     if algorithm is Algorithm.LOMO:
-        return ImportanceResult(algorithm, None, metric, na_policy, per_task, overall, None)
+        return ImportanceResult(per_task, overall)
 
     by_size: dict[str, dict[int, SizeStat]] = {m: {} for m in panel.models}
     # The exact two-level formula: N = sum(c), mean = sum(c * mean_t) / N and
@@ -474,14 +440,5 @@ def compute_importance(
         dev = mean - pooled
         m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
         by_size[model][r] = SizeStat(float(pooled), float(m2 / total), total)
-    return ImportanceResult(
-        algorithm=algorithm,
-        weight_scheme=scheme,
-        metric=metric,
-        na_policy=na_policy,
-        per_task=per_task,
-        overall=overall,
-        by_subset_size=by_size,
-        lomo=Panel(panel.models, panel.tasks, lomo, panel.present),
-        mean_over_sizes=Panel(panel.models, panel.tasks, mos, panel.present),
-    )
+    lomo, mos = (Panel(panel.models, panel.tasks, cells, panel.present) for cells in (lomo, mos))
+    return ImportanceResult(per_task, overall, by_size, lomo, mos)

@@ -150,8 +150,6 @@ class SimulationSpec:
     fixed_components: tuple
     sweep: Grid
     replicates: int = 1000
-    truth: NormalSpec = NormalSpec(0.0, 1.0)
-    levels: QuantileLevels = CANONICAL_LEVELS
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -194,17 +192,37 @@ def setting_b_dispersion() -> SimulationSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-forecaster mean (and spread of) importance at each grid value."""
+    """Per-forecaster mean importance at each grid value, and its Monte-Carlo error."""
 
     scenario: Scenario
     grid_values: np.ndarray
     mean_importance: np.ndarray  # (n_forecasters, n_grid)
-    std_importance: np.ndarray  # population std of per-replicate values
+    collapsed_ss: np.ndarray  # see standard_errors
     replicates: int
     seed: int
 
     def standard_errors(self) -> np.ndarray:
-        return self.std_importance / math.sqrt(self.replicates)
+        """Collapsed-strata standard error of ``mean_importance``, NaN at R = 1.
+
+        The truth draws are stratified, so the iid std / sqrt(R) would
+        overstate it; see Cochran, *Sampling Techniques* (1977), 5A.12.
+        """
+        return np.sqrt(self.collapsed_ss) / self.replicates
+
+
+def _collapsed_ss(phi: np.ndarray) -> np.ndarray:
+    """R^2 SE^2: sum over groups of k / (k - 1) sum (phi_i - group mean)^2.
+
+    The groups collapse adjacent strata along the last (replicate) axis into
+    pairs, the last three into a triple when R is odd.
+    """
+    r = phi.shape[-1]
+    paired = r - 3 if r % 2 else r
+    diff = phi[..., 0:paired:2] - phi[..., 1:paired:2]  # a pair's term is diff^2
+    ss = (diff * diff).sum(axis=-1)
+    if r % 2:  # a triple's term is 3/2 * 3 var; one replicate has no estimate
+        ss += 4.5 * phi[..., -3:].var(axis=-1) if r > 1 else np.nan
+    return ss
 
 
 def truth_draws(seed: int, grid_index: int, replicates: int, truth: NormalSpec) -> np.ndarray:
@@ -233,17 +251,17 @@ def _swept_component(spec: SimulationSpec, value: float):
 
 
 def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
-    """Mean and population std of per-replicate LOMO importance, per forecaster."""
+    """Mean and collapsed-strata sum of squares of per-replicate LOMO, per forecaster."""
     components = list(spec.fixed_components) + [_swept_component(spec, value)]
-    y = truth_draws(spec.seed, grid_index, spec.replicates, spec.truth)
+    y = truth_draws(spec.seed, grid_index, spec.replicates, NormalSpec(0.0, 1.0))
     if spec.scenario is Scenario.A_POINT:
         values = np.asarray([[c.value] for c in components], dtype=np.float64)
         phi = lomo_kernel(values, None, y, Metric.SPE)
     else:
-        z = normal_quantile(spec.levels.as_array())
+        z = normal_quantile(CANONICAL_LEVELS.as_array())
         quantiles = np.stack([[c.mean + c.sd * z] for c in components])
-        phi = lomo_kernel(quantiles, spec.levels, y, Metric.WIS)
-    return phi.mean(axis=1), phi.std(axis=1)
+        phi = lomo_kernel(quantiles, CANONICAL_LEVELS, y, Metric.WIS)
+    return phi.mean(axis=1), _collapsed_ss(phi)
 
 
 def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult:
@@ -253,25 +271,19 @@ def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult
     results are assembled in grid order and are invariant to ``n_workers``.
     """
     values = spec.sweep.values()
-
-    def worker(args):
-        g, val = args
-        return _grid_point(spec, g, float(val))
-
-    jobs = list(enumerate(values))
+    jobs = [(spec, g, float(val)) for g, val in enumerate(values)]
     if n_workers is not None and n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            results = list(ex.map(worker, jobs))
+            results = list(ex.map(_grid_point, *zip(*jobs)))
     else:
-        results = [worker(job) for job in jobs]
+        results = [_grid_point(*job) for job in jobs]
 
-    means = np.stack([m for m, _ in results], axis=1)
-    stds = np.stack([s for _, s in results], axis=1)
+    means, collapsed_ss = (np.stack(column, axis=1) for column in zip(*results))
     return SweepResult(
         scenario=spec.scenario,
         grid_values=values,
         mean_importance=means,
-        std_importance=stds,
+        collapsed_ss=collapsed_ss,
         replicates=spec.replicates,
         seed=spec.seed,
     )

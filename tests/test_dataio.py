@@ -86,9 +86,9 @@ class TestReadForecasts:
         body += rows_for("beta", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:2])
         panel, report = read_forecasts(forecast_csv(tmp_path, body))
         assert len(panel) == 1 and panel.models == ("alpha",)
-        task = TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13))
         assert report.invalid == [
-            f"('beta', {task}): incomplete quantile set (2 of 3 declared levels)"
+            "('beta', 2021-11-06/25/h1/2021-11-13): "
+            "incomplete quantile set (2 of 3 declared levels)"
         ]
 
     def test_levels_outside_the_declared_set_are_named(self, tmp_path):
@@ -441,6 +441,11 @@ class TestTaskKey:
     def test_sort_order(self):
         keys = [task_key(2), task_key(0), task_key(1)]
         assert sorted(keys) == [task_key(0), task_key(1), task_key(2)]
+
+    def test_messages_name_the_task_readably(self):
+        key = TaskKey(date(2021, 11, 15), "46", 1, date(2021, 11, 20))
+        assert str(key) == f"{key}" == "2021-11-15/46/h1/2021-11-20"
+        assert repr(key).startswith("TaskKey(forecast_date=datetime.date(2021, 11, 15)")
 
 
 class TestNaPolicy:

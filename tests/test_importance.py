@@ -59,6 +59,16 @@ class TestShapleyWeight:
         with pytest.raises(ValidationError):
             shapley_weight_exact(1, 1)
 
+    @pytest.mark.parametrize("scheme", WeightScheme)
+    def test_float_weights_are_the_rounded_fractions(self, scheme):
+        for n in range(2, 21):
+            for s in range(1, n):
+                if scheme is WeightScheme.PERMUTATION:
+                    exact = shapley_weight_exact(n, s)
+                else:
+                    exact = Fraction(1, 2 ** (n - 1) - 1)
+                assert importance._size_weights(n, scheme)[s] == float(exact), (n, s)
+
 
 class TestLomo:
     def test_point_example(self):
@@ -250,7 +260,7 @@ class TestComputeImportance:
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
         result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LOMO)
         assert result.by_subset_size is None
-        assert result.weight_scheme is None
+        assert result.lomo is None and result.mean_over_sizes is None
         panel = result.per_task
         for tp in pools:
             rows = [panel.models.index(m) for m in tp.pool.model_ids]
@@ -367,23 +377,22 @@ class TestStreamedSubsetTable:
         # The walk holds the score table, the size vector, the n - low + 1
         # blocks on its path and one block of means, plus level slabs.
         walk_bound = 2 * table + (n - low + 3) * block
-        # The readouts then hold at most six arrays of half its length.
-        table_bound = walk_bound + 3 * table
-        assert table_bound < 100e6
+        # The readouts then add at most six arrays of half its length, plus
+        # their (n, n - 1, T) outputs, well under one block.
+        readout_bound = 3 * table + block
+        assert walk_bound + readout_bound < 100e6
         tracemalloc.start()
         try:
-            importance._subset_scores(values, CANONICAL_LEVELS, y)
+            scores, sizes = importance._subset_scores(values, CANONICAL_LEVELS, y)
             walk_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            importance._subset_table(
-                values, CANONICAL_LEVELS, y, Metric.WIS, WeightScheme.PERMUTATION
-            )
-            table_peak = tracemalloc.get_traced_memory()[1] - base
+            importance._table_readouts(scores, sizes, WeightScheme.PERMUTATION)
+            readout_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert walk_peak < walk_bound
-        assert table_peak < table_bound
+        assert readout_peak < readout_bound
 
     @pytest.mark.parametrize("n, t", [(2, 20_000), (10, 2_000)])
     @pytest.mark.parametrize("algorithm", Algorithm)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from ensimp import simulation
+from ensimp.decomposition import GaussianErrorModel, expected_phi
 from ensimp.ensembling import ForecastPool, mean_quantile_ensemble
 from ensimp.scoring import CANONICAL_LEVELS, QuantileLevels, ValidationError
 from ensimp.simulation import (
@@ -161,7 +163,7 @@ class TestRunSweep:
         r3 = run_sweep(spec, n_workers=1)
         assert np.array_equal(r1.mean_importance, r2.mean_importance)
         assert np.array_equal(r1.mean_importance, r3.mean_importance)
-        assert np.array_equal(r1.std_importance, r2.std_importance)
+        assert np.array_equal(r1.standard_errors(), r2.standard_errors())
 
     def test_pooled_median_unbiased_at_crossover_bias(self):
         # with components N(-1,1), N(-0.5,1), N(1.5,1) the ensemble median
@@ -205,3 +207,32 @@ class TestRunSweep:
         assert [r["grid_value"] for r in rows[::3]] == ["-1", "-0.75", "-0.5"]
         assert [r["forecaster"] for r in rows[:3]] == ["forecaster_1", "forecaster_2", "forecaster_3"]
         assert all(r["replicates"] == "10" and r["seed"] == "5" for r in rows)
+
+
+class TestStandardErrors:
+    def test_collapsed_strata_by_hand(self):
+        # Strata pairs (1, 3) and, R being odd, the triple (2, 6, 4):
+        # (1 - 3)^2 + 3/2 * (2^2 + 2^2 + 0^2) = 16.
+        phi = np.array([[1.0, 3.0, 2.0, 6.0, 4.0], [5.0, 5.0, 5.0, 5.0, 5.0]])
+        assert simulation._collapsed_ss(phi).tolist() == [16.0, 0.0]
+        assert simulation._collapsed_ss(phi[:, :4]).tolist() == [20.0, 0.0]
+        assert simulation._collapsed_ss(phi[:, :3]).tolist() == [3.0, 0.0]
+
+    def test_one_replicate_has_no_estimate(self):
+        spec = SimulationSpec(Scenario.A_POINT, setting_a_point().fixed_components,
+                              Grid(0.0, 1.0, 0.5), replicates=1)
+        assert np.isnan(run_sweep(spec).standard_errors()).all()
+
+    def test_band_rejects_a_closed_form_off_by_a_hundredth(self):
+        # The a-point closed form within 4 SE holds in every cell (acceptance
+        # criterion 6); moving the swept forecaster's bias by 0.01 must break
+        # the band widely; the iid SE, tens of times too wide, let all but 4 pass.
+        result = run_sweep(setting_a_point())
+        wrong = np.array([
+            [expected_phi(GaussianErrorModel((-1.0, -0.5, float(b) + 0.01), 1.0), i)
+             for b in result.grid_values]
+            for i in range(3)
+        ])
+        band = 4.0 * result.standard_errors() + 1e-9
+        failed = int((np.abs(result.mean_importance - wrong) >= band).sum())
+        assert failed >= 100, f"{failed} of {wrong.size} cells"
