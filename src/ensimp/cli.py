@@ -221,8 +221,8 @@ def cmd_subset_variance(args) -> int:
         tasks, Metric(args.metric), Algorithm.LASOMO, WeightScheme(args.weights), policy,
         n_workers=workers,
     )
-    # Under permutation weights the per-task mean over sizes equals the
-    # per-task LASOMO value, so its policy-filled average matches overall phi.
+    # Under permutation weights the per-task LASOMO cells are the per-task
+    # means over sizes, bit for bit, so the two rows below are equal.
     mos = model_mean_scores(apply_na_policy(result.mean_over_sizes, policy))
 
     rows = []

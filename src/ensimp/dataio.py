@@ -386,15 +386,23 @@ def _check_header(got: Sequence[str] | None, expected: tuple[str, ...], path: st
 
 
 def _csv_rows(fh, path: str, header: tuple[str, ...]):
-    """The numbered rows of a CSV file after its header, which must be ``header``.
+    """``(where, row)`` for each row of a CSV file after its header, which must be ``header``.
 
-    A byte that is not UTF-8, or a field :mod:`csv` refuses (such as one over
-    its field size limit), raises a :class:`ParseError` naming the file.
+    ``where`` names the file and row for messages. Rows that hold nothing
+    but whitespace are skipped; any other row must have one field per header
+    column. A byte that is not UTF-8, or a field :mod:`csv` refuses (such as
+    one over its field size limit), raises a :class:`ParseError` naming the file.
     """
     reader = csv.reader(fh)
     try:
         _check_header(next(reader, None), header, path)
-        yield from enumerate(reader, start=2)
+        for rownum, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            where = f"{path}: row {rownum}"
+            if len(row) != len(header):
+                raise ParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            yield where, row
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
@@ -507,12 +515,7 @@ def _row_columns(fh, path: str) -> _Columns:
     level: list[float] = []
     value: list[float] = []
     seen: set[tuple[int, float]] = set()
-    for rownum, row in _csv_rows(fh, path, FORECAST_HEADER):
-        if not "".join(row).strip():
-            continue
-        where = f"{path}: row {rownum}"
-        if len(row) != len(FORECAST_HEADER):
-            raise ParseError(f"{where}: expected {len(FORECAST_HEADER)} fields, got {len(row)}")
+    for where, row in _csv_rows(fh, path, FORECAST_HEADER):
         text = tuple(row[:5])
         g = by_text.get(text)
         if g is None:
@@ -612,12 +615,7 @@ def read_truth(path: str) -> dict[tuple[str, date], Observation]:
     """Read the ground-truth CSV into a (location, target_end_date) map."""
     truth: dict[tuple[str, date], Observation] = {}
     with _open_reader(path) as fh:
-        for rownum, row in _csv_rows(fh, path, TRUTH_HEADER):
-            if not row or all(not c.strip() for c in row):
-                continue
-            where = f"{path}: row {rownum}"
-            if len(row) != len(TRUTH_HEADER):
-                raise ParseError(f"{where}: expected {len(TRUTH_HEADER)} fields, got {len(row)}")
+        for where, row in _csv_rows(fh, path, TRUTH_HEADER):
             key = (row[0].strip(), _parse_date(row[1], where, "target_end_date"))
             if key in truth:
                 raise ParseError(f"{where}: duplicate truth for location {key[0]!r} on {key[1]}")

@@ -9,17 +9,18 @@ accuracy on a task:
   of the model's marginal contribution over every non-empty coalition of the
   other models. The empty coalition is excluded because an ensemble of zero
   models makes no prediction, so the permutation weights are
-  ``s!(n-s-1)! / ((n-1)! * (n-1)) == 1 / ((n-1) * C(n-1, s))``.
+  ``s!(n-s-1)! / ((n-1)! * (n-1)) == 1 / ((n-1) * C(n-1, s))``, under which
+  LASOMO is the unweighted mean over sizes of the per-size mean contributions.
 
 Both are differences of ensemble scores over the lattice of model subsets,
 enumerated by bitmask over the pool's canonical (sorted) model order. For a
 batch of T tasks sharing one pool, the walk :func:`_subset_scores` scores
 every subset once into a (2^n, T) table, and :func:`_table_readouts` reads
-every LASOMO output from that table and its size vector alone: LASOMO, LOMO
-(the top layer, ``score[full] - score[full without i]``), the moments of the
-marginal contributions at each subset size and their per-task mean over
-sizes. The LOMO kernel scores only the n + 1 top-layer ensembles, so it has
-no model cap; the panel path and the simulation engine both use it.
+every LASOMO output from that table and its size vector alone: LOMO (its top
+layer), the moments of the marginal contributions at each subset size, their
+per-task mean over sizes, and LASOMO from the same per-size sums, not from
+per-subset weighted terms. The LOMO kernel, shared by the panel path and the
+simulation engine, scores only the n + 1 top-layer ensembles: no model cap.
 
 One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
@@ -32,11 +33,11 @@ of the same order, plus at most n - L + 2 blocks (7.5 MB at n = 20, T = 1 and
 23 levels), not the (2^n, T, levels) sum table (193 MB there).
 
 Member values sum left to right in canonical order, WIS terms sum left to
-right over the levels, weighted terms accumulate in ascending bitmask order,
-and each task's per-size moments are pooled once over all tasks, in task
-order. So every output is reproducible bit for bit across runs, worker
-counts, block budgets and batch widths, and the LOMO read from the table
-equals the LOMO kernel's.
+right over the levels, contributions of one size in ascending bitmask order
+and the per-size sums in ascending size order, and each task's per-size
+moments are pooled once over all tasks, in task order. So every output is
+reproducible bit for bit across runs, worker counts, block budgets and
+batch widths, and the LOMO read from the table equals the LOMO kernel's.
 """
 
 from __future__ import annotations
@@ -135,17 +136,6 @@ def shapley_weight_exact(n: int, s: int) -> Fraction:
     return Fraction(1, (n - 1) * math.comb(n - 1, s))
 
 
-def _size_weights(n: int, scheme: WeightScheme) -> np.ndarray:
-    """Weight per subset size, indexed by ``s``; slot 0 is never read.
-
-    Each weight is 1/d for an integer d < 2^53, which converts exactly, so
-    the division rounds it as ``float(Fraction(1, d))`` does.
-    """
-    if scheme is WeightScheme.EQUAL:
-        return np.full(n, 1.0 / (2 ** (n - 1) - 1))
-    return np.asarray([1.0 / ((n - 1) * math.comb(n - 1, s)) for s in range(n)])
-
-
 def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric) -> np.ndarray:
     """LOMO of every member: the full ensemble's score minus the score without it.
 
@@ -233,8 +223,10 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     Returns ``(phi, lomo, mos, mean, m2)``: the (n, T) LASOMO, LOMO and
     mean-over-sizes cells, and per ensemble size r = 2..n (index r - 2) the
     (n, n - 1, T) mean of each model's marginal contributions in each task
-    and their sum of squared deviations from it (M2). Besides the table and
-    these outputs it holds at most six arrays of half the table's length.
+    and their sum of squared deviations from it (M2). LASOMO is ``mos``
+    itself under permutation weights and the per-size sums' total over
+    2^(n-1) - 1 under equal weights. Besides the table and these outputs it
+    holds at most three arrays of half the table's length.
 
     For model i the masks without bit i and the masks with it are the two
     halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
@@ -245,27 +237,27 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     """
     n, t = int(sizes[-1]), scores.shape[1]  # the full mask holds all n members
     half = 1 << (n - 1)
-    sizes = sizes[1:half]  # mask 0, the empty coalition, has no score
-    weights = _size_weights(n, scheme)[sizes][:, None]
-    by_size = np.argsort(sizes, kind="stable")
+    by_size = np.argsort(sizes[1:half], kind="stable")  # mask 0 has no score
     counts = np.asarray([math.comb(n - 1, s) for s in range(1, n)])
     starts = np.cumsum(counts) - counts
-    phi, mos = np.empty((n, t)), np.empty((n, t))
+    mos, total = np.empty((n, t)), np.empty((n, t))
     mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
     for i in range(n):
         halves = scores.reshape(half >> i, 2, 1 << i, t)
-        diffs = (halves[:, 1] - halves[:, 0]).reshape(half, t)[1:]
-        # accumulate pins the ascending mask order at every batch width; a
+        grouped = (halves[:, 1] - halves[:, 0]).reshape(half, t)[1:][by_size]
+        sums = np.add.reduceat(grouped, starts, axis=0)
+        mean[i] = sums / counts[:, None]
+        # accumulate pins the ascending size order at every batch width; a
         # reduce over a (N, 1) array would sum pairwise instead.
-        phi[i] = np.add.accumulate(weights * diffs, axis=0)[-1]
-        grouped = diffs[by_size]
-        mean[i] = np.add.reduceat(grouped, starts, axis=0) / counts[:, None]
         mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
+        total[i] = np.add.accumulate(sums, axis=0)[-1]
         grouped -= np.repeat(mean[i], counts, axis=0)
         grouped *= grouped
         m2[i] = np.add.reduceat(grouped, starts, axis=0)
+        del grouped  # with the differences unnamed, three half arrays at most
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
+    phi = mos if scheme is WeightScheme.PERMUTATION else total / (half - 1)
     return phi, lomo, mos, mean, m2
 
 

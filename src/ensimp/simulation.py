@@ -225,21 +225,21 @@ def _collapsed_ss(phi: np.ndarray) -> np.ndarray:
     return ss
 
 
-def truth_draws(seed: int, grid_index: int, replicates: int, truth: NormalSpec) -> np.ndarray:
-    """Truth values for one grid point from a counter-based keyed stream.
+def truth_draws(seed: int, grid_index: int, replicates: int) -> np.ndarray:
+    """Standard-normal truth values for one grid point from a counter-based keyed stream.
 
     The Philox stream is keyed by (seed, grid index) and the replicate index
     is its counter position, so grid points are independent and any subset
     can be regenerated without drawing the rest. Replicate r's uniform is
     placed in the r-th of ``replicates`` equal-width strata, which leaves
-    every draw marginally distributed as the truth while sharply reducing
-    the Monte-Carlo error of replicate averages.
+    every draw marginally standard normal while sharply reducing the
+    Monte-Carlo error of replicate averages.
     """
     gen = Generator(Philox(key=np.array([seed % 2**64, grid_index], dtype=np.uint64)))
     mantissa = gen.integers(0, 1 << 53, size=replicates)
     v = (mantissa + 0.5) * 2.0**-53
     u = (np.arange(replicates) + v) / replicates
-    return truth.mean + truth.sd * normal_quantile(u)
+    return normal_quantile(u)
 
 
 def _swept_component(spec: SimulationSpec, value: float):
@@ -253,7 +253,7 @@ def _swept_component(spec: SimulationSpec, value: float):
 def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
     """Mean and collapsed-strata sum of squares of per-replicate LOMO, per forecaster."""
     components = list(spec.fixed_components) + [_swept_component(spec, value)]
-    y = truth_draws(spec.seed, grid_index, spec.replicates, NormalSpec(0.0, 1.0))
+    y = truth_draws(spec.seed, grid_index, spec.replicates)
     if spec.scenario is Scenario.A_POINT:
         values = np.asarray([[c.value] for c in components], dtype=np.float64)
         phi = lomo_kernel(values, None, y, Metric.SPE)

@@ -7,7 +7,9 @@ The only convention shared with the package under test is the canonical
 arithmetic order it documents (members and WIS terms sum left to right,
 subset terms accumulate in ascending bitmask order, cross-task averages use
 exact summation), which is what makes the recorded fixture outputs
-reproducible byte for byte.
+reproducible byte for byte. The package sums LASOMO's terms size by size
+instead, which gives the same bits on the fixture's pools of at most three
+models under permutation weights and agrees to rounding elsewhere.
 """
 
 from __future__ import annotations
@@ -95,6 +97,13 @@ def contributions_by_size(score_of, model_ids, target):
         diff = score_of(subset + (target,)) - score_of(subset)
         groups.setdefault(len(subset) + 1, []).append(diff)
     return groups
+
+
+def exact_sum(vals) -> Fraction:
+    """The sum of floats with no rounding at all."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = max(d for _, d in ratios)  # every d is a power of two
+    return Fraction(sum(n * (den // d) for n, d in ratios), den)
 
 
 def two_pass(vals):

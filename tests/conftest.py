@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -15,6 +16,15 @@ from ensimp.scoring import Observation, PointForecast, QuantileForecast, Quantil
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ORACLES = Path(__file__).parent / "oracles"
+
+
+def perfbench_inputs():
+    """The benchmark's input generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def task_key(i: int = 0) -> TaskKey:

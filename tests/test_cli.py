@@ -1,5 +1,4 @@
 import csv
-import math
 import os
 import subprocess
 import sys
@@ -7,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, ORACLES
+from conftest import FIXTURES, ORACLES, perfbench_inputs
 
 from ensimp import cli
 from ensimp.cli import _resolve_workers, main
 from ensimp.ensembling import ForecastPool
-from ensimp.scoring import QuantileForecast
+from ensimp.scoring import CANONICAL_LEVELS, QuantileForecast
 
 FC = str(FIXTURES / "forecasts.csv")
 TRUTH = str(FIXTURES / "truth.csv")
@@ -236,8 +235,20 @@ class TestSubsetVariance:
         mos = {r["model"]: float(r["mean"]) for r in rows if r["subset_size"] == "mean_over_sizes"}
         phi = {r["model"]: float(r["mean"]) for r in rows if r["subset_size"] == "lasomo"}
         assert set(mos) == set(phi) == {"alder", "birch", "cedar"}
-        for m in mos:
-            assert math.isclose(mos[m], phi[m], abs_tol=1e-10)
+        assert mos == phi
+
+    def test_lasomo_rows_are_the_mean_over_sizes_rows_on_the_benchmark_panel(self, tmp_path):
+        inputs = perfbench_inputs()
+        fc, truth = tmp_path / "forecasts.csv", tmp_path / "truth.csv"
+        inputs.write_panel(inputs.HUB_PANEL, CANONICAL_LEVELS.levels, 3, fc, truth)
+        out = tmp_path / "sv.csv"
+        assert main(["subset-variance", "--forecasts", str(fc), "--truth", str(truth),
+                     "--na", "worst", "--workers", "1", "--output", str(out)]) == 0
+        rows = read_rows(out)
+        mos = {r["model"]: r["mean"] for r in rows if r["subset_size"] == "mean_over_sizes"}
+        phi = {r["model"]: r["mean"] for r in rows if r["subset_size"] == "lasomo"}
+        assert len(mos) == 10
+        assert mos == phi
 
     def test_json_output(self, tmp_path):
         import json

@@ -1,7 +1,5 @@
 import csv
-import importlib.util
 import json
-import sys
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -11,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, ORACLES, point_pool, quantile_pool, same_cells, task_key
+from conftest import (
+    FIXTURES, ORACLES, perfbench_inputs, point_pool, quantile_pool, same_cells, task_key,
+)
 
 from ensimp import dataio
 from ensimp.cli import main
@@ -202,15 +202,6 @@ class TestReadForecasts:
         assert not report.invalid and not report.warnings
 
 
-def perfbench_inputs():
-    """The benchmark's input generator, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestColumnWiseRead:
     """Plain forecast files never reach the row reader; other files still read alike."""
 
@@ -333,6 +324,31 @@ class TestReadTruth:
         with pytest.raises(ParseError) as err:
             read_truth(path)
         assert str(err.value) == f"{path}: row 2: non-finite number in 'value': 'inf'"
+
+
+class TestRowRule:
+    """Both readers skip whitespace-only rows and check every other row's field count."""
+
+    BLANK = "\n   \n, ,\t\n"
+
+    def test_field_count_messages_name_file_and_row(self, tmp_path):
+        path = forecast_csv(tmp_path, "alpha,2021-11-06,25,1,2021-11-13,0.5\n")
+        with pytest.raises(ParseError) as err:
+            read_forecasts(path)
+        assert str(err.value) == f"{path}: row 2: expected 7 fields, got 6"
+        path = truth_csv(tmp_path, "MA,2021-12-25,150\n" + self.BLANK + "MA,2021-12-26,1,2\n")
+        with pytest.raises(ParseError) as err:
+            read_truth(path)
+        assert str(err.value) == f"{path}: row 6: expected 3 fields, got 4"
+
+    def test_whitespace_only_rows_are_skipped(self, tmp_path):
+        rows = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
+        plain = read_forecasts(forecast_csv(tmp_path, rows))[0]
+        padded = read_forecasts(forecast_csv(tmp_path, self.BLANK + rows + self.BLANK, "pad.csv"))[0]
+        assert same_cells(padded, plain)
+        truth = read_truth(truth_csv(tmp_path, self.BLANK + "MA,2021-12-25,150\n" + self.BLANK))
+        assert list(truth) == [("MA", date(2021, 12, 25))]
+        assert truth[("MA", date(2021, 12, 25))].value == 150.0
 
 
 class TestUnreadableInput:

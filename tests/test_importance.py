@@ -59,16 +59,6 @@ class TestShapleyWeight:
         with pytest.raises(ValidationError):
             shapley_weight_exact(1, 1)
 
-    @pytest.mark.parametrize("scheme", WeightScheme)
-    def test_float_weights_are_the_rounded_fractions(self, scheme):
-        for n in range(2, 21):
-            for s in range(1, n):
-                if scheme is WeightScheme.PERMUTATION:
-                    exact = shapley_weight_exact(n, s)
-                else:
-                    exact = Fraction(1, 2 ** (n - 1) - 1)
-                assert importance._size_weights(n, scheme)[s] == float(exact), (n, s)
-
 
 class TestLomo:
     def test_point_example(self):
@@ -187,6 +177,46 @@ class TestBySubsetSize:
                 assert got[r].mean == pytest.approx(expected[r][0], abs=1e-10)
                 assert got[r].variance == pytest.approx(expected[r][1], abs=1e-10)
                 assert got[r].count == expected[r][2]
+
+
+class TestLasomoFromSizeSums:
+    """LASOMO is read from the per-size sums of the marginal contributions."""
+
+    @pytest.mark.parametrize("metric", Metric)
+    def test_permutation_lasomo_is_the_mean_over_sizes_bit_for_bit(self, metric):
+        n, t = 12, 40
+        rng = np.random.default_rng(12)
+        present = np.zeros((n, t), dtype=bool)
+        for j in range(t):  # pools of 2 to 12 models
+            present[rng.choice(n, rng.integers(2, n + 1), replace=False), j] = True
+        # Mixed magnitudes make the summation order show in the low bits.
+        scale = 10.0 ** rng.integers(-2, 3, size=(n, t, 1))
+        values = np.sort(rng.normal(size=(n, t, 3)) * scale, axis=-1)
+        forecasts = Panel(tuple(f"m{i:02d}" for i in range(n)), tuple(task_key(j) for j in range(t)),
+                          values, present, QuantileLevels((0.1, 0.5, 0.9)))
+        result = compute_importance(TaskPanel(forecasts, rng.normal(size=t)), metric, Algorithm.LASOMO)
+        assert same_cells(result.per_task, result.mean_over_sizes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells_are_exact_to_1e_16_of_the_largest_contribution(self, seed):
+        n, k = 16, len(CANONICAL_LEVELS)
+        rng = np.random.default_rng(seed)
+        values = np.sort(rng.normal(size=(n, 1, k)), axis=-1)
+        y = rng.normal(size=1)
+        forecasts = Panel(tuple(f"m{i:02d}" for i in range(n)), (task_key(),),
+                          values, np.ones((n, 1), dtype=bool), CANONICAL_LEVELS)
+        scores, sizes = bf.subset_scores(values, CANONICAL_LEVELS.levels, y)
+        masks = np.arange(1, 1 << n)
+        weights = {WeightScheme.PERMUTATION: shapley_weight_exact, WeightScheme.EQUAL: bf.equal_weight}
+        for scheme, weight in weights.items():
+            phi = compute_importance(TaskPanel(forecasts, y), Metric.WIS, Algorithm.LASOMO, scheme)
+            for i in range(n):
+                without = masks[masks & (1 << i) == 0]
+                diffs = scores[without | (1 << i), 0] - scores[without, 0]
+                exact = sum((weight(n, s) * bf.exact_sum(diffs[sizes[without] == s].tolist())
+                             for s in range(1, n)), Fraction(0))
+                error = abs(Fraction(float(phi.per_task.values[i, 0])) - exact)
+                assert error <= Fraction(1e-16) * Fraction(float(np.abs(diffs).max())), (scheme, i)
 
 
 class TestOverallAndRanks:
@@ -377,9 +407,9 @@ class TestStreamedSubsetTable:
         # The walk holds the score table, the size vector, the n - low + 1
         # blocks on its path and one block of means, plus level slabs.
         walk_bound = 2 * table + (n - low + 3) * block
-        # The readouts then add at most six arrays of half its length, plus
-        # their (n, n - 1, T) outputs, well under one block.
-        readout_bound = 3 * table + block
+        # The readouts then add at most three arrays of half its length,
+        # plus their (n, n - 1, T) outputs, well under one block.
+        readout_bound = 3 * table // 2 + block
         assert walk_bound + readout_bound < 100e6
         tracemalloc.start()
         try:
