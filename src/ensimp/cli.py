@@ -88,6 +88,11 @@ def _present_counts(panel: Panel) -> dict[str, int]:
     return dict(zip(panel.models, panel.present.sum(axis=1).tolist()))
 
 
+def _means(panel: Panel, policy: NaPolicy) -> dict[str, float]:
+    """Per-model mean over tasks, after the NA policy has filled or dropped the gaps."""
+    return model_mean_scores(apply_na_policy(panel, policy))
+
+
 def _summary_rows(metric_values: dict[str, dict[str, float | int]], counts, n_tasks):
     """Long rows (model, metric, value) sorted by model id then metric name."""
     rows = []
@@ -110,7 +115,7 @@ def cmd_score(args) -> int:
     forecasts, truth = _read_inputs(args)
     panel, report = dataio.score_records(forecasts, truth, metric)
     _print_report(report)
-    means = model_mean_scores(apply_na_policy(panel, NaPolicy(args.na)))
+    means = _means(panel, NaPolicy(args.na))
     label = f"neg_{metric.value}"
     rows = _summary_rows(
         {m: {label: means[m]} for m in means}, _present_counts(panel), len(panel.tasks)
@@ -130,31 +135,19 @@ def cmd_importance(args) -> int:
     workers = _resolve_workers(args.workers)
     tasks = _read_task_panel(args)
 
-    result = compute_importance(
-        tasks, metric, algorithm, WeightScheme(args.weights), policy, n_workers=workers
-    )
+    result = compute_importance(tasks, metric, algorithm, WeightScheme(args.weights),
+                                n_workers=workers)
     scores = dataio.score_tasks(tasks, metric)
-    score_means = model_mean_scores(apply_na_policy(scores, policy))
     # The subset table also holds LOMO, so a LASOMO summary carries both
     # algorithms; the rank rows follow the algorithm that was asked for.
-    phis = {f"phi_{algorithm.value}": result.overall}
+    label, phi = f"neg_{metric.value}", f"phi_{algorithm.value}"
+    columns = {label: _means(scores, policy), phi: _means(result.per_task, policy)}
     if result.lomo is not None:
-        phis["phi_lomo"] = model_mean_scores(apply_na_policy(result.lomo, policy))
-
-    label = f"neg_{metric.value}"
-    score_rank = rank_models(score_means)
-    phi_rank = rank_models(dict(result.overall))
-    summary: dict[str, dict[str, float | int]] = {}
-    for model in result.per_task.models:
-        entry = summary[model] = {}
-        if model in score_means:
-            entry[label] = score_means[model]
-            entry[f"{label}_rank"] = score_rank[model]
-        if model in result.overall:
-            entry["phi_rank"] = phi_rank[model]
-        for name, values in phis.items():
-            if model in values:
-                entry[name] = values[model]
+        columns["phi_lomo"] = _means(result.lomo, policy)
+    columns[f"{label}_rank"] = rank_models(columns[label])
+    columns["phi_rank"] = rank_models(columns[phi])
+    summary = {m: {name: values[m] for name, values in columns.items() if m in values}
+               for m in result.per_task.models}
     rows = _summary_rows(summary, _present_counts(scores), len(scores.tasks))
     rows += _task_rows(result.per_task, "phi_task")
     dataio.write_results(rows, args.output, args.format)
@@ -217,22 +210,21 @@ def cmd_subset_variance(args) -> int:
     workers = _resolve_workers(args.workers)
     tasks = _read_task_panel(args)
 
-    result = compute_importance(
-        tasks, Metric(args.metric), Algorithm.LASOMO, WeightScheme(args.weights), policy,
-        n_workers=workers,
-    )
+    result = compute_importance(tasks, Metric(args.metric), Algorithm.LASOMO,
+                                WeightScheme(args.weights), n_workers=workers)
     # Under permutation weights the per-task LASOMO cells are the per-task
     # means over sizes, bit for bit, so the two rows below are equal.
-    mos = model_mean_scores(apply_na_policy(result.mean_over_sizes, policy))
+    means = {"mean_over_sizes": _means(result.mean_over_sizes, policy),
+             "lasomo": _means(result.per_task, policy)}
 
     rows = []
     for model in result.per_task.models:
         for r, st in sorted(result.by_subset_size.get(model, {}).items()):
             rows.append({"model": model, "subset_size": str(r), "mean": st.mean,
                          "variance": st.variance, "n_subsets": st.count})
-        for name, means in (("mean_over_sizes", mos), ("lasomo", result.overall)):
-            if model in means:
-                rows.append({"model": model, "subset_size": name, "mean": means[model]})
+        for name, values in means.items():
+            if model in values:
+                rows.append({"model": model, "subset_size": name, "mean": values[model]})
     dataio.write_results(rows, args.output, args.format, header=SUBSET_VARIANCE_HEADER)
     return 0
 

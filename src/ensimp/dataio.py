@@ -14,13 +14,15 @@ column-wise in 1 MB blocks: each line is split once from the right into key
 text, level and value, each distinct key text is parsed once, and each
 block's levels and values are cast in one numpy call each. Anything
 irregular sends the read back to the start, through the :mod:`csv` row
-reader, which also takes quoted fields, CRLF and blank rows and is the one
-source of row errors, each naming the file and row. Both readers hand the
-same columns (the (model, task) keys, and per row a key index, level and
-value) to one array back half, which finds repeated levels, infers the
-declared level set, reports invalid groups and calendar slips, and fills the
-forecast panel, checking monotonicity as one array check. :func:`build_task_pools`
-keeps the tasks that can be scored, as a :class:`TaskPanel` with their truth;
+reader, which also takes quoted fields and CRLF and is the one source of row
+errors, each naming the file and row. Both readers skip rows that hold
+nothing but whitespace, so a blank row keeps a file on the column-wise
+read, and both hand the same columns (the (model, task) keys, and per row a
+key index, level and value) to one array back half, which finds repeated
+levels, infers the declared level set, reports invalid groups and calendar
+slips, and fills the forecast panel, checking monotonicity as one array
+check. :func:`build_task_pools` keeps the tasks that can be scored, as a
+:class:`TaskPanel` with their truth;
 :func:`score_records` and :func:`score_tasks` score every present cell in
 one call of the array scorer; the NA policies are column operations and the
 per-model means row operations; and :func:`write_results` writes every table
@@ -438,7 +440,7 @@ class _Irregular(Exception):
 def _plain_block(
     lines: list[str], by_text: dict[str, int], by_key: dict[tuple[str, TaskKey], int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Key index, level and value of each line, or :class:`_Irregular`."""
+    """Key index, level and value of each non-blank line, or :class:`_Irregular`."""
     if max(map(len, lines), default=0) > csv.field_size_limit():
         raise _Irregular  # csv.reader refuses a field this long
     texts: list[str] = []
@@ -450,6 +452,8 @@ def _plain_block(
         try:
             text, level, value = line.rsplit(",", 2)
         except ValueError:
+            if not line.strip():
+                continue  # a whitespace-only line, which the row reader skips too
             raise _Irregular from None
         texts.append(text)
         levels.append(level)
@@ -481,9 +485,10 @@ def _plain_columns(fh) -> _Columns:
 
     The text is split on ``\\n`` only, block by block, and each line once
     from the right into key text, level and value. Each distinct key text is
-    parsed once; spellings that parse alike share one key. A blank line, a
-    wrong field count, a bad key or number, a non-finite value or a header
-    mismatch raises :class:`_Irregular`.
+    parsed once; spellings that parse alike share one key. Lines that hold
+    nothing but whitespace are skipped, as the row reader skips them. A wrong
+    field count, a bad key or number, a non-finite value or a header mismatch
+    raises :class:`_Irregular`.
     """
     if fh.readline().rstrip("\n") != ",".join(FORECAST_HEADER):
         raise _Irregular

@@ -51,15 +51,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataio import (
-    NaPolicy,
-    Panel,
-    TaskPanel,
-    TaskPool,
-    apply_na_policy,
-    from_pools,
-    model_mean_scores,
-)
+from .dataio import Panel, TaskPanel, TaskPool, from_pools
 from .ensembling import member_means
 from .scoring import Metric, QuantileLevels, ValidationError, positive_scores, scored_values
 
@@ -161,10 +153,7 @@ def _low_members(n: int, cell_elements: int) -> int:
     The most, down to one, whose (2^L subsets x ``cell_elements``) block fits
     ``_BLOCK_ELEMENTS``; L = n when the whole table fits, a single block.
     """
-    low = n
-    while low > 1 and cell_elements << low > _BLOCK_ELEMENTS:
-        low -= 1
-    return low
+    return max(1, min(n, (_BLOCK_ELEMENTS // cell_elements).bit_length() - 1))
 
 
 def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
@@ -332,19 +321,19 @@ def rank_models(values: Mapping[str, float]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class ImportanceResult:
-    """Per-task and overall importance for a panel of tasks.
+    """Per-task importance cells for a panel of tasks.
 
     ``per_task`` keeps the raw matrix with a missing cell wherever a model
-    did not forecast a task; ``overall`` averages after the NA policy has
-    been applied. For LASOMO the subset tables that give ``per_task`` also
-    give ``lomo``, the per-task LOMO cells, ``mean_over_sizes``, the per-task
-    unweighted mean of the per-size mean contributions, and
-    ``by_subset_size``, which pools marginal contributions across all (task,
-    subset) pairs; all three are None for LOMO.
+    did not forecast a task; averaging over tasks, with an NA policy for
+    those cells, is left to the caller. For LASOMO the subset tables that
+    give ``per_task`` also give ``lomo``, the per-task LOMO cells,
+    ``mean_over_sizes``, the per-task unweighted mean of the per-size mean
+    contributions, and ``by_subset_size``, which pools marginal
+    contributions across all (task, subset) pairs; all three are None for
+    LOMO.
     """
 
     per_task: Panel
-    overall: Mapping[str, float]
     by_subset_size: Mapping[str, Mapping[int, SizeStat]] | None = None
     lomo: Panel | None = None
     mean_over_sizes: Panel | None = None
@@ -355,15 +344,14 @@ def compute_importance(
     metric: Metric,
     algorithm: Algorithm,
     scheme: WeightScheme = WeightScheme.PERMUTATION,
-    na_policy: NaPolicy = NaPolicy.DROP,
     n_workers: int | None = None,
 ) -> ImportanceResult:
     """Compute importance for every (model, task) cell of a task panel.
 
     Task columns with the same present models share a pool signature and
     are evaluated in batches as wide as ``_BLOCK_ELEMENTS`` allows,
-    signatures in sorted model-id order, in parallel when ``n_workers``
-    allows; the output does not depend on either. Build the panel with
+    signatures in sorted model-id order, on ``n_workers`` threads (None
+    means one); the output does not depend on either. Build the panel with
     :func:`~ensimp.dataio.build_task_pools` or :func:`~ensimp.dataio.from_pools`.
     """
     panel = tasks.forecasts
@@ -396,11 +384,8 @@ def compute_importance(
         values, levels = scored_values(values, panel.levels, metric)
         return _table_readouts(*_subset_scores(values, levels, y), scheme)
 
-    if n_workers is not None and n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            outputs = list(ex.map(run, jobs))
-    else:
-        outputs = [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
+        outputs = list(ex.map(run, jobs))
 
     phi, lomo, mos = (np.full(panel.present.shape, np.nan) for _ in range(3))
     moments: dict[tuple[str, int], list[tuple[np.ndarray, ...]]] = {}
@@ -417,9 +402,8 @@ def compute_importance(
                 moments.setdefault((panel.models[row], k + 2), []).append(part)
 
     per_task = Panel(panel.models, panel.tasks, phi, panel.present)
-    overall = model_mean_scores(apply_na_policy(per_task, na_policy))
     if algorithm is Algorithm.LOMO:
-        return ImportanceResult(per_task, overall)
+        return ImportanceResult(per_task)
 
     by_size: dict[str, dict[int, SizeStat]] = {m: {} for m in panel.models}
     # The exact two-level formula: N = sum(c), mean = sum(c * mean_t) / N and
@@ -433,4 +417,4 @@ def compute_importance(
         m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
         by_size[model][r] = SizeStat(float(pooled), float(m2 / total), total)
     lomo, mos = (Panel(panel.models, panel.tasks, cells, panel.present) for cells in (lomo, mos))
-    return ImportanceResult(per_task, overall, by_size, lomo, mos)
+    return ImportanceResult(per_task, by_size, lomo, mos)

@@ -58,20 +58,18 @@ def normal_quantile(p):
 
     Accepts a scalar or array. Each value comes from the standard library's
     ``NormalDist.inv_cdf``, Wichura's algorithm AS241 (1988), accurate to
-    about 1e-16 relative. Values above one half are reflected onto the lower
-    tail first (1 - p is exact there) and the result negated, which makes
-    ``q(0.5) == 0`` and the antisymmetry around 0.5 exact.
+    about 1e-16 relative. It needs no reflection at one half: its central
+    branch is an odd rational function of q = p - 0.5, which is exact there,
+    and its tail branch works from 1 - p, so ``q(0.5) == 0``, and
+    ``q(1 - p) == -q(p)`` wherever 1 - p is exact.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError("probabilities must lie strictly inside (0, 1)")
 
-    flip = arr > 0.5
-    pl = np.where(flip, 1.0 - arr, arr)
     x = np.fromiter(
-        map(_STANDARD_NORMAL.inv_cdf, pl.ravel().tolist()), dtype=np.float64, count=pl.size
-    ).reshape(pl.shape)
-    x = np.where(flip, -x, x)
+        map(_STANDARD_NORMAL.inv_cdf, arr.ravel().tolist()), dtype=np.float64, count=arr.size
+    ).reshape(arr.shape)
     if np.isscalar(p) or np.ndim(p) == 0:
         return float(x)
     return x
@@ -267,16 +265,14 @@ def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
 def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult:
     """Evaluate the sweep at every grid value.
 
-    Grid points use independent keyed streams, so they may run in parallel;
-    results are assembled in grid order and are invariant to ``n_workers``.
+    Grid points use independent keyed streams, so they run on ``n_workers``
+    threads (None means one worker thread); results are assembled in grid
+    order and are invariant to ``n_workers``.
     """
     values = spec.sweep.values()
     jobs = [(spec, g, float(val)) for g, val in enumerate(values)]
-    if n_workers is not None and n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            results = list(ex.map(_grid_point, *zip(*jobs)))
-    else:
-        results = [_grid_point(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
+        results = list(ex.map(_grid_point, *zip(*jobs)))
 
     means, collapsed_ss = (np.stack(column, axis=1) for column in zip(*results))
     return SweepResult(

@@ -11,8 +11,8 @@ temporary directory whose path is replaced by ``$TMP`` before hashing, so
 records of two source trees compare case by case. They are the bundled
 fixture; the hub-panel and wide-pool files that ``perfbench/inputs.py``
 writes at seed 3; and small files that break the row rule (a wrong field
-count, whitespace-only rows). ``--diff`` prints each differing case with the
-fields that differ and exits 1 if there is any.
+count, whitespace-only rows, one trailing blank line). ``--diff`` prints
+each differing case with the fields that differ and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
         "short-forecast-row": (forecasts[:3] + [forecasts[3].rsplit(",", 1)[0] + "\n"], truth),
         "long-truth-row": (forecasts, truth[:2] + [truth[2].rstrip("\n") + ",1\n"] + truth[3:]),
         "blank-rows": (forecasts[:2] + blank + forecasts[2:] + blank, truth[:2] + blank + truth[2:]),
+        "trailing-blank-line": (forecasts + ["\n"], truth),
     }
     for name, (fc, tr) in files.items():
         pairs[name] = (rows / f"{name}-forecasts.csv", rows / f"{name}-truth.csv")

@@ -234,6 +234,19 @@ class TestColumnWiseRead:
                      "--workers", "1", "--output", str(out)]) == 0
         assert out.read_bytes() == (ORACLES / "importance_drop.csv").read_bytes()
 
+    def test_blank_lines_stay_on_the_column_wise_read(self, tmp_path, no_row_reader):
+        src = FIXTURES / "forecasts.csv"
+        lines = src.read_text(encoding="utf-8").splitlines(True)
+        blank = tmp_path / "forecasts-blank.csv"
+        blank.write_text("".join(lines[:5] + ["\n"] + lines[5:9] + [" \t \n"] + lines[9:] + ["\n"]),
+                         encoding="utf-8")
+        with open(blank, newline="", encoding="utf-8") as fh:
+            dataio._plain_columns(fh)  # no _Irregular
+        want, want_report = read_forecasts(str(src))
+        got, got_report = read_forecasts(str(blank))
+        assert same_cells(got, want) and got.levels == want.levels
+        assert got_report == want_report
+
     def test_row_error_before_an_undecodable_byte_is_reported(self, tmp_path):
         good = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
         path = forecast_csv(tmp_path, "alpha,2021-11-06,25,x,2021-11-13,0.5,20.0\n" + good * 300)

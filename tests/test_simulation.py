@@ -1,4 +1,6 @@
 import csv
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ class TestNormalQuantile:
         for k in (1, 37, 2**10, 2**19 - 1):
             p = k / 2**20
             assert normal_quantile(1.0 - p) == -normal_quantile(p)
+
+    def test_bits_equal_inv_cdf_on_both_sides_of_one_half(self, rng):
+        # inv_cdf is antisymmetric by construction, so no reflection at 0.5
+        # is needed to match it on either side.
+        stratified = [(np.arange(r) + rng.random(r)) / r for r in (1, 2, 1000, 20000)]
+        tails = np.concatenate([2.0 ** -np.arange(1, 1075), 10.0 ** -np.arange(1, 324),
+                                [5e-324, 1e-17]])
+        # AS241's branch edges, |p - 0.5| = 0.425 and r = 5, and 3 ulps either side
+        edges = np.array([0.075, 0.925, math.exp(-25.0)])
+        near = (edges[:, None] + np.arange(-3, 4) * np.spacing(edges)[:, None]).ravel()
+        ps = np.concatenate(stratified + [tails, near])
+        for p in (ps, 1.0 - ps[1.0 - ps < 1.0]):
+            expected = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+            assert np.array_equal(normal_quantile(p).view(np.int64), expected.view(np.int64))
 
     def test_near_antisymmetry_everywhere(self, rng):
         ps = rng.uniform(1e-6, 0.5, size=5000)
