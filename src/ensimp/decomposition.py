@@ -77,7 +77,7 @@ def phi_direct(errors: ErrorVector, index: int) -> float:
     n = len(e)
     _check_index(n, index)
     mean_all = float(np.add.reduce(e)) / n
-    mean_loo = float(np.add.reduce(np.delete(e, index))) / (n - 1)
+    mean_loo = float(np.add.reduce(np.concatenate((e[:index], e[index + 1:])))) / (n - 1)
     return -(mean_all**2) + mean_loo**2
 
 

@@ -100,6 +100,10 @@ def cases(pairs: dict[str, tuple[Path, Path]]) -> dict[str, list[str]]:
         out[f"simulate/{scenario}/w{workers}"] = [
             "simulate", "--scenario", scenario, "--replicates", "2000", "--seed", str(SEED),
             "--workers", str(workers), *out_flag]
+    for scenario in ("a-point", "a-prob", "b"):  # the benchmark's paper-sim size
+        out[f"simulate/{scenario}/r20000"] = [
+            "simulate", "--scenario", scenario, "--replicates", "20000", "--seed", str(SEED),
+            "--workers", "2", *out_flag]
     out["decompose-check"] = ["decompose-check", "--instances", "2000", "--seed", str(SEED)]
     return out
 

@@ -4,6 +4,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from ensimp import simulation
@@ -55,6 +57,27 @@ class TestNormalQuantile:
         for p in (ps, 1.0 - ps[1.0 - ps < 1.0]):
             expected = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
             assert np.array_equal(normal_quantile(p).view(np.int64), expected.view(np.int64))
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                    max_size=20))
+    @example([5e-324, 2.0**-1022, math.exp(-25.0), 0.075, 0.5, 0.925, 1.0 - 2.0**-53])
+    # Tail values whose np.log differs from math.log in the last bit (numpy 2.4 on an
+    # AVX-512 x86-64 host), so the quantile would too.
+    @example([float.fromhex(h) for h in ("0x1.7d3140d67fc77p-5", "0x1.9391d0a971569p-5",
+                                         "0x1.26dcd030f6435p-7", "0x1.1b9e101522074p-4")])
+    def test_bits_equal_inv_cdf_for_any_probability(self, ps):
+        expected = [NormalDist().inv_cdf(p).hex() for p in ps]
+        assert [normal_quantile(p).hex() for p in ps] == expected
+        assert [x.hex() for x in normal_quantile(np.array(ps)).tolist()] == expected
+
+    def test_scalars_give_floats_and_arrays_keep_their_shape(self):
+        for p in (0.3, np.array(0.3)):
+            assert type(normal_quantile(p)) is float
+        assert normal_quantile(np.full((2, 3), 0.3)).shape == (2, 3)
+        assert normal_quantile(np.empty(0)).shape == (0,)
+        for bad in (math.nan, 0.0, 1.0):
+            with pytest.raises(ValidationError):
+                normal_quantile(np.array([0.3, bad]))
 
     def test_near_antisymmetry_everywhere(self, rng):
         ps = rng.uniform(1e-6, 0.5, size=5000)
