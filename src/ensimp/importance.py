@@ -24,13 +24,15 @@ simulation engine, scores only the n + 1 top-layer ensembles: no model cap.
 
 One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
-(2^n, T) score table and the smallest (levels, 2, T) block of sums for
-LASOMO, the (n + 1, T, levels) ensembles for LOMO. The subset sums are
-streamed, never held whole: a depth-first walk builds them in blocks of at
-most that many values and scores each block as it is built. A worker's
-LASOMO memory is thus the (2^n, T) score table, its size vector and readouts
-of the same order, plus at most n - L + 2 blocks (7.5 MB at n = 20, T = 1 and
-23 levels), not the (2^n, T, levels) sum table (193 MB there).
+(2^n, T) score table or the (n, T, levels) member values for LASOMO, the
+(n + 1, T, levels) ensembles for LOMO. The subset sums are streamed, never
+held whole: one quantile level at a time, a depth-first walk builds them in
+(2^L, T) blocks of at most that many values and scores each block as it is
+built, so a block holds the most subsets the budget allows. A worker's
+LASOMO memory is thus the (2^n, T) score table, its uint8 size vector and
+readouts of the same order, plus at most n - L + 1 blocks and the scoring
+temporaries of one (9 MB at n = 20 and T = 1, where L = 17), not the
+(2^n, T, levels) sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order, WIS terms sum left to
 right over the levels, contributions of one size in ascending bitmask order
@@ -53,7 +55,7 @@ import numpy as np
 
 from .dataio import Panel, TaskPanel, TaskPool, from_pools
 from .ensembling import member_means
-from .scoring import Metric, QuantileLevels, ValidationError, positive_scores, scored_values
+from .scoring import Metric, QuantileLevels, ValidationError, positive_scores, scored_values, wis_batch
 
 __all__ = [
     "Algorithm",
@@ -156,43 +158,23 @@ def _low_members(n: int, cell_elements: int) -> int:
     return max(1, min(n, (_BLOCK_ELEMENTS // cell_elements).bit_length() - 1))
 
 
-def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
-    """Positively oriented ensemble score of every subset, and its member count.
+def _level_blocks(level: np.ndarray, low: int):
+    """Yield ``(high, block)``: the (2^L, T) subset sums of one level's members.
 
-    Both are indexed by bitmask over canonical member order. The sums are
-    streamed, never held whole: the low L members' 2^L subset sums form one
-    level-major (levels, 2^L, T) block, and a depth-first walk over the high
-    bits gets each high mask's block from its parent's (the mask without its
-    top bit) by adding that member. Members thus join in ascending bit order,
-    so each subset's sum is the plain left-to-right sum of its members, bit
-    for bit, and each block is scored as soon as it is built. Only the blocks
-    on the current path are alive, at most n - L + 1 of them. Score row 0,
-    the empty coalition, is NaN and is never divided, scored or read.
+    ``level`` is (n, T). The low L members' 2^L subset sums form the block of
+    high mask 0, and a depth-first walk over the high bits gets each high
+    mask's block from its parent's (the mask without its top bit) by adding
+    that member. Members thus join in ascending bit order, so each subset's
+    sum is the plain left-to-right sum of its members, bit for bit. Only the
+    blocks on the current path are alive, at most n - L + 1 of them.
     """
-    n, t = values.shape[:2]
-    # Level-major members, (n, levels, T); point values get one level.
-    members = (values[:, None] if levels is None else np.moveaxis(values, -1, 1)).copy()
-    low = _low_members(n, members[0].size)
-    block = np.zeros((members.shape[1], 1 << low, t))
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        if i < low:
-            block[:, 1 << i : 2 << i] = block[:, : 1 << i] + members[i][:, None]
-        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    scores = np.full((1 << n, t), np.nan, dtype=np.float64)
-
-    def score(high: int, block: np.ndarray) -> None:
-        first = 1 if high == 0 else 0  # skip mask 0
-        rows = slice((high << low) + first, (high + 1) << low)
-        means = block[:, first:] / sizes[rows, None]
-        if levels is None:
-            scores[rows] = positive_scores(means[0], None, y)
-        else:
-            scores[rows] = positive_scores(np.moveaxis(means, 0, -1), levels, y)
-
-    # Depth first: each path entry is a high mask, its block and the next
-    # member that may join it, so only the blocks on the path are alive.
-    score(0, block)
+    n, t = level.shape
+    block = np.zeros((1 << low, t))
+    for i in range(low):
+        block[1 << i : 2 << i] = block[: 1 << i] + level[i]
+    yield 0, block
+    # Each path entry is a high mask, its block and the next member that may
+    # join it.
     path = [(0, block, low)]
     while path:
         high, block, j = path[-1]
@@ -200,9 +182,49 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
             path.pop()
             continue
         path[-1] = (high, block, j + 1)
-        child = (high | 1 << (j - low), block + members[j][:, None], j + 1)
-        score(*child[:2])
+        child = (high | 1 << (j - low), block + level[j], j + 1)
+        yield child[:2]
         path.append(child)
+
+
+def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
+    """Positively oriented ensemble score of every subset, and its member count.
+
+    Both are indexed by bitmask over canonical member order; the counts are
+    uint8. The sums are streamed, never held whole: one quantile level at a
+    time, :func:`_level_blocks` builds them in (2^L, T) blocks, and each block
+    is scored as soon as it is built, through :func:`wis_batch` at that one
+    level (its term, exactly) or as -SPE for point values. The WIS terms are
+    added into the table in level order, then divided by the level count and
+    negated once. Score row 0, the empty coalition, is NaN and is never
+    scored or read.
+    """
+    n, t = values.shape[:2]
+    # Level-major members, (levels, n, T); point values get one level.
+    members = (values[None] if levels is None else np.moveaxis(values, -1, 0)).copy()
+    low = _low_members(n, t)
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    # float64 divisors: a division by the uint8 sizes would convert them per block
+    low_sizes = sizes[: 1 << low, None].astype(np.float64)
+    scores = np.full((1 << n, t), np.nan, dtype=np.float64)
+    for k, level in enumerate(members):
+        one_level = None if levels is None else QuantileLevels(levels.levels[k : k + 1])
+        for high, block in _level_blocks(level, low):
+            first = 1 if high == 0 else 0  # skip mask 0
+            rows = slice((high << low) + first, (high + 1) << low)
+            means = block[first:] / (low_sizes[first:] + high.bit_count())
+            if levels is None:
+                scores[rows] = positive_scores(means, None, y)
+            elif k == 0:
+                scores[rows] = wis_batch(means[..., None], one_level, y)
+            else:
+                scores[rows] += wis_batch(means[..., None], one_level, y)
+    if levels is not None:
+        table = scores[1:]
+        table /= len(levels)
+        np.negative(table, out=table)
     return scores, sizes
 
 
@@ -233,7 +255,7 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
     for i in range(n):
         halves = scores.reshape(half >> i, 2, 1 << i, t)
-        grouped = (halves[:, 1] - halves[:, 0]).reshape(half, t)[1:][by_size]
+        grouped = np.take((halves[:, 1] - halves[:, 0]).reshape(half, t)[1:], by_size, axis=0)
         sums = np.add.reduceat(grouped, starts, axis=0)
         mean[i] = sums / counts[:, None]
         # accumulate pins the ascending size order at every batch width; a
@@ -372,7 +394,7 @@ def compute_importance(
     for rows in sorted(signatures):
         cols, n = signatures[rows], len(rows)
         # Per task, the largest array of a batch (see the module docstring).
-        widest = (n + 1) * levels if algorithm is Algorithm.LOMO else max(1 << n, 2 * levels)
+        widest = (n + 1) * levels if algorithm is Algorithm.LOMO else max(1 << n, n * levels)
         per_batch = max(1, _BLOCK_ELEMENTS // widest)
         jobs += [(rows, cols[k : k + per_batch]) for k in range(0, len(cols), per_batch)]
 

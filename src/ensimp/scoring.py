@@ -168,7 +168,8 @@ def wis_batch(values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray)
             total = term
         else:
             total += term
-    return total / len(levels)
+    total /= len(levels)  # in place: total is this call's own array
+    return total
 
 
 def wis(forecast: QuantileForecast, obs: Observation) -> float:

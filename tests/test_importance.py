@@ -392,7 +392,7 @@ class TestStreamedSubsetTable:
             levels = self.LEVELS
         y = rng.normal(size=t) * 10.0
         want_scores, want_sizes = bf.subset_scores(values, levels and levels.levels, y)
-        cell = values[0].size
+        cell = t  # a block holds one level's sums
         for low in range(1, n + 1):
             with mock.patch.object(importance, "_BLOCK_ELEMENTS", cell << low):
                 assert importance._low_members(n, cell) == low
@@ -405,12 +405,14 @@ class TestStreamedSubsetTable:
         rng = np.random.default_rng(3)
         values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
         y = rng.normal(size=t)
-        low = importance._low_members(n, t * k)
-        block = 8 * (t * k << low)
+        low = importance._low_members(n, t)
+        block = 8 * (t << low)
         table = 8 * (t << n)
-        # The walk holds the score table, the size vector, the n - low + 1
-        # blocks on its path and one block of means, plus level slabs.
-        walk_bound = 2 * table + (n - low + 3) * block
+        # The walk holds the score table, the uint8 size vector, the n - low
+        # + 1 one-level blocks on its path and the block-sized float sizes,
+        # plus the scoring temporaries of one block: its divisors, its means,
+        # the WIS term, its q - y slab and its indicator.
+        walk_bound = table + table // 8 + (n - low + 1) * block + 5 * block
         # The readouts then add at most three arrays of half its length,
         # plus their (n, n - 1, T) outputs, well under one block.
         readout_bound = 3 * table // 2 + block
@@ -428,14 +430,27 @@ class TestStreamedSubsetTable:
         assert walk_peak < walk_bound
         assert readout_peak < readout_bound
 
+    @pytest.mark.parametrize("t, low", [(1, 12), (64, 11), (1024, 7)])
+    def test_each_level_is_scored_in_blocks_of_the_whole_budget(self, t, low):
+        """One ``wis_batch`` call per level and (2^L, T) block, L as large as fits.
+
+        A walk that went back to small slabs would make many more calls."""
+        n, k = 12, len(CANONICAL_LEVELS)
+        rng = np.random.default_rng(3)
+        values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
+        assert importance._low_members(n, t) == low
+        with mock.patch.object(importance, "wis_batch", wraps=importance.wis_batch) as calls:
+            importance._subset_scores(values, CANONICAL_LEVELS, rng.normal(size=t))
+        assert calls.call_count == k * 2 ** (n - low)
+
     @pytest.mark.parametrize("n, t", [(2, 20_000), (10, 2_000)])
     @pytest.mark.parametrize("algorithm", Algorithm)
     def test_batch_peak_follows_the_one_budget(self, n, t, algorithm):
         """A batch's arrays fit ``_BLOCK_ELEMENTS``, however many tasks there are.
 
         At n = 2 a width set by the (2^n, T) score table alone would put
-        every task in one batch, and its (levels, 2, T) blocks of sums would
-        take 39 MB."""
+        every task in one batch, and each copy of its (n, T, levels) member
+        values would take 7 MB."""
         k = len(CANONICAL_LEVELS)
         rng = np.random.default_rng(3)
         values = np.sort(rng.normal(size=(n, t, k)), axis=-1)

@@ -43,7 +43,8 @@ def test_traced_importance_run(tmp_path):
     forecasts, _ = read_forecasts(str(FIXTURES / "forecasts.csv"))
     tasks, _ = build_task_pools(forecasts, read_truth(str(FIXTURES / "truth.csv")))
     # Batches partition the tasks, so the sum over batches of (2^n - 1) * T
-    # is a sum over tasks: every subset but the empty one, once.
+    # is a sum over tasks: every subset but the empty one, once per level.
     pool_sizes = tasks.forecasts.present.sum(axis=0).tolist()
-    assert rows == sum((1 << n) - 1 for n in pool_sizes)
+    levels = len(tasks.forecasts.levels)
+    assert rows == levels * sum((1 << n) - 1 for n in pool_sizes) == 1104
 
