@@ -1,9 +1,14 @@
-"""Closed-form analysis of leave-one-out importance for point forecasts.
+"""Closed-form importance for point forecasts scored by -SPE.
 
-For point forecasts scored by -SPE, the importance of model i has an exact
-expansion into its own squared error, error products with the other models,
-and the other models' joint error structure. These functions serve as
-analytic oracles for the simulation engine and the test suite.
+A model's mean marginal contribution over the coalitions of one size is exact
+in the error products. :func:`contributions_by_size` maps an (n, n) product
+matrix (e_j e_k realized, E[e_j e_k] expected) to the (n, n - 1) mean
+contribution of each model at each coalition size s = 1..n-1. LOMO is its
+last column, permutation-weight LASOMO its row mean and equal-weight LASOMO
+its C(n - 1, s)-weighted column sum over 2^(n-1) - 1. :func:`phi_direct`
+(member sums) and :func:`ambiguity_check` (ambiguity split) check its LOMO
+readout :func:`phi_decomposed` independently, on an :class:`ErrorVector` of
+one instance, (n,), or a batch, (instances, n), with an index per instance.
 """
 
 from __future__ import annotations
@@ -14,12 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .scoring import ValidationError
+from .scoring import ValidationError, _require_finite
 
 __all__ = [
     "ErrorVector",
     "GaussianErrorModel",
     "ambiguity_check",
+    "contributions_by_size",
     "expected_phi",
     "expected_phi_from_moments",
     "phi_decomposed",
@@ -27,23 +33,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorVector:
-    """Prediction errors e_j = y - yhat_j, one per model (at least two)."""
+    """Errors e_j = y - yhat_j of n >= 2 models, as a read-only float64 array:
+    (n,) for one instance or (instances, n) for a batch, checked once here."""
 
-    errors: tuple[float, ...]
+    errors: np.ndarray
 
     def __post_init__(self) -> None:
-        errors = tuple(float(e) for e in self.errors)
-        if len(errors) < 2:
+        errors = np.array(self.errors, dtype=np.float64)
+        if errors.ndim not in (1, 2) or errors.shape[-1] < 2:
             raise ValidationError("need errors from at least 2 models")
-        for e in errors:
-            if not math.isfinite(e):
-                raise ValidationError(f"error values must be finite, got {e!r}")
+        bad = errors[~np.isfinite(errors)]
+        if bad.size:
+            raise ValidationError(f"error values must be finite, got {float(bad[0])!r}")
+        errors.flags.writeable = False
         object.__setattr__(self, "errors", errors)
-
-    def __len__(self) -> int:
-        return len(self.errors)
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,7 @@ class GaussianErrorModel:
     truth_variance: float
 
     def __post_init__(self) -> None:
-        means = tuple(float(v) for v in self.forecast_means)
+        means = tuple(_require_finite(v, "forecast mean") for v in self.forecast_means)
         if len(means) < 2:
             raise ValidationError("need at least 2 forecasters")
         if not (math.isfinite(self.truth_variance) and self.truth_variance > 0):
@@ -62,79 +67,83 @@ class GaussianErrorModel:
         object.__setattr__(self, "forecast_means", means)
 
 
-def _check_index(n: int, index: int) -> None:
-    if not 0 <= index < n:
-        raise ValidationError(f"model index {index} outside [0, {n - 1}]")
+def _checked(errors: ErrorVector, index) -> tuple[np.ndarray, np.ndarray]:
+    """The errors and each instance's checked model index. The checks work along
+    the last axis; ``[()]`` turns a single instance's 0-d result into a float."""
+    e = errors.errors
+    idx = np.broadcast_to(index, e.shape[:-1])
+    bad = idx[(idx < 0) | (idx >= e.shape[-1]) | (idx.dtype.kind not in "iu")]
+    if bad.size:
+        raise ValidationError(f"model index {bad[0]} is not an integer in [0, {e.shape[-1] - 1}]")
+    return e, idx
 
 
-def phi_direct(errors: ErrorVector, index: int) -> float:
-    """Importance of model ``index``: -(mean error)^2 + (leave-one-out mean error)^2.
+def contributions_by_size(products) -> np.ndarray:
+    """Each model's mean marginal contribution to -SPE at each coalition size.
 
-    The full ensemble's error equals the mean of the member errors, so this
-    is the -SPE score gain from including the model.
+    ``products`` is an (..., n, n) symmetric matrix P of error products. Entry
+    [..., i, s - 1] of the (..., n, n - 1) result is the mean over coalitions S
+    of s models other than i of -(mean error of S + i)^2 + (mean error of S)^2.
+    X, the sum of S's errors, is a size-s draw without replacement from the
+    m = n - 1 others O: ``E[e_i X] = (s/m) sum_O P_ij``, ``E[X^2] = (s/m)
+    sum_O P_jj + s(s-1)/(m(m-1)) sum_{j != k in O} P_jk`` and
+    ``c_s = -(P_ii + 2 E[e_i X] + E[X^2]) / (s+1)^2 + E[X^2] / s^2``.
     """
-    e = np.asarray(errors.errors, dtype=np.float64)
-    n = len(e)
-    _check_index(n, index)
-    mean_all = float(np.add.reduce(e)) / n
-    mean_loo = float(np.add.reduce(np.concatenate((e[:index], e[index + 1:])))) / (n - 1)
-    return -(mean_all**2) + mean_loo**2
+    p = np.asarray(products, dtype=np.float64)
+    m = p.shape[-1] - 1  # the other models
+    off = 1.0 - np.eye(m + 1)
+    diag = np.diagonal(p, axis1=-2, axis2=-1)
+    cross = np.einsum("...ij,ij->...i", p, off)[..., None]
+    squares = np.einsum("...j,ij->...i", diag, off)[..., None]
+    # off[i, j] * off[i, k] * off[j, k]: j and k are distinct and neither is i
+    pairs = np.einsum("...jk,ijk->...i", p, off[:, :, None] * off[:, None, :] * off)[..., None]
+    s = np.arange(1.0, m + 1)
+    x2 = (s / m) * squares + s * (s - 1) / max(m * (m - 1), 1) * pairs
+    own = diag[..., None] + 2 * (s / m) * cross
+    return -(own + x2) / (s + 1) ** 2 + x2 / s**2
 
 
-def phi_decomposed(errors: ErrorVector, index: int) -> float:
-    """Importance expanded into own-error, cross-error, and others' terms.
+def phi_direct(errors: ErrorVector, index):
+    """Importance of model ``index``: -(mean error)^2 + (leave-one-out mean error)^2,
+    the -SPE gain from including it, as the ensemble's error is the mean member
+    error. Members sum left to right."""
+    e, idx = _checked(errors, index)
+    n = e.shape[-1]
+    rest = np.where(np.arange(n) == idx[..., None], 0.0, e)
+    total, rest = (np.add.accumulate(a, axis=-1)[..., -1] for a in (e, rest))
+    return (-((total / n) ** 2) + (rest / (n - 1)) ** 2)[()]
+
+
+def phi_decomposed(errors: ErrorVector, index):
+    """Importance from the error products: the closed form's LOMO column.
 
     Algebraically identical to :func:`phi_direct`:
     ``-e_i^2/n^2 - (2/n^2) sum_{j!=i} e_i e_j
-    + (2n-1)/(n(n-1))^2 * (sum_{j!=i} e_j^2 + 2 sum_{j<k, both!=i} e_j e_k)``.
+    + (2n-1)/(n(n-1))^2 * (sum_{j!=i} e_j^2 + sum_{j!=k, both!=i} e_j e_k)``.
     """
-    e = errors.errors
-    n = len(e)
-    _check_index(n, index)
-    ei = e[index]
-    others = [e[j] for j in range(n) if j != index]
-    cross = math.fsum(ei * ej for ej in others)
-    sq = math.fsum(ej**2 for ej in others)
-    pairs = math.fsum(
-        others[a] * others[b] for a in range(len(others)) for b in range(a + 1, len(others))
-    )
-    coef = (2 * n - 1) / (n * (n - 1)) ** 2
-    return -(ei**2) / n**2 - (2.0 / n**2) * cross + coef * (sq + 2.0 * pairs)
+    e, idx = _checked(errors, index)
+    lomo = contributions_by_size(e[..., :, None] * e[..., None, :])[..., -1]
+    return np.take_along_axis(lomo, idx[..., None], axis=-1)[..., 0][()]
 
 
-def expected_phi_from_moments(
-    espe: Sequence[float], error_products: np.ndarray, index: int
-) -> float:
+def expected_phi_from_moments(espe: Sequence[float], error_products, index: int) -> float:
     """Expected importance from ESPE values and expected error products.
 
-    ``espe[j]`` is E[(Y - Yhat_j)^2] and ``error_products[j, k]`` is
-    E[e_j e_k]; only off-diagonal entries are read. This is the general form
-    of the closed curve; :func:`expected_phi` fills in the moments for the
-    zero-mean Gaussian truth setting.
+    ``espe[j]`` is E[(Y - Yhat_j)^2], put on the diagonal of ``error_products``,
+    whose [j, k] is E[e_j e_k]. This is the closed form's LOMO readout;
+    :func:`expected_phi` fills in the moments for zero-mean Gaussian truth.
     """
-    espe = [float(v) for v in espe]
+    espe = np.asarray(espe, dtype=np.float64)
     n = len(espe)
     if n < 2:
         raise ValidationError("need at least 2 forecasters")
-    _check_index(n, index)
-    prod = np.asarray(error_products, dtype=np.float64)
+    if not 0 <= index < n:
+        raise ValidationError(f"model index {index} outside [0, {n - 1}]")
+    prod = np.array(error_products, dtype=np.float64)
     if prod.shape != (n, n):
         raise ValidationError(f"error_products must be {n}x{n}, got {prod.shape}")
-    coef = (2 * n - 1) / (n * (n - 1)) ** 2
-    others = [j for j in range(n) if j != index]
-    cross = math.fsum(prod[index, j] for j in others)
-    espe_rest = math.fsum(espe[j] for j in others)
-    pairs = math.fsum(
-        prod[others[a], others[b]]
-        for a in range(len(others))
-        for b in range(a + 1, len(others))
-    )
-    return (
-        -espe[index] / n**2
-        + coef * espe_rest
-        - (2.0 / n**2) * cross
-        + 2.0 * coef * pairs
-    )
+    np.fill_diagonal(prod, espe)
+    return float(contributions_by_size(prod)[index, -1])
 
 
 def expected_phi(model: GaussianErrorModel, index: int) -> float:
@@ -144,52 +153,35 @@ def expected_phi(model: GaussianErrorModel, index: int) -> float:
     ``ESPE_j = sigma^2 + yhat_j^2`` and ``E[e_j e_k] = sigma^2 + yhat_j yhat_k``.
     """
     means = np.asarray(model.forecast_means, dtype=np.float64)
-    var = model.truth_variance
-    espe = var + means**2
-    prod = var + np.outer(means, means)
-    return expected_phi_from_moments(espe.tolist(), prod, index)
+    prod = model.truth_variance + np.outer(means, means)
+    return expected_phi_from_moments(np.diagonal(prod), prod, index)
 
 
-def ambiguity_check(
-    errors: ErrorVector, weights: Sequence[float], index: int
-) -> float:
+def ambiguity_check(errors: ErrorVector, weights, index):
     """Residual of reconstructing importance from two ambiguity decompositions.
 
-    The ensemble's squared error splits into the weighted member error minus
-    the weighted member spread around the ensemble (the ambiguity term); the
-    same holds for the leave-``index``-out ensemble with the remaining
-    weights renormalized. Subtracting the two reconstructs the importance
-    value as the change in weighted member error (whose only new piece is
-    model ``index``'s own squared error) plus the change in ambiguity.
-    Returns the difference between the directly computed importance and that
-    reconstruction; it is zero up to rounding.
+    A weighted ensemble's squared error is the weighted member error minus the
+    weighted spread around it (the ambiguity), for the full pool and the pool
+    without model ``index`` (weights renormalized), so the importance is the change
+    in member error plus the change in ambiguity. ``weights`` has the errors' shape.
     """
-    e = errors.errors
-    n = len(e)
-    _check_index(n, index)
-    w = [float(x) for x in weights]
-    if len(w) != n:
-        raise ValidationError(f"got {len(w)} weights for {n} errors")
-    for x in w:
-        if not (math.isfinite(x) and x >= 0.0):
-            raise ValidationError(f"weights must be non-negative, got {x!r}")
-    if abs(math.fsum(w) - 1.0) > 1e-12:
+    e, idx = _checked(errors, index)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != e.shape:
+        raise ValidationError(f"got weights of shape {w.shape} for errors of shape {e.shape}")
+    bad = w[~(np.isfinite(w) & (w >= 0.0))]
+    if bad.size:
+        raise ValidationError(f"weights must be non-negative, got {float(bad[0])!r}")
+    if np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-12):
         raise ValidationError("weights must sum to 1 within 1e-12")
-    rest_mass = 1.0 - w[index]
-    if rest_mass <= 0.0:
+    own = np.arange(e.shape[-1]) == idx[..., None]
+    rest_mass = 1.0 - w.sum(axis=-1, where=own)
+    if np.any(rest_mass <= 0.0):
         raise ValidationError("leaving the model out requires other models with weight")
-
-    others = [j for j in range(n) if j != index]
-    w_loo = {j: w[j] / rest_mass for j in others}
-
-    mean_full = math.fsum(w[j] * e[j] for j in range(n))
-    mean_loo = math.fsum(w_loo[j] * e[j] for j in others)
-    phi = -(mean_full**2) + mean_loo**2
-
-    err_full = math.fsum(w[j] * e[j] ** 2 for j in range(n))
-    err_loo = math.fsum(w_loo[j] * e[j] ** 2 for j in others)
-    amb_full = math.fsum(w[j] * (e[j] - mean_full) ** 2 for j in range(n))
-    amb_loo = math.fsum(w_loo[j] * (e[j] - mean_loo) ** 2 for j in others)
-
-    recon = (err_loo - err_full) + (amb_full - amb_loo)
-    return phi - recon
+    both = np.stack((w, np.where(own, 0.0, w / rest_mass[..., None])))  # full, leave-one-out
+    mean = (both * e).sum(axis=-1)
+    phi = -(mean[0] ** 2) + mean[1] ** 2
+    err = (both * e * e).sum(axis=-1)
+    amb = (both * (e - mean[..., None]) ** 2).sum(axis=-1)
+    recon = (err[1] - err[0]) + (amb[0] - amb[1])
+    return (phi - recon)[()]

@@ -144,3 +144,25 @@ def subset_scores(values, levels, y):
         terms = 2.0 * ((yb <= means) - np.asarray(levels)) * (means - yb)
         scores[1:] = -(np.add.accumulate(terms, axis=-1)[..., -1] / len(levels))
     return scores, sizes
+
+
+def expected_phi_from_moments(espe, error_products, index):
+    """Expected LOMO of model ``index`` from the paper's term-by-term expansion.
+
+    ``espe[j]`` is E[e_j^2] and ``error_products[j, k]`` is E[e_j e_k]; of
+    the products, row ``index`` and, among the other models, the entries
+    above the diagonal are read. Each term is an exact sum:
+    ``-espe_i/n^2 - (2/n^2) sum_{j!=i} E[e_i e_j]
+    + (2n-1)/(n(n-1))^2 * (sum_{j!=i} espe_j + 2 sum_{j<k, both!=i} E[e_j e_k])``.
+    """
+    n = len(espe)
+    coef = (2 * n - 1) / (n * (n - 1)) ** 2
+    others = [j for j in range(n) if j != index]
+    cross = math.fsum(error_products[index][j] for j in others)
+    espe_rest = math.fsum(espe[j] for j in others)
+    pairs = math.fsum(
+        error_products[others[a]][others[b]]
+        for a in range(len(others))
+        for b in range(a + 1, len(others))
+    )
+    return -espe[index] / n**2 + coef * espe_rest - (2.0 / n**2) * cross + 2.0 * coef * pairs

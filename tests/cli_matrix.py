@@ -105,6 +105,8 @@ def cases(pairs: dict[str, tuple[Path, Path]]) -> dict[str, list[str]]:
             "simulate", "--scenario", scenario, "--replicates", "20000", "--seed", str(SEED),
             "--workers", "2", *out_flag]
     out["decompose-check"] = ["decompose-check", "--instances", "2000", "--seed", str(SEED)]
+    out["decompose-check/i20000"] = [  # the benchmark's paper-sim size
+        "decompose-check", "--instances", "20000", "--seed", str(SEED)]
     return out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import types
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -24,6 +25,23 @@ def perfbench_inputs():
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def mutated_decomposition(old: str, new: str) -> types.ModuleType:
+    """``ensimp.decomposition`` rebuilt from its source with ``old`` replaced by ``new``.
+
+    ``old`` must occur exactly once, so a fault that no longer matches the
+    source fails loudly instead of testing the unchanged code.
+    """
+    import ensimp.decomposition as real
+
+    source = Path(real.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1, f"{old!r} occurs {source.count(old)} times"
+    module = sys.modules["ensimp.decomposition_with_fault"] = types.ModuleType(
+        "ensimp.decomposition_with_fault")  # dataclasses look their module up
+    module.__package__ = "ensimp"
+    exec(compile(source.replace(old, new), real.__file__, "exec"), module.__dict__)
     return module
 
 

@@ -2,11 +2,12 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, ORACLES, perfbench_inputs
+from conftest import FIXTURES, ORACLES, mutated_decomposition, perfbench_inputs
 
 from ensimp import cli
 from ensimp.cli import _resolve_workers, main
@@ -224,6 +225,48 @@ class TestDecomposeCheck:
         first = capsys.readouterr().out
         assert main(["decompose-check", "--instances", "200", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("old, new, name", [
+        (" + 2 * (s / m) * cross", "", "phi_decomposed"),  # the closed form's cross term
+        ("/ (s + 1) ** 2", "/ s**2", "phi_decomposed"),  # a closed-form coefficient
+        ("(amb[0] - amb[1])", "amb[0]", "ambiguity_check"),  # a term of the ambiguity split
+    ])
+    def test_faults_in_the_checked_formulas_fail(self, capsys, monkeypatch, old, new, name):
+        monkeypatch.setattr(cli, name, getattr(mutated_decomposition(old, new), name))
+        assert main(["decompose-check", "--instances", "200"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL: residual above 1e-9"
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_single_instance_is_named(self, capsys, seed):
+        # at seed 11 one residual is exactly 0
+        assert main(["decompose-check", "--instances", "1", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" at ")[1][:14] for line in lines[1:3]] == ["instance 0 (n="] * 2
+
+    def test_worst_instance_of_all_zero_residuals_is_the_first(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "phi_decomposed", cli.phi_direct)
+        assert main(["decompose-check", "--instances", "20000"]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("max relative residual, direct vs decomposed: 0.000000e+00 "
+                               "at instance 0 (n=")
+
+    @pytest.mark.parametrize("seed", [3, 42])
+    def test_residuals_at_the_benchmark_size(self, capsys, seed):
+        assert main(["decompose-check", "--instances", "20000", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(float(line.split(": ")[1].split()[0]) < 1e-12 for line in lines[1:3])
+        assert lines[-1] == "PASS"
+
+    def test_memory_does_not_grow_with_instances(self, capsys):
+        peaks = []
+        for instances in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                assert main(["decompose-check", "--instances", str(instances), "--seed", "3"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestSubsetVariance:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import bruteforce as bf
 from conftest import point_pool
 
 from ensimp.decomposition import (
     ErrorVector,
     GaussianErrorModel,
     ambiguity_check,
+    contributions_by_size,
     expected_phi,
     expected_phi_from_moments,
     phi_decomposed,
@@ -142,6 +144,57 @@ class TestExpectedPhi:
             GaussianErrorModel((1.0, 2.0), 0.0)
         with pytest.raises(ValidationError):
             expected_phi_from_moments([1.0, 2.0], np.ones((3, 3)), 0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=f"forecast mean must be finite, got {bad!r}"):
+                expected_phi(GaussianErrorModel((bad, 1.0), 1.0), 0)
+
+
+class TestContributionsBySize:
+    def test_lomo_readout_matches_the_term_by_term_expansion(self, rng):
+        # the expansion expected_phi_from_moments held before the closed form
+        worst = 0.0
+        for _ in range(350):
+            n = int(rng.integers(2, 13))
+            a = rng.normal(size=(n, n))
+            prod = (a + a.T) / 2
+            espe = rng.uniform(0.1, 5.0, n)
+            for i in range(n):
+                want = bf.expected_phi_from_moments(espe.tolist(), prod.tolist(), i)
+                got = expected_phi_from_moments(espe, prod, i)
+                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        assert worst <= 1e-13
+
+    def test_a_point_expected_lasomo(self):
+        # forecasts -1, -0.5 and b = 1.3 against N(0, 1) truth:
+        # E[e_j e_k] = 1 + yhat_j yhat_k, and permutation LASOMO is the row mean
+        means = np.array([-1.0, -0.5, 1.3])
+        phi = contributions_by_size(1.0 + np.outer(means, means)).mean(axis=1)
+        assert np.round(phi, 4).tolist() == [0.4165, 0.5009, 0.5459]
+
+    def test_a_batch_is_rows_of_single_instances(self, rng):
+        e = rng.standard_normal((50, 5))
+        i = rng.integers(5, size=50)
+        raw = rng.random((50, 5)) + 1e-3
+        w = raw / raw.sum(axis=1, keepdims=True)
+        batch = ErrorVector(e)
+        for fn, args in ((phi_direct, ()), (phi_decomposed, ()), (ambiguity_check, (w,))):
+            got = fn(batch, *args, i)
+            assert got.shape == (50,)
+            rows = [fn(ErrorVector(e[k]), *(a[k] for a in args), int(i[k])) for k in range(50)]
+            np.testing.assert_allclose(got, rows, rtol=0, atol=1e-15)
+        assert phi_direct(batch, 2).tolist() == [phi_direct(ErrorVector(r), 2) for r in e]
+
+    def test_batch_validation(self):
+        with pytest.raises(ValidationError, match="must be finite, got nan"):
+            ErrorVector([[0.0, 1.0], [math.nan, 1.0]])
+        ev = ErrorVector([[0.0, 1.0], [2.0, 1.0]])
+        with pytest.raises(ValidationError, match=r"model index 2 is not an integer in \[0, 1\]"):
+            phi_decomposed(ev, np.array([0, 2]))
+        with pytest.raises(ValidationError, match="model index 0.5 is not an integer"):
+            phi_direct(ev, 0.5)
+        with pytest.raises(ValidationError, match="shape"):
+            ambiguity_check(ev, (0.5, 0.5), 0)
+        assert not ev.errors.flags.writeable
 
 
 class TestAmbiguityCheck:

@@ -10,13 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import quantile_pool, same_cells
+from conftest import mutated_decomposition, quantile_pool, same_cells
 
-from ensimp import dataio, importance
+from ensimp import dataio, decomposition, importance
 from ensimp.dataio import FORECAST_HEADER, TaskPool, from_pools, read_forecasts
 from ensimp.importance import (
     Algorithm,
@@ -189,6 +189,56 @@ def test_identical_neighbours_get_identical_phi(members, data, y, metric, scheme
     assert phi[k] == phi[k + 1]
     lomo = lomo_all(tp, metric)
     assert lomo[k] == lomo[k + 1]
+
+
+@st.composite
+def point_errors(draw):
+    """The errors of a point-forecast pool of 2 to 20 models, few above 15.
+
+    Both sides' rounding grows with the squared errors, so the 1e-13 floor of
+    the tolerance below assumes errors of order one, as in the paper's
+    setting: forecasts in [-1, 3] against standard-normal truth.
+    """
+    n = draw(st.sampled_from(list(range(2, 16)) * 2 + list(range(16, 21))))
+    return np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_errors())
+@example(np.linspace(-4.0, 4.0, 20))
+@example(4.0 - np.arange(16) * 1e-4)  # near-equal errors: the scores cancel most
+def test_closed_form_matches_subset_table(e):
+    """``contributions_by_size`` of the error products, read as LOMO (its last
+    column) and as LASOMO under both weight schemes, against the subset-score
+    table of the pool with values -e and truth 0; and on pools of up to ten
+    models each size's column against the brute-force per-size mean."""
+    n = len(e)
+    c = decomposition.contributions_by_size(np.outer(e, e))
+    scores, sizes = importance._subset_scores(-e[:, None], None, np.zeros(1))
+    counts = [math.comb(n - 1, s) for s in range(1, n)]
+    for scheme, phi in ((WeightScheme.PERMUTATION, c.mean(axis=1)),
+                        (WeightScheme.EQUAL, c @ counts / (2 ** (n - 1) - 1))):
+        want, lomo = (a[:, 0] for a in importance._table_readouts(scores, sizes, scheme)[:2])
+        tol = 1e-13 * max(1.0, np.abs(want).max(), np.abs(lomo).max())
+        assert np.abs(c[:, -1] - lomo).max() <= tol
+        assert np.abs(phi - want).max() <= tol
+    if n <= 10:
+        points = dict(enumerate(-e))
+        for i in range(n):
+            groups = bf.contributions_by_size(lambda sub: bf.neg_spe_score(points, sub, 0.0),
+                                              range(n), i)
+            means = [math.fsum(groups[s + 1]) / counts[s - 1] for s in range(1, n)]
+            assert np.abs(c[i] - means).max() <= 1e-13 * max(1.0, max(map(abs, means)))
+
+
+def test_wrong_coefficient_fails_the_closed_form_property(monkeypatch):
+    fault = mutated_decomposition("/ (s + 1) ** 2", "/ s**2")
+    monkeypatch.setattr(decomposition, "contributions_by_size", fault.contributions_by_size)
+    with pytest.raises(Exception) as info:
+        test_closed_form_matches_subset_table()
+    # Hypothesis raises distinct failures together, as an exception group
+    failures = getattr(info.value, "exceptions", (info.value,))
+    assert all(isinstance(f, AssertionError) for f in failures)
 
 
 # Number spellings float() reads, or refuses, that a hub file may hold.
