@@ -168,7 +168,10 @@ def cmd_simulate(args) -> int:
         grid = replace(base.sweep, **{k: v for k, v in bounds.items() if v is not None})
     except ValidationError as exc:
         raise ValidationError(f"--grid-start/--grid-end/--grid-step: {exc}") from None
-    spec = replace(base, sweep=grid, replicates=args.replicates, seed=args.seed)
+    try:
+        spec = replace(base, sweep=grid, replicates=args.replicates, seed=args.seed)
+    except ValidationError as exc:  # the seed: the replicates were checked above
+        raise ValidationError(f"--{exc}") from None
     result = run_sweep(spec, n_workers=_resolve_workers(args.workers))
     write_sweep_csv(result, args.output)
     return 0

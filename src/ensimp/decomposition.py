@@ -67,10 +67,9 @@ class GaussianErrorModel:
         object.__setattr__(self, "forecast_means", means)
 
 
-def _checked(errors: ErrorVector, index) -> tuple[np.ndarray, np.ndarray]:
-    """The errors and each instance's checked model index. The checks work along
-    the last axis; ``[()]`` turns a single instance's 0-d result into a float."""
-    e = errors.errors
+def _checked(e: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., n) values ``e`` and each instance's model index, checked to be an
+    integer in [0, n); ``[()]`` turns a single instance's 0-d result into a float."""
     idx = np.broadcast_to(index, e.shape[:-1])
     bad = idx[(idx < 0) | (idx >= e.shape[-1]) | (idx.dtype.kind not in "iu")]
     if bad.size:
@@ -107,7 +106,7 @@ def phi_direct(errors: ErrorVector, index):
     """Importance of model ``index``: -(mean error)^2 + (leave-one-out mean error)^2,
     the -SPE gain from including it, as the ensemble's error is the mean member
     error. Members sum left to right."""
-    e, idx = _checked(errors, index)
+    e, idx = _checked(errors.errors, index)
     n = e.shape[-1]
     rest = np.where(np.arange(n) == idx[..., None], 0.0, e)
     total, rest = (np.add.accumulate(a, axis=-1)[..., -1] for a in (e, rest))
@@ -121,7 +120,7 @@ def phi_decomposed(errors: ErrorVector, index):
     ``-e_i^2/n^2 - (2/n^2) sum_{j!=i} e_i e_j
     + (2n-1)/(n(n-1))^2 * (sum_{j!=i} e_j^2 + sum_{j!=k, both!=i} e_j e_k)``.
     """
-    e, idx = _checked(errors, index)
+    e, idx = _checked(errors.errors, index)
     lomo = contributions_by_size(e[..., :, None] * e[..., None, :])[..., -1]
     return np.take_along_axis(lomo, idx[..., None], axis=-1)[..., 0][()]
 
@@ -137,8 +136,7 @@ def expected_phi_from_moments(espe: Sequence[float], error_products, index: int)
     n = len(espe)
     if n < 2:
         raise ValidationError("need at least 2 forecasters")
-    if not 0 <= index < n:
-        raise ValidationError(f"model index {index} outside [0, {n - 1}]")
+    _checked(espe, index)
     prod = np.array(error_products, dtype=np.float64)
     if prod.shape != (n, n):
         raise ValidationError(f"error_products must be {n}x{n}, got {prod.shape}")
@@ -165,7 +163,7 @@ def ambiguity_check(errors: ErrorVector, weights, index):
     without model ``index`` (weights renormalized), so the importance is the change
     in member error plus the change in ambiguity. ``weights`` has the errors' shape.
     """
-    e, idx = _checked(errors, index)
+    e, idx = _checked(errors.errors, index)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != e.shape:
         raise ValidationError(f"got weights of shape {w.shape} for errors of shape {e.shape}")

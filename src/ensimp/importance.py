@@ -21,18 +21,20 @@ layer), the moments of the marginal contributions at each subset size, their
 per-task mean over sizes, and LASOMO from the same per-size sums, not from
 per-subset weighted terms. The LOMO kernel, shared by the panel path and the
 simulation engine, scores only the n + 1 top-layer ensembles: no model cap.
+Both kernels score the output of ``scored_values``, called once per panel,
+through ``positive_scores`` alone.
 
 One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
-(2^n, T) score table or the (n, T, levels) member values for LASOMO, the
-(n + 1, T, levels) ensembles for LOMO. The subset sums are streamed, never
-held whole: one quantile level at a time, a depth-first walk builds them in
-(2^L, T) blocks of at most that many values and scores each block as it is
-built, so a block holds the most subsets the budget allows. A worker's
-LASOMO memory is thus the (2^n, T) score table, its uint8 size vector and
-readouts of the same order, plus at most n - L + 1 blocks and the scoring
-temporaries of one (9 MB at n = 20 and T = 1, where L = 17), not the
-(2^n, T, levels) sum table (193 MB there at 23 levels).
+(2^n, T) score table or the (n, T, levels) scored values for LASOMO, the
+(n + 1, T, levels) ensembles for LOMO, levels counting those scored (1 for
+SPE). The subset sums are streamed, never held whole: one level at a time, a
+depth-first walk builds them in (2^L, T) blocks of at most that many values
+and scores each block as it is built, so a block holds the most subsets the
+budget allows. A worker's LASOMO memory is thus the (2^n, T) score table, its
+uint8 size vector and readouts of the same order, plus at most n - L + 1
+blocks and the scoring temporaries of one (9 MB at n = 20 and T = 1, where
+L = 17), not the (2^n, T, levels) sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order, WIS terms sum left to
 right over the levels, contributions of one size in ascending bitmask order
@@ -55,7 +57,7 @@ import numpy as np
 
 from .dataio import Panel, TaskPanel, TaskPool, from_pools
 from .ensembling import member_means
-from .scoring import Metric, QuantileLevels, ValidationError, positive_scores, scored_values, wis_batch
+from .scoring import Metric, QuantileLevels, ValidationError, positive_scores, scored_values
 
 __all__ = [
     "Algorithm",
@@ -130,16 +132,16 @@ def shapley_weight_exact(n: int, s: int) -> Fraction:
     return Fraction(1, (n - 1) * math.comb(n - 1, s))
 
 
-def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y, metric: Metric) -> np.ndarray:
+def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y) -> np.ndarray:
     """LOMO of every member: the full ensemble's score minus the score without it.
 
-    ``values`` holds member values in canonical order along the first axis,
-    then batch axes that ``y`` broadcasts against, then the level axis when
-    ``levels`` is given (None means point values). The n + 1 ensembles are
-    scored in one call, so the pool size has no cap; the result is
-    (n, batch...). The panel path and the simulation engine share it.
+    ``values`` and ``levels`` are what :func:`~ensimp.scoring.scored_values`
+    returns: member values in canonical order along the first axis, then
+    batch axes that ``y`` broadcasts against, then the level axis when
+    ``levels`` is given (None means point values, scored as -SPE). The n + 1
+    ensembles are scored in one call, so the pool size has no cap; the result
+    is (n, batch...). The panel path and the simulation engine share it.
     """
-    values, levels = scored_values(values, levels, metric)
     n = values.shape[0]
     ens = np.stack(
         [member_means(values)]
@@ -168,63 +170,51 @@ def _level_blocks(level: np.ndarray, low: int):
     sum is the plain left-to-right sum of its members, bit for bit. Only the
     blocks on the current path are alive, at most n - L + 1 of them.
     """
-    n, t = level.shape
-    block = np.zeros((1 << low, t))
+
+    def descend(high, block):
+        yield high, block
+        # the members above the top one in ``high``, in ascending order
+        for j in range(low + high.bit_length(), len(level)):
+            yield from descend(high | 1 << (j - low), block + level[j])
+
+    block = np.zeros((1 << low, level.shape[1]))
     for i in range(low):
         block[1 << i : 2 << i] = block[: 1 << i] + level[i]
-    yield 0, block
-    # Each path entry is a high mask, its block and the next member that may
-    # join it.
-    path = [(0, block, low)]
-    while path:
-        high, block, j = path[-1]
-        if j == n:
-            path.pop()
-            continue
-        path[-1] = (high, block, j + 1)
-        child = (high | 1 << (j - low), block + level[j], j + 1)
-        yield child[:2]
-        path.append(child)
+    yield from descend(0, block)
 
 
 def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
     """Positively oriented ensemble score of every subset, and its member count.
 
     Both are indexed by bitmask over canonical member order; the counts are
-    uint8. The sums are streamed, never held whole: one quantile level at a
-    time, :func:`_level_blocks` builds them in (2^L, T) blocks, and each block
-    is scored as soon as it is built, through :func:`wis_batch` at that one
-    level (its term, exactly) or as -SPE for point values. The WIS terms are
-    added into the table in level order, then divided by the level count and
-    negated once. Score row 0, the empty coalition, is NaN and is never
-    scored or read.
+    uint8. The sums of the scored ``values`` are streamed, never held whole:
+    one level at a time (point values are one), :func:`_level_blocks` builds
+    them in (2^L, T) blocks, and ``positive_scores`` scores each block as soon
+    as it is built, as -SPE or as minus that one level's WIS term, exactly.
+    The per-level scores are added into the table in level order, then
+    divided by the level count once. Score row 0, the empty coalition, is NaN
+    and is never scored or read.
     """
     n, t = values.shape[:2]
-    # Level-major members, (levels, n, T); point values get one level.
-    members = (values[None] if levels is None else np.moveaxis(values, -1, 0)).copy()
+    # Level-major members, (levels, n, T), and the level set each is scored at.
+    members = values[None] if levels is None else np.moveaxis(values, -1, 0).copy()
+    level_sets = [None] if levels is None else [QuantileLevels((p,)) for p in levels.levels]
     low = _low_members(n, t)
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
     # float64 divisors: a division by the uint8 sizes would convert them per block
     low_sizes = sizes[: 1 << low, None].astype(np.float64)
-    scores = np.full((1 << n, t), np.nan, dtype=np.float64)
-    for k, level in enumerate(members):
-        one_level = None if levels is None else QuantileLevels(levels.levels[k : k + 1])
+    scores = np.full((1 << n, t), -0.0)  # -0.0 + x is x, bit for bit
+    scores[0] = np.nan
+    for level, at in zip(members, level_sets):
         for high, block in _level_blocks(level, low):
             first = 1 if high == 0 else 0  # skip mask 0
             rows = slice((high << low) + first, (high + 1) << low)
             means = block[first:] / (low_sizes[first:] + high.bit_count())
-            if levels is None:
-                scores[rows] = positive_scores(means, None, y)
-            elif k == 0:
-                scores[rows] = wis_batch(means[..., None], one_level, y)
-            else:
-                scores[rows] += wis_batch(means[..., None], one_level, y)
-    if levels is not None:
-        table = scores[1:]
-        table /= len(levels)
-        np.negative(table, out=table)
+            # unnamed, so each block's scores are freed before the next is scored
+            scores[rows] += positive_scores(means if at is None else means[..., None], at, y)
+    scores /= len(members)
     return scores, sizes
 
 
@@ -388,23 +378,23 @@ def compute_importance(
             _check_capacity(len(rows))
         signatures.setdefault(rows, []).append(j)
 
+    values, levels = scored_values(panel.values, panel.levels, metric)
     jobs: list[tuple[tuple[int, ...], list[int]]] = []
-    levels = 1 if panel.levels is None else len(panel.levels)
+    width = 1 if levels is None else len(levels)  # the levels scored per value
     # Models are sorted, so row-index order is model-id order.
     for rows in sorted(signatures):
         cols, n = signatures[rows], len(rows)
         # Per task, the largest array of a batch (see the module docstring).
-        widest = (n + 1) * levels if algorithm is Algorithm.LOMO else max(1 << n, n * levels)
+        widest = (n + 1) * width if algorithm is Algorithm.LOMO else max(1 << n, n * width)
         per_batch = max(1, _BLOCK_ELEMENTS // widest)
         jobs += [(rows, cols[k : k + per_batch]) for k in range(0, len(cols), per_batch)]
 
     def run(job):
         rows, cols = job
-        values, y = panel.values[np.ix_(rows, cols)], tasks.truth[cols]
+        batch, y = values[np.ix_(rows, cols)], tasks.truth[cols]
         if algorithm is Algorithm.LOMO:
-            return (lomo_kernel(values, panel.levels, y, metric),)
-        values, levels = scored_values(values, panel.levels, metric)
-        return _table_readouts(*_subset_scores(values, levels, y), scheme)
+            return (lomo_kernel(batch, levels, y),)
+        return _table_readouts(*_subset_scores(batch, levels, y), scheme)
 
     with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
         outputs = list(ex.map(run, jobs))

@@ -2,10 +2,12 @@
 
 Raw WIS and SPE are error measures (lower is better). Everything downstream
 of this module works with positively oriented scores (larger is better), so
-the orientation flip happens exactly once, in the array scorer
-:func:`positive_scores`. The score panel, the importance kernels and the
-object API's :func:`positive_score`, which scores one forecast and returns a
-plain float, all go through it.
+the squared error's product and the orientation flip each happen exactly
+once, in the array scorer :func:`positive_scores`. The score panel, the
+importance kernels, the object API's :func:`positive_score`, which scores one
+forecast and returns a plain float, and the raw :func:`spe` all go through
+it. Which values a metric scores is settled once, before that, by
+:func:`scored_values`: the kernels take its output, not a metric.
 """
 
 from __future__ import annotations
@@ -135,9 +137,7 @@ class Metric(Enum):
 
 def spe(forecast: PointForecast, obs: Observation) -> float:
     """Squared prediction error (y - yhat)^2. Raw error, lower is better."""
-    # A product is correctly rounded; ``**`` goes through libm pow, which is not.
-    d = obs.value - forecast.value
-    return d * d
+    return float(-positive_scores(forecast.value, None, obs.value))
 
 
 def wis_batch(values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray) -> np.ndarray:
@@ -208,9 +208,13 @@ def positive_scores(values: np.ndarray, levels: QuantileLevels | None, y) -> np.
     :func:`scored_values`.
     """
     if levels is None:
+        # A product is correctly rounded; ``**`` goes through libm pow, which is not.
         d = y - values
-        return -(d * d)
-    return -wis_batch(values, levels, y)
+        scores = d * d
+    else:
+        scores = wis_batch(values, levels, y)
+    scores *= -1.0  # in place: a negation would cost one more array
+    return scores
 
 
 def positive_score(

@@ -20,7 +20,6 @@ from .dataio import write_results
 from .importance import lomo_kernel
 from .scoring import (
     CANONICAL_LEVELS,
-    Metric,
     PointForecast,
     QuantileForecast,
     QuantileLevels,
@@ -202,6 +201,8 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        if not 0 <= self.seed < 2**64:  # the Philox key word holds no more
+            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
         want_point = self.scenario is Scenario.A_POINT
         for comp in self.fixed_components:
             if want_point and not isinstance(comp, PointForecast):
@@ -282,7 +283,7 @@ def truth_draws(seed: int, grid_index: int, replicates: int) -> np.ndarray:
     every draw marginally standard normal while sharply reducing the
     Monte-Carlo error of replicate averages.
     """
-    gen = Generator(Philox(key=np.array([seed % 2**64, grid_index], dtype=np.uint64)))
+    gen = Generator(Philox(key=np.array([seed, grid_index], dtype=np.uint64)))
     mantissa = gen.integers(0, 1 << 53, size=replicates)
     v = (mantissa + 0.5) * 2.0**-53
     u = (np.arange(replicates) + v) / replicates
@@ -303,11 +304,11 @@ def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
     y = truth_draws(spec.seed, grid_index, spec.replicates)
     if spec.scenario is Scenario.A_POINT:
         values = np.asarray([[c.value] for c in components], dtype=np.float64)
-        phi = lomo_kernel(values, None, y, Metric.SPE)
+        phi = lomo_kernel(values, None, y)
     else:
         z = normal_quantile(CANONICAL_LEVELS.as_array())
         quantiles = np.stack([[c.mean + c.sd * z] for c in components])
-        phi = lomo_kernel(quantiles, CANONICAL_LEVELS, y, Metric.WIS)
+        phi = lomo_kernel(quantiles, CANONICAL_LEVELS, y)
     return phi.mean(axis=1), _collapsed_ss(phi)
 
 
@@ -324,6 +325,12 @@ def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult
         results = list(ex.map(_grid_point, *zip(*jobs)))
 
     means, collapsed_ss = (np.stack(column, axis=1) for column in zip(*results))
+    # The first in CSV order; collapsed_ss is NaN at R = 1 by design, so only means count.
+    bad = np.argwhere(~np.isfinite(means.T))
+    if len(bad):
+        g, i = bad[0]
+        raise ValidationError(f"mean importance ({spec.scenario.value}, grid value "
+                              f"{float(values[g])!r}, forecaster_{i + 1}) is not finite")
     return SweepResult(
         scenario=spec.scenario,
         grid_values=values,

@@ -199,6 +199,24 @@ class TestSimulate:
         assert err == (f"error: --grid-start/--grid-end/--grid-step: "
                        f"grid {name} must be finite, got {value}\n")
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_the_philox_key_rejected_naming_the_flag(self, capsys, seed):
+        # -1 and 2**64 - 1 would otherwise write the same sweep
+        code = main(["simulate", "--scenario", "a-point", "--replicates", "3", "--grid-start", "0",
+                     "--grid-end", "0", "--seed", seed, "--output", "-"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_mean_fails_naming_the_point(self, capsys):
+        code = main(["simulate", "--scenario", "a-point", "--grid-start", "1e155",
+                     "--grid-end", "1e155", "--output", "-"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: mean importance (a_point, grid value 1e+155, forecaster_1) is not finite\n")
+
 
 class TestDecomposeCheck:
     def test_passes_by_default(self, capsys):

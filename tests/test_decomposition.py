@@ -144,6 +144,9 @@ class TestExpectedPhi:
             GaussianErrorModel((1.0, 2.0), 0.0)
         with pytest.raises(ValidationError):
             expected_phi_from_moments([1.0, 2.0], np.ones((3, 3)), 0)
+        for bad in (1.5, True):
+            with pytest.raises(ValidationError, match=rf"model index {bad} is not an integer in \[0, 2\]"):
+                expected_phi_from_moments([1.0, 2.0, 3.0], np.ones((3, 3)), bad)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValidationError, match=f"forecast mean must be finite, got {bad!r}"):
                 expected_phi(GaussianErrorModel((bad, 1.0), 1.0), 0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from conftest import point_pool, quantile_pool, random_quantile_pool, same_cells, task_key
 
-from ensimp import importance
+from ensimp import importance, scoring
 from ensimp.dataio import NaPolicy, Panel, TaskPanel, TaskPool, apply_na_policy, from_pools, model_mean_scores
 from ensimp.importance import (
     Algorithm,
@@ -439,9 +439,33 @@ class TestStreamedSubsetTable:
         rng = np.random.default_rng(3)
         values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
         assert importance._low_members(n, t) == low
-        with mock.patch.object(importance, "wis_batch", wraps=importance.wis_batch) as calls:
+        with mock.patch.object(scoring, "wis_batch", wraps=scoring.wis_batch) as calls:
             importance._subset_scores(values, CANONICAL_LEVELS, rng.normal(size=t))
         assert calls.call_count == k * 2 ** (n - low)
+        # Point values are one level: one -SPE call per block.
+        values = values[..., 0]
+        with mock.patch.object(importance, "positive_scores", wraps=scoring.positive_scores) as calls:
+            importance._subset_scores(values, None, rng.normal(size=t))
+        assert calls.call_count == 2 ** (n - low)
+
+    @pytest.mark.parametrize("algorithm, kernel", [(Algorithm.LOMO, "lomo_kernel"),
+                                                   (Algorithm.LASOMO, "_subset_scores")])
+    def test_batches_are_planned_from_the_scored_levels(self, algorithm, kernel):
+        """SPE on quantile values scores one level, so a batch is 23 times as wide.
+
+        With a budget of 800 values, the 100 tasks of a 3-model pool fit one
+        batch of medians; planned from all 23 levels they would take 13 LOMO
+        or 10 LASOMO batches."""
+        n, t, k = 3, 100, len(CANONICAL_LEVELS)
+        rng = np.random.default_rng(3)
+        values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
+        forecasts = Panel(tuple(f"m{i}" for i in range(n)), tuple(task_key(j) for j in range(t)),
+                          values, np.ones((n, t), dtype=bool), CANONICAL_LEVELS)
+        tasks = TaskPanel(forecasts, rng.normal(size=t))
+        with mock.patch.object(importance, "_BLOCK_ELEMENTS", 800):
+            with mock.patch.object(importance, kernel, wraps=getattr(importance, kernel)) as calls:
+                compute_importance(tasks, Metric.SPE, algorithm)
+        assert calls.call_count == 1
 
     @pytest.mark.parametrize("n, t", [(2, 20_000), (10, 2_000)])
     @pytest.mark.parametrize("algorithm", Algorithm)

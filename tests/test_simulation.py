@@ -153,6 +153,11 @@ class TestGrid:
             Grid(1.0, 0.0, 0.1)
         with pytest.raises(ValidationError):
             SimulationSpec(Scenario.A_PROB, (NormalSpec(0, 1),), Grid(0, 1, 0.5), replicates=0)
+        # s and s + 2**64 would key the same Philox stream under different labels
+        for seed in (-1, 2**64):
+            with pytest.raises(ValidationError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+                SimulationSpec(Scenario.A_PROB, (NormalSpec(0, 1),), Grid(0, 1, 0.5), seed=seed)
+        SimulationSpec(Scenario.A_PROB, (NormalSpec(0, 1),), Grid(0, 1, 0.5), seed=2**64 - 1)
 
     def test_size_bounded_before_allocation(self):
         # Constructing is all these do: a rejected grid never reaches values().
@@ -198,6 +203,17 @@ class TestRunSweep:
         assert np.array_equal(r1.mean_importance, r2.mean_importance)
         assert np.array_equal(r1.mean_importance, r3.mean_importance)
         assert np.array_equal(r1.standard_errors(), r2.standard_errors())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_mean_rejected_naming_scenario_grid_value_and_forecaster(self):
+        # The squared errors overflow at b = 1e155: forecasters 1 and 2 get
+        # inf - inf, forecaster 3 -inf.
+        base = setting_a_point()
+        spec = SimulationSpec(base.scenario, base.fixed_components, Grid(0.0, 1e155, 1e155),
+                              replicates=1)
+        with pytest.raises(ValidationError, match=r"^mean importance \(a_point, grid value "
+                                                  r"1e\+155, forecaster_1\) is not finite$"):
+            run_sweep(spec)
 
     def test_pooled_median_unbiased_at_crossover_bias(self):
         # with components N(-1,1), N(-0.5,1), N(1.5,1) the ensemble median
