@@ -156,23 +156,21 @@ def cmd_importance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.replicates < 1:
-        raise ValidationError(f"--replicates must be >= 1, got {args.replicates}")
     base = {
         "a-point": setting_a_point,
         "a-prob": setting_a_prob,
         "b": setting_b_dispersion,
     }[args.scenario]()
+    try:
+        spec = replace(base, replicates=args.replicates, seed=args.seed)
+    except ValidationError as exc:  # SimulationSpec's messages start with the field name
+        raise ValidationError(f"--{exc}") from None
     bounds = {"start": args.grid_start, "end": args.grid_end, "step": args.grid_step}
     try:
-        grid = replace(base.sweep, **{k: v for k, v in bounds.items() if v is not None})
+        grid = replace(spec.sweep, **{k: v for k, v in bounds.items() if v is not None})
     except ValidationError as exc:
         raise ValidationError(f"--grid-start/--grid-end/--grid-step: {exc}") from None
-    try:
-        spec = replace(base, sweep=grid, replicates=args.replicates, seed=args.seed)
-    except ValidationError as exc:  # the seed: the replicates were checked above
-        raise ValidationError(f"--{exc}") from None
-    result = run_sweep(spec, n_workers=_resolve_workers(args.workers))
+    result = run_sweep(replace(spec, sweep=grid), n_workers=_resolve_workers(args.workers))
     write_sweep_csv(result, args.output)
     return 0
 

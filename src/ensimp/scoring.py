@@ -209,7 +209,7 @@ def positive_scores(values: np.ndarray, levels: QuantileLevels | None, y) -> np.
     """
     if levels is None:
         # A product is correctly rounded; ``**`` goes through libm pow, which is not.
-        d = y - values
+        d = np.subtract(y, values, dtype=np.float64)  # integer input would not negate in place
         scores = d * d
     else:
         scores = wis_batch(values, levels, y)

@@ -200,7 +200,7 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
+            raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not 0 <= self.seed < 2**64:  # the Philox key word holds no more
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
         want_point = self.scenario is Scenario.A_POINT

@@ -185,6 +185,12 @@ class TestSimulate:
         assert code == 1
         assert "--replicates" in capsys.readouterr().err
 
+    def test_zero_replicates_reported_before_a_bad_grid(self, capsys):
+        code = main(["simulate", "--scenario", "b", "--replicates", "0", "--grid-step", "-1",
+                     "--output", "-"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --replicates must be >= 1, got 0\n"
+
     def test_oversized_grid_fails_naming_the_step(self, capsys):
         code = main(["simulate", "--scenario", "b", "--grid-step", "5e-324", "--output", "-"])
         assert code == 1

@@ -132,6 +132,10 @@ class TestPositiveScore:
             Metric.SPE, PointForecast(0.0), Observation(-163.3882222222221)
 ) == float(positive_scores(np.float64(0.0), None, -163.3882222222221))
 
+    def test_integer_point_values_score_as_floats(self):
+        scores = positive_scores(np.array([1, 5, -2]), None, np.array([3, 3, 3]))
+        assert scores.dtype == np.float64 and scores.tolist() == [-4.0, -4.0, -25.0]
+
     def test_wis_rejects_point_forecast(self):
         with pytest.raises(ValidationError):
             positive_score(Metric.WIS, PointForecast(1.0), Observation(0.0))
