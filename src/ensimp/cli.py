@@ -168,9 +168,10 @@ def cmd_simulate(args) -> int:
     bounds = {"start": args.grid_start, "end": args.grid_end, "step": args.grid_step}
     try:
         grid = replace(spec.sweep, **{k: v for k, v in bounds.items() if v is not None})
+        spec = replace(spec, sweep=grid)
     except ValidationError as exc:
         raise ValidationError(f"--grid-start/--grid-end/--grid-step: {exc}") from None
-    result = run_sweep(replace(spec, sweep=grid), n_workers=_resolve_workers(args.workers))
+    result = run_sweep(spec, n_workers=_resolve_workers(args.workers))
     write_sweep_csv(result, args.output)
     return 0
 

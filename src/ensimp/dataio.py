@@ -314,7 +314,8 @@ def score_tasks(tasks: TaskPanel, metric: Metric) -> Panel:
         cells = scored.present
         ys = np.broadcast_to(tasks.truth, cells.shape)[cells]
         quantiles, levels = scored_values(scored.values[cells], scored.levels, metric)
-        values[cells] = positive_scores(quantiles, levels, ys)
+        with np.errstate(over="ignore", invalid="ignore"):  # the Panel names a non-finite cell
+            values[cells] = positive_scores(quantiles, levels, ys)
     return Panel(scored.models, scored.tasks, values, scored.present)
 
 

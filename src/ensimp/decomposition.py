@@ -6,7 +6,7 @@ matrix (e_j e_k realized, E[e_j e_k] expected) to the (n, n - 1) mean
 contribution of each model at each coalition size s = 1..n-1. LOMO is its
 last column, permutation-weight LASOMO its row mean and equal-weight LASOMO
 its C(n - 1, s)-weighted column sum over 2^(n-1) - 1. :func:`phi_direct`
-(member sums) and :func:`ambiguity_check` (ambiguity split) check its LOMO
+(the LOMO kernel at truth 0) and :func:`ambiguity_check` check its LOMO
 readout :func:`phi_decomposed` independently, on an :class:`ErrorVector` of
 one instance, (n,), or a batch, (instances, n), with an index per instance.
 """
@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .importance import lomo_kernel
 from .scoring import ValidationError, _require_finite
 
 __all__ = [
@@ -67,14 +68,20 @@ class GaussianErrorModel:
         object.__setattr__(self, "forecast_means", means)
 
 
-def _checked(e: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., n) values ``e`` and each instance's model index, checked to be an
-    integer in [0, n); ``[()]`` turns a single instance's 0-d result into a float."""
+def _checked(e: np.ndarray, index) -> np.ndarray:
+    """The model index of each instance of the (..., n) values ``e``, an integer in [0, n)."""
     idx = np.broadcast_to(index, e.shape[:-1])
     bad = idx[(idx < 0) | (idx >= e.shape[-1]) | (idx.dtype.kind not in "iu")]
     if bad.size:
         raise ValidationError(f"model index {bad[0]} is not an integer in [0, {e.shape[-1] - 1}]")
-    return e, idx
+    return idx
+
+
+def _at(per_model: np.ndarray, errors: ErrorVector, index):
+    """The (..., n) values ``per_model`` at each instance's model index, checked;
+    ``[()]`` turns a single instance's 0-d result into a float."""
+    idx = _checked(errors.errors, index)
+    return np.take_along_axis(per_model, idx[..., None], axis=-1)[..., 0][()]
 
 
 def contributions_by_size(products) -> np.ndarray:
@@ -103,14 +110,9 @@ def contributions_by_size(products) -> np.ndarray:
 
 
 def phi_direct(errors: ErrorVector, index):
-    """Importance of model ``index``: -(mean error)^2 + (leave-one-out mean error)^2,
-    the -SPE gain from including it, as the ensemble's error is the mean member
-    error. Members sum left to right."""
-    e, idx = _checked(errors.errors, index)
-    n = e.shape[-1]
-    rest = np.where(np.arange(n) == idx[..., None], 0.0, e)
-    total, rest = (np.add.accumulate(a, axis=-1)[..., -1] for a in (e, rest))
-    return (-((total / n) ** 2) + (rest / (n - 1)) ** 2)[()]
+    """Importance of model ``index``: the LOMO kernel's -SPE gain from including it,
+    on member values -e against truth 0, where each member's error is e."""
+    return _at(lomo_kernel(-errors.errors.T, None, 0.0).T, errors, index)
 
 
 def phi_decomposed(errors: ErrorVector, index):
@@ -120,9 +122,8 @@ def phi_decomposed(errors: ErrorVector, index):
     ``-e_i^2/n^2 - (2/n^2) sum_{j!=i} e_i e_j
     + (2n-1)/(n(n-1))^2 * (sum_{j!=i} e_j^2 + sum_{j!=k, both!=i} e_j e_k)``.
     """
-    e, idx = _checked(errors.errors, index)
-    lomo = contributions_by_size(e[..., :, None] * e[..., None, :])[..., -1]
-    return np.take_along_axis(lomo, idx[..., None], axis=-1)[..., 0][()]
+    e = errors.errors
+    return _at(contributions_by_size(e[..., :, None] * e[..., None, :])[..., -1], errors, index)
 
 
 def expected_phi_from_moments(espe: Sequence[float], error_products, index: int) -> float:
@@ -163,7 +164,7 @@ def ambiguity_check(errors: ErrorVector, weights, index):
     without model ``index`` (weights renormalized), so the importance is the change
     in member error plus the change in ambiguity. ``weights`` has the errors' shape.
     """
-    e, idx = _checked(errors.errors, index)
+    e, idx = errors.errors, _checked(errors.errors, index)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != e.shape:
         raise ValidationError(f"got weights of shape {w.shape} for errors of shape {e.shape}")
@@ -178,7 +179,7 @@ def ambiguity_check(errors: ErrorVector, weights, index):
         raise ValidationError("leaving the model out requires other models with weight")
     both = np.stack((w, np.where(own, 0.0, w / rest_mass[..., None])))  # full, leave-one-out
     mean = (both * e).sum(axis=-1)
-    phi = -(mean[0] ** 2) + mean[1] ** 2
+    phi = -(mean[0] * mean[0]) + mean[1] * mean[1]
     err = (both * e * e).sum(axis=-1)
     amb = (both * (e - mean[..., None]) ** 2).sum(axis=-1)
     recon = (err[1] - err[0]) + (amb[0] - amb[1])

@@ -39,9 +39,9 @@ L = 17), not the (2^n, T, levels) sum table (193 MB there at 23 levels).
 Member values sum left to right in canonical order, WIS terms sum left to
 right over the levels, contributions of one size in ascending bitmask order
 and the per-size sums in ascending size order, and each task's per-size
-moments are pooled once over all tasks, in task order. So every output is
-reproducible bit for bit across runs, worker counts, block budgets and
-batch widths, and the LOMO read from the table equals the LOMO kernel's.
+moments are pooled once over all tasks, in (signature, column) order. So
+every output is reproducible bit for bit across runs, worker counts, block
+budgets and batch widths, and the table's LOMO equals the LOMO kernel's.
 """
 
 from __future__ import annotations
@@ -392,9 +392,11 @@ def compute_importance(
     def run(job):
         rows, cols = job
         batch, y = values[np.ix_(rows, cols)], tasks.truth[cols]
-        if algorithm is Algorithm.LOMO:
-            return (lomo_kernel(batch, levels, y),)
-        return _table_readouts(*_subset_scores(batch, levels, y), scheme)
+        # per job, as worker threads do not inherit it; the Panel names a non-finite cell
+        with np.errstate(over="ignore", invalid="ignore"):
+            if algorithm is Algorithm.LOMO:
+                return (lomo_kernel(batch, levels, y),)
+            return _table_readouts(*_subset_scores(batch, levels, y), scheme)
 
     with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
         outputs = list(ex.map(run, jobs))

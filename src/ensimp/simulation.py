@@ -203,6 +203,9 @@ class SimulationSpec:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not 0 <= self.seed < 2**64:  # the Philox key word holds no more
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.scenario is Scenario.B_DISPERSION and self.sweep.start <= 0:
+            raise ValidationError(f"grid start must be > 0 for scenario {self.scenario.value} "
+                                  f"(the swept sd), got {self.sweep.start}")
         want_point = self.scenario is Scenario.A_POINT
         for comp in self.fixed_components:
             if want_point and not isinstance(comp, PointForecast):
@@ -302,14 +305,16 @@ def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
     """Mean and collapsed-strata sum of squares of per-replicate LOMO, per forecaster."""
     components = list(spec.fixed_components) + [_swept_component(spec, value)]
     y = truth_draws(spec.seed, grid_index, spec.replicates)
-    if spec.scenario is Scenario.A_POINT:
-        values = np.asarray([[c.value] for c in components], dtype=np.float64)
-        phi = lomo_kernel(values, None, y)
-    else:
-        z = normal_quantile(CANONICAL_LEVELS.as_array())
-        quantiles = np.stack([[c.mean + c.sd * z] for c in components])
-        phi = lomo_kernel(quantiles, CANONICAL_LEVELS, y)
-    return phi.mean(axis=1), _collapsed_ss(phi)
+    # in the worker thread, which does not inherit it; run_sweep names a non-finite mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.scenario is Scenario.A_POINT:
+            values = np.asarray([[c.value] for c in components], dtype=np.float64)
+            phi = lomo_kernel(values, None, y)
+        else:
+            z = normal_quantile(CANONICAL_LEVELS.as_array())
+            quantiles = np.stack([[c.mean + c.sd * z] for c in components])
+            phi = lomo_kernel(quantiles, CANONICAL_LEVELS, y)
+        return phi.mean(axis=1), _collapsed_ss(phi)
 
 
 def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult:

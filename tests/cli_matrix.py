@@ -10,9 +10,14 @@ stdout, its stderr and its output file. The inputs are written into a fresh
 temporary directory whose path is replaced by ``$TMP`` before hashing, so
 records of two source trees compare case by case. They are the bundled
 fixture; the hub-panel and wide-pool files that ``perfbench/inputs.py``
-writes at seed 3; and small files that break the row rule (a wrong field
-count, whitespace-only rows, one trailing blank line). ``--diff`` prints
-each differing case with the fields that differ and exits 1 if there is any.
+writes at seed 3; small files that break the row rule (a wrong field
+count, whitespace-only rows, one trailing blank line); and the fixture with
+every value times 1e200, whose squared errors overflow. Besides the panel
+commands, the cases run ``simulate`` and ``decompose-check`` at their test
+and benchmark sizes, and two ``simulate`` errors: a bias of 1e155, whose
+squared errors overflow, and a dispersion grid that starts at sd 0.
+``--diff`` prints each differing case with the fields that differ and exits
+1 if there is any.
 """
 
 from __future__ import annotations
@@ -62,6 +67,13 @@ def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
         pairs[name] = (rows / f"{name}-forecasts.csv", rows / f"{name}-truth.csv")
         pairs[name][0].write_text("".join(fc), encoding="utf-8")
         pairs[name][1].write_text("".join(tr), encoding="utf-8")
+    pairs["x1e200"] = (tmp / "x1e200-forecasts.csv", tmp / "x1e200-truth.csv")
+    for lines, path in zip((forecasts, truth), pairs["x1e200"]):
+        table = [line.rstrip("\n").split(",") for line in lines]
+        k = table[0].index("value")
+        for row in table[1:]:
+            row[k] = repr(float(row[k]) * 1e200)
+        path.write_text("".join(",".join(row) + "\n" for row in table), encoding="utf-8")
     return pairs
 
 
@@ -71,6 +83,11 @@ def cases(pairs: dict[str, tuple[Path, Path]]) -> dict[str, list[str]]:
     out_flag = ["--output", "OUT"]
     for name, (fc, tr) in pairs.items():
         data = ["--forecasts", str(fc), "--truth", str(tr)]
+        if name == "x1e200":  # SPE fails naming a cell; nothing else reaches stderr
+            out[f"{name}/score/spe"] = ["score", *data, "--metric", "spe", *out_flag]
+            out[f"{name}/importance/lomo/spe"] = ["importance", *data, "--algorithm", "lomo",
+                                                  "--metric", "spe", *out_flag]
+            continue
         if name not in ("fixture", "hub-panel", "wide-pool"):
             out[f"{name}/score"] = ["score", *data, *out_flag]
             continue
@@ -104,6 +121,10 @@ def cases(pairs: dict[str, tuple[Path, Path]]) -> dict[str, list[str]]:
         out[f"simulate/{scenario}/r20000"] = [
             "simulate", "--scenario", scenario, "--replicates", "20000", "--seed", str(SEED),
             "--workers", "2", *out_flag]
+    out["simulate/a-point/overflow"] = ["simulate", "--scenario", "a-point", "--grid-start",
+                                        "1e155", "--grid-end", "1e155", *out_flag]
+    out["simulate/b/non-positive-sd"] = ["simulate", "--scenario", "b", "--grid-start", "0",
+                                         "--grid-end", "0.1", *out_flag]
     out["decompose-check"] = ["decompose-check", "--instances", "2000", "--seed", str(SEED)]
     out["decompose-check/i20000"] = [  # the benchmark's paper-sim size
         "decompose-check", "--instances", "20000", "--seed", str(SEED)]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import FIXTURES, ORACLES, mutated_decomposition, perfbench_inputs
 
-from ensimp import cli
+from ensimp import cli, importance
 from ensimp.cli import _resolve_workers, main
 from ensimp.ensembling import ForecastPool
 from ensimp.scoring import CANONICAL_LEVELS, QuantileForecast
@@ -213,15 +213,25 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mean_fails_naming_the_point(self, capsys):
         code = main(["simulate", "--scenario", "a-point", "--grid-start", "1e155",
                      "--grid-end", "1e155", "--output", "-"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(
+        assert captured.err == (
             "error: mean importance (a_point, grid value 1e+155, forecaster_1) is not finite\n")
+
+
+    @pytest.mark.parametrize("start", ["0", "-1"])
+    def test_non_positive_dispersion_start_names_the_flag_and_scenario(self, capsys, start):
+        code = main(["simulate", "--scenario", "b", "--grid-start", start, "--grid-end", "0.1",
+                     "--output", "-"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --grid-start/--grid-end/--grid-step: grid start must be > 0 for scenario "
+            f"b_dispersion (the swept sd), got {float(start)}\n")
 
 
 class TestDecomposeCheck:
@@ -243,6 +253,13 @@ class TestDecomposeCheck:
         monkeypatch.setattr(cli, "phi_decomposed", lambda errors, i: exact(errors, i) + 1e-6)
         assert main(["decompose-check", "--instances", "10"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_fault_in_the_lomo_kernel_fails(self, capsys, monkeypatch):
+        # phi_direct reads the kernel that importance and simulate run
+        means = importance.member_means
+        monkeypatch.setattr(importance, "member_means", lambda rows: means(rows) * (1 + 1e-6))
+        assert main(["decompose-check", "--instances", "200"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL: residual above 1e-9"
 
     def test_deterministic_report(self, capsys):
         assert main(["decompose-check", "--instances", "200", "--seed", "9"]) == 0
@@ -382,3 +399,37 @@ def test_cli_import_does_not_load_scipy():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def overflowing_fixture(tmp_path):
+    """The bundled fixture with every forecast and truth value times 1e200: the
+    squared errors overflow."""
+    paths = []
+    for name in ("forecasts.csv", "truth.csv"):
+        with open(FIXTURES / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        k = rows[0].index("value")
+        for row in rows[1:]:
+            row[k] = repr(float(row[k]) * 1e200)
+        paths.append(tmp_path / name)
+        with open(paths[-1], "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--metric", "spe"],
+    ["importance", "--algorithm", "lomo", "--metric", "spe"],
+    ["importance", "--metric", "spe"],
+])
+def test_overflowing_scores_print_only_the_error_line(tmp_path, argv):
+    # pytest records warnings in process, so only a child's stderr shows what reaches a user
+    fc, truth = overflowing_fixture(tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ensimp.cli", *argv, "--forecasts", fc, "--truth", truth,
+         "--output", "-"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cell ('alder', 2021-11-06/25/h1/2021-11-13) is not finite\n"

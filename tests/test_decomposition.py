@@ -59,6 +59,14 @@ class TestPhiDirect:
             for i, m in enumerate(sorted(points)):
                 a, b = phi_direct(errors, i), lomo_task(tp, Metric.SPE, m)
                 assert a == pytest.approx(b, abs=1e-12 * max(1.0, abs(b)))
+        # At truth 0 both routes run the one LOMO kernel on the same values.
+        for n in range(2, 9):
+            for _ in range(20):
+                points = {f"m{j}": float(rng.normal()) for j in range(n)}
+                tp = point_pool(points, y=0.0)
+                errors = ErrorVector(tuple(0.0 - points[m] for m in sorted(points)))
+                for i, m in enumerate(sorted(points)):
+                    assert phi_direct(errors, i) == lomo_task(tp, Metric.SPE, m)
 
 
 class TestPhiDecomposed:
@@ -174,17 +182,23 @@ class TestContributionsBySize:
         phi = contributions_by_size(1.0 + np.outer(means, means)).mean(axis=1)
         assert np.round(phi, 4).tolist() == [0.4165, 0.5009, 0.5459]
 
-    def test_a_batch_is_rows_of_single_instances(self, rng):
-        e = rng.standard_normal((50, 5))
-        i = rng.integers(5, size=50)
-        raw = rng.random((50, 5)) + 1e-3
+    @pytest.mark.parametrize("scale", [None, 81.0315200291, 632.7641190657])
+    def test_a_batch_is_rows_of_single_instances(self, rng, scale):
+        # With errors (scale, 0, 0) and equal weights, a single instance once
+        # squared with a scalar ``**`` (libm pow), a batch with a product, and
+        # the two differed in the last bit.
+        if scale is None:
+            e, raw = rng.standard_normal((50, 5)), rng.random((50, 5)) + 1e-3
+            i = rng.integers(5, size=50)
+        else:
+            e, raw, i = np.array([[scale, 0.0, 0.0]] * 2), np.ones((2, 3)), np.array([0, 1])
         w = raw / raw.sum(axis=1, keepdims=True)
         batch = ErrorVector(e)
         for fn, args in ((phi_direct, ()), (phi_decomposed, ()), (ambiguity_check, (w,))):
             got = fn(batch, *args, i)
-            assert got.shape == (50,)
-            rows = [fn(ErrorVector(e[k]), *(a[k] for a in args), int(i[k])) for k in range(50)]
-            np.testing.assert_allclose(got, rows, rtol=0, atol=1e-15)
+            assert got.shape == i.shape
+            rows = [fn(ErrorVector(e[k]), *(a[k] for a in args), int(i[k])) for k in range(len(e))]
+            assert got.tolist() == rows
         assert phi_direct(batch, 2).tolist() == [phi_direct(ErrorVector(r), 2) for r in e]
 
     def test_batch_validation(self):

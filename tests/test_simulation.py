@@ -173,6 +173,16 @@ class TestGrid:
         with pytest.raises(ValidationError):
             SimulationSpec(Scenario.A_POINT, (NormalSpec(0, 1),), Grid(0, 1, 0.5))
 
+    @pytest.mark.parametrize("start", [0.0, -1.0])
+    def test_dispersion_grid_must_start_above_zero(self, start):
+        # the swept value is the third forecaster's sd; bias grids may start anywhere
+        base = setting_b_dispersion()
+        with pytest.raises(ValidationError, match=rf"^grid start must be > 0 for scenario "
+                                                  rf"b_dispersion \(the swept sd\), got {start}$"):
+            SimulationSpec(base.scenario, base.fixed_components, Grid(start, 0.1, 0.05))
+        SimulationSpec(base.scenario, base.fixed_components, Grid(5e-324, 0.1, 0.05))
+        SimulationSpec(Scenario.A_PROB, (NormalSpec(0, 1),), Grid(start, 0.1, 0.05))
+
 
 class TestTruthDraws:
     def test_reproducible_and_keyed_by_grid_index(self):
@@ -204,7 +214,7 @@ class TestRunSweep:
         assert np.array_equal(r1.mean_importance, r3.mean_importance)
         assert np.array_equal(r1.standard_errors(), r2.standard_errors())
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mean_rejected_naming_scenario_grid_value_and_forecaster(self):
         # The squared errors overflow at b = 1e155: forecasters 1 and 2 get
         # inf - inf, forecaster 3 -inf.
