@@ -73,15 +73,9 @@ def _task_rows(panel: Panel, metric: str) -> list[dict]:
     for model, values, present in zip(panel.models, panel.values.tolist(), panel.present):
         for j in present.nonzero()[0].tolist():
             task = panel.tasks[j]
-            rows.append({
-                "model": model,
-                "metric": metric,
-                "value": values[j],
-                "forecast_date": task.forecast_date,
-                "location": task.location,
-                "horizon": task.horizon,
-                "target_end_date": task.target_end_date,
-            })
+            rows.append({"model": model, "metric": metric, "value": values[j],
+                         "forecast_date": task.forecast_date, "location": task.location,
+                         "horizon": task.horizon, "target_end_date": task.target_end_date})
     return rows
 
 
@@ -96,19 +90,9 @@ def _means(panel: Panel, policy: NaPolicy) -> dict[str, float]:
 
 def _summary_rows(metric_values: dict[str, dict[str, float | int]], counts, n_tasks):
     """Long rows (model, metric, value) sorted by model id then metric name."""
-    rows = []
-    for model in sorted(metric_values):
-        for name in sorted(metric_values[model]):
-            rows.append(
-                {
-                    "model": model,
-                    "metric": name,
-                    "value": metric_values[model][name],
-                    "n_predictions": counts[model],
-                    "pct_submitted": 100.0 * counts[model] / n_tasks,
-                }
-            )
-    return rows
+    return [{"model": model, "metric": name, "value": metric_values[model][name],
+             "n_predictions": counts[model], "pct_submitted": 100.0 * counts[model] / n_tasks}
+            for model in sorted(metric_values) for name in sorted(metric_values[model])]
 
 
 def cmd_score(args) -> int:

@@ -225,16 +225,22 @@ def _columns(panel: Panel, cols: Sequence[int]) -> Panel:
 class TaskPanel:
     """The forecasts of the tasks to score and their truth; ``len()`` is the task count.
 
-    ``truth`` is the (tasks,) float64 vector of observed values, aligned
-    with ``forecasts.tasks``.
+    ``truth`` is the (tasks,) vector of observed values, aligned with
+    ``forecasts.tasks``, kept as a read-only float64 copy.
     """
 
     forecasts: Panel
     truth: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.truth.shape != (len(self.forecasts.tasks),):
-            raise ValidationError(f"need one truth value per task, got shape {self.truth.shape}")
+        truth = np.array(self.truth, dtype=np.float64)
+        if truth.shape != (len(self.forecasts.tasks),):
+            raise ValidationError(f"need one truth value per task, got shape {truth.shape}")
+        bad = np.flatnonzero(~np.isfinite(truth))
+        if len(bad):
+            raise ValidationError(f"truth of task {self.forecasts.tasks[bad[0]]} is not finite")
+        truth.setflags(write=False)
+        object.__setattr__(self, "truth", truth)
 
     def __len__(self) -> int:
         return len(self.forecasts.tasks)
@@ -260,7 +266,7 @@ def from_pools(task_pools: Sequence[TaskPool]) -> TaskPanel:
     cells = {(model, tp.task): values for tp in pools
              for model, values in zip(tp.pool.model_ids, tp.pool.values_matrix().tolist())}
     forecasts = _fill(list(cells), list(cells.values()), kinds[0] if kinds else None)
-    return TaskPanel(forecasts, np.asarray([tp.truth.value for tp in pools], dtype=np.float64))
+    return TaskPanel(forecasts, [tp.truth.value for tp in pools])
 
 
 def _join_truth(
@@ -279,7 +285,7 @@ def _join_truth(
         else:
             kept.append(j)
             y.append(obs.value)
-    return TaskPanel(_columns(panel, kept), np.asarray(y, dtype=np.float64)), report
+    return TaskPanel(_columns(panel, kept), y), report
 
 
 def build_task_pools(

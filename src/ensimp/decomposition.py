@@ -13,6 +13,7 @@ one instance, (n,), or a batch, (instances, n), with an index per instance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,6 +85,24 @@ def _at(per_model: np.ndarray, errors: ErrorVector, index):
     return np.take_along_axis(per_model, idx[..., None], axis=-1)[..., 0][()]
 
 
+def _finite(readout):
+    """``readout`` without numpy's overflow warnings, rejecting a non-finite result
+    and naming, in a batch, its first instance: the inputs are checked finite,
+    but errors or forecast means near 1e155 still overflow once squared."""
+
+    @functools.wraps(readout)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = readout(*args, **kwargs)
+        bad = np.flatnonzero(~np.isfinite(result))
+        if bad.size:
+            where = f" in instance {bad[0]}" if np.ndim(result) else ""
+            raise ValidationError(f"{readout.__name__} overflows float64{where}")
+        return result
+
+    return checked
+
+
 def contributions_by_size(products) -> np.ndarray:
     """Each model's mean marginal contribution to -SPE at each coalition size.
 
@@ -109,12 +128,14 @@ def contributions_by_size(products) -> np.ndarray:
     return -(own + x2) / (s + 1) ** 2 + x2 / s**2
 
 
+@_finite
 def phi_direct(errors: ErrorVector, index):
     """Importance of model ``index``: the LOMO kernel's -SPE gain from including it,
     on member values -e against truth 0, where each member's error is e."""
     return _at(lomo_kernel(-errors.errors.T, None, 0.0).T, errors, index)
 
 
+@_finite
 def phi_decomposed(errors: ErrorVector, index):
     """Importance from the error products: the closed form's LOMO column.
 
@@ -145,6 +166,7 @@ def expected_phi_from_moments(espe: Sequence[float], error_products, index: int)
     return float(contributions_by_size(prod)[index, -1])
 
 
+@_finite
 def expected_phi(model: GaussianErrorModel, index: int) -> float:
     """Expected importance under zero-mean truth with the model's variance.
 
@@ -156,6 +178,7 @@ def expected_phi(model: GaussianErrorModel, index: int) -> float:
     return expected_phi_from_moments(np.diagonal(prod), prod, index)
 
 
+@_finite
 def ambiguity_check(errors: ErrorVector, weights, index):
     """Residual of reconstructing importance from two ambiguity decompositions.
 

@@ -14,7 +14,7 @@ accuracy on a task:
 
 Both are differences of ensemble scores over the lattice of model subsets,
 enumerated by bitmask over the pool's canonical (sorted) model order. For a
-batch of T tasks sharing one pool, the walk :func:`_subset_scores` scores
+batch of T tasks sharing one pool, :func:`_subset_scores` scores
 every subset once into a (2^n, T) table, and :func:`_table_readouts` reads
 every LASOMO output from that table and its size vector alone: LOMO (its top
 layer), the moments of the marginal contributions at each subset size, their
@@ -28,13 +28,13 @@ One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
 (2^n, T) score table or the (n, T, levels) scored values for LASOMO, the
 (n + 1, T, levels) ensembles for LOMO, levels counting those scored (1 for
-SPE). The subset sums are streamed, never held whole: one level at a time, a
-depth-first walk builds them in (2^L, T) blocks of at most that many values
-and scores each block as it is built, so a block holds the most subsets the
-budget allows. A worker's LASOMO memory is thus the (2^n, T) score table, its
-uint8 size vector and readouts of the same order, plus at most n - L + 1
-blocks and the scoring temporaries of one (9 MB at n = 20 and T = 1, where
-L = 17), not the (2^n, T, levels) sum table (193 MB there at 23 levels).
+SPE). The subset sums are held one level at a time, a (2^n, T) table no
+larger than the score table, and scored in slices of at most that many
+values, so a slice holds the most subsets the budget allows. A worker's
+LASOMO memory is thus the (2^n, T) score table, its uint8 size vector and
+one level's sums plus the scoring temporaries of one slice (20 MB at n = 20
+and T = 1), then the table, sizes and readouts (22 MB there); never the
+(2^n, T, levels) sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order, WIS terms sum left to
 right over the levels, contributions of one size in ascending bitmask order
@@ -82,8 +82,8 @@ __all__ = [
 MAX_EXACT_MODELS = 20
 
 # The one float64 budget of the kernels' working memory. It sets how many
-# tasks share a batch (the most whose largest array fits it) and how many low
-# members a block of the streamed subset sums enumerates.
+# tasks share a batch (the most whose largest array fits it) and how many
+# subsets a slice of the subset table scores at once.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -151,68 +151,39 @@ def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y) -> np.ndar
     return scores[0] - scores[1:]
 
 
-def _low_members(n: int, cell_elements: int) -> int:
-    """How many low members L the streamed subset table enumerates per block.
-
-    The most, down to one, whose (2^L subsets x ``cell_elements``) block fits
-    ``_BLOCK_ELEMENTS``; L = n when the whole table fits, a single block.
-    """
-    return max(1, min(n, (_BLOCK_ELEMENTS // cell_elements).bit_length() - 1))
-
-
-def _level_blocks(level: np.ndarray, low: int):
-    """Yield ``(high, block)``: the (2^L, T) subset sums of one level's members.
-
-    ``level`` is (n, T). The low L members' 2^L subset sums form the block of
-    high mask 0, and a depth-first walk over the high bits gets each high
-    mask's block from its parent's (the mask without its top bit) by adding
-    that member. Members thus join in ascending bit order, so each subset's
-    sum is the plain left-to-right sum of its members, bit for bit. Only the
-    blocks on the current path are alive, at most n - L + 1 of them.
-    """
-
-    def descend(high, block):
-        yield high, block
-        # the members above the top one in ``high``, in ascending order
-        for j in range(low + high.bit_length(), len(level)):
-            yield from descend(high | 1 << (j - low), block + level[j])
-
-    block = np.zeros((1 << low, level.shape[1]))
-    for i in range(low):
-        block[1 << i : 2 << i] = block[: 1 << i] + level[i]
-    yield from descend(0, block)
-
-
 def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
     """Positively oriented ensemble score of every subset, and its member count.
 
     Both are indexed by bitmask over canonical member order; the counts are
-    uint8. The sums of the scored ``values`` are streamed, never held whole:
-    one level at a time (point values are one), :func:`_level_blocks` builds
-    them in (2^L, T) blocks, and ``positive_scores`` scores each block as soon
-    as it is built, as -SPE or as minus that one level's WIS term, exactly.
-    The per-level scores are added into the table in level order, then
-    divided by the level count once. Score row 0, the empty coalition, is NaN
-    and is never scored or read.
+    uint8. The sums of the scored ``values`` are held one level at a time
+    (point values are one): each (2^n, T) sum table is filled by doubling, as
+    the counts are, so members join in ascending bit order and each subset's
+    sum is the plain left-to-right sum of its members. Slices of at most
+    ``_BLOCK_ELEMENTS`` values are then divided by their counts in place and
+    scored by one ``positive_scores`` call each, as -SPE or as minus that one
+    level's WIS term, exactly. The per-level scores are added into the table
+    in level order, then divided by the level count once. Score row 0, the
+    empty coalition, is NaN and is never scored or read.
     """
     n, t = values.shape[:2]
     # Level-major members, (levels, n, T), and the level set each is scored at.
     members = values[None] if levels is None else np.moveaxis(values, -1, 0).copy()
     level_sets = [None] if levels is None else [QuantileLevels((p,)) for p in levels.levels]
-    low = _low_members(n, t)
+    step = max(1, _BLOCK_ELEMENTS // t)  # the subsets of one scored slice
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    # float64 divisors: a division by the uint8 sizes would convert them per block
-    low_sizes = sizes[: 1 << low, None].astype(np.float64)
+    sums = np.zeros((1 << n, t))  # row 0, the empty sum, stays zero
     scores = np.full((1 << n, t), -0.0)  # -0.0 + x is x, bit for bit
     scores[0] = np.nan
     for level, at in zip(members, level_sets):
-        for high, block in _level_blocks(level, low):
-            first = 1 if high == 0 else 0  # skip mask 0
-            rows = slice((high << low) + first, (high + 1) << low)
-            means = block[first:] / (low_sizes[first:] + high.bit_count())
-            # unnamed, so each block's scores are freed before the next is scored
+        for i in range(n):
+            np.add(sums[: 1 << i], level[i], out=sums[1 << i : 2 << i])
+        for start in range(1, 1 << n, step):
+            rows = slice(start, start + step)
+            means = sums[rows]
+            means /= sizes[rows, None]
+            # unnamed, so each slice's scores are freed before the next is scored
             scores[rows] += positive_scores(means if at is None else means[..., None], at, y)
     scores /= len(members)
     return scores, sizes

@@ -21,6 +21,7 @@ from ensimp.dataio import (
     Panel,
     ParseError,
     TaskKey,
+    TaskPanel,
     apply_na_policy,
     build_task_pools,
     from_pools,
@@ -441,6 +442,33 @@ class TestFromPools:
         with pytest.raises(ValidationError, match="point forecasts") as err:
             from_pools(pools)
         assert str(task_key(1)) in str(err.value)
+
+
+class TestTaskPanel:
+    def panel(self, tasks=2):
+        keys = tuple(task_key(j) for j in range(tasks))
+        return Panel(("a", "b"), keys, np.ones((2, tasks)), np.ones((2, tasks), dtype=bool))
+
+    def test_truth_list_is_held_as_read_only_float64(self):
+        tasks = TaskPanel(self.panel(1), [1])
+        assert tasks.truth.dtype == np.float64 and tasks.truth.tolist() == [1.0]
+        with pytest.raises(ValueError):
+            tasks.truth[0] = 2.0
+
+    def test_truth_is_a_copy_of_the_callers_array(self):
+        y = np.array([0.5, 1.5])
+        tasks = TaskPanel(self.panel(), y)
+        y[0] = 9.0
+        assert tasks.truth.tolist() == [0.5, 1.5]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_truth_is_rejected_naming_the_task(self, bad):
+        with pytest.raises(ValidationError, match=f"truth of task {task_key(1)} is not finite"):
+            TaskPanel(self.panel(), [0.5, bad])
+
+    def test_one_truth_value_per_task(self):
+        with pytest.raises(ValidationError, match="one truth value per task"):
+            TaskPanel(self.panel(), [0.5])
 
 
 class TestScoreRecords:

@@ -240,3 +240,36 @@ class TestAmbiguityCheck:
             ambiguity_check(ev, (-0.2, 1.2), 0)
         with pytest.raises(ValidationError):
             ambiguity_check(ev, (1.0, 0.0), 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflow:
+    """Finite errors whose squares overflow are rejected by name, without warnings."""
+
+    BATCH = ErrorVector([[1.0, 2.0, 3.0], [1e200, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("readout, args", [
+        (phi_direct, (ErrorVector([1e200, 0.0, 0.0]), 0)),
+        (phi_decomposed, (ErrorVector([1e200, 0.0, 0.0]), 0)),
+        (ambiguity_check, (ErrorVector([1e200, 0.0, 0.0]), (1 / 3, 1 / 3, 1 / 3), 0)),
+        (expected_phi, (GaussianErrorModel((1e200, 0.0), 1.0), 0)),
+    ])
+    def test_one_instance(self, readout, args):
+        with pytest.raises(ValidationError, match=rf"^{readout.__name__} overflows float64$"):
+            readout(*args)
+
+    @pytest.mark.parametrize("readout, args", [
+        (phi_direct, (BATCH, [2, 0])),
+        (phi_decomposed, (BATCH, np.array([1, 1]))),
+        (ambiguity_check, (BATCH, np.full((2, 3), 1 / 3), np.array([0, 2]))),
+    ])
+    def test_a_batch_names_the_instance_that_overflows(self, readout, args):
+        with pytest.raises(ValidationError, match=rf"^{readout.__name__} overflows float64 in instance 1$"):
+            readout(*args)
+        # the finite row alone still reads as before
+        first = (ErrorVector(self.BATCH.errors[:1]),) + tuple(np.asarray(a)[:1] for a in args[1:])
+        assert np.isfinite(readout(*first)).all()
+
+    def test_large_finite_errors_still_read(self):
+        ev = ErrorVector([1e150, 0.0, 0.0])
+        assert phi_direct(ev, 0) == pytest.approx(phi_decomposed(ev, 0), rel=1e-12)

@@ -392,12 +392,11 @@ class TestStreamedSubsetTable:
             levels = self.LEVELS
         y = rng.normal(size=t) * 10.0
         want_scores, want_sizes = bf.subset_scores(values, levels and levels.levels, y)
-        cell = t  # a block holds one level's sums
-        for low in range(1, n + 1):
-            with mock.patch.object(importance, "_BLOCK_ELEMENTS", cell << low):
-                assert importance._low_members(n, cell) == low
+        # Slices of one subset up to the whole table, some not powers of two.
+        for budget in [t << low for low in range(n + 1)] + [3 * t, 5 * t + 1]:
+            with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
                 scores, sizes = importance._subset_scores(values, levels, y)
-            assert scores.tobytes() == want_scores.tobytes(), low
+            assert scores.tobytes() == want_scores.tobytes(), budget
             assert np.array_equal(sizes, want_sizes)
 
     def test_peak_memory_follows_the_planned_blocks(self):
@@ -405,14 +404,12 @@ class TestStreamedSubsetTable:
         rng = np.random.default_rng(3)
         values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
         y = rng.normal(size=t)
-        low = importance._low_members(n, t)
-        block = 8 * (t << low)
+        block = 8 * importance._BLOCK_ELEMENTS
         table = 8 * (t << n)
-        # The walk holds the score table, the uint8 size vector, the n - low
-        # + 1 one-level blocks on its path and the block-sized float sizes,
-        # plus the scoring temporaries of one block: its divisors, its means,
-        # the WIS term, its q - y slab and its indicator.
-        walk_bound = table + table // 8 + (n - low + 1) * block + 5 * block
+        # The walk holds the score table, one level's sum table and the uint8
+        # size vector, plus the scoring temporaries of one slice: the WIS
+        # term, its q - y slab, its indicator and the slice's scores.
+        walk_bound = 2 * table + table // 8 + 4 * block
         # The readouts then add at most three arrays of half its length,
         # plus their (n, n - 1, T) outputs, well under one block.
         readout_bound = 3 * table // 2 + block
@@ -429,20 +426,20 @@ class TestStreamedSubsetTable:
             tracemalloc.stop()
         assert walk_peak < walk_bound
         assert readout_peak < readout_bound
+        assert walk_peak < base + readout_peak  # the readouts stay the worker's peak
 
     @pytest.mark.parametrize("t, low", [(1, 12), (64, 11), (1024, 7)])
     def test_each_level_is_scored_in_blocks_of_the_whole_budget(self, t, low):
-        """One ``wis_batch`` call per level and (2^L, T) block, L as large as fits.
+        """One ``wis_batch`` call per level and slice of 2^L subsets, L as large as fits.
 
         A walk that went back to small slabs would make many more calls."""
         n, k = 12, len(CANONICAL_LEVELS)
         rng = np.random.default_rng(3)
         values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
-        assert importance._low_members(n, t) == low
         with mock.patch.object(scoring, "wis_batch", wraps=scoring.wis_batch) as calls:
             importance._subset_scores(values, CANONICAL_LEVELS, rng.normal(size=t))
         assert calls.call_count == k * 2 ** (n - low)
-        # Point values are one level: one -SPE call per block.
+        # Point values are one level: one -SPE call per slice.
         values = values[..., 0]
         with mock.patch.object(importance, "positive_scores", wraps=scoring.positive_scores) as calls:
             importance._subset_scores(values, None, rng.normal(size=t))

@@ -37,8 +37,8 @@ member = st.tuples(coordinate, spread)
 metric = st.sampled_from(Metric)
 scheme = st.sampled_from(WeightScheme)
 FEW = settings(max_examples=25, deadline=None)
-# Block budgets of the streamed subset table: the small ones split the walk
-# into many blocks, down to one low member per block.
+# Block budgets of the subset table: the small ones score it in many slices,
+# down to one subset per slice.
 block_budget = st.sampled_from((1, 12, 1 << 17))
 
 
