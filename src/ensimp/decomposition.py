@@ -147,14 +147,8 @@ def phi_decomposed(errors: ErrorVector, index):
     return _at(contributions_by_size(e[..., :, None] * e[..., None, :])[..., -1], errors, index)
 
 
-def expected_phi_from_moments(espe: Sequence[float], error_products, index: int) -> float:
-    """Expected importance from ESPE values and expected error products.
-
-    ``espe[j]`` is E[(Y - Yhat_j)^2], put on the diagonal of ``error_products``,
-    whose [j, k] is E[e_j e_k]. This is the closed form's LOMO readout;
-    :func:`expected_phi` fills in the moments for zero-mean Gaussian truth.
-    """
-    espe = np.asarray(espe, dtype=np.float64)
+def _lomo_from_moments(espe: np.ndarray, error_products, index: int) -> float:
+    """The closed form's LOMO readout of the moments, unchecked for finiteness."""
     n = len(espe)
     if n < 2:
         raise ValidationError("need at least 2 forecasters")
@@ -167,6 +161,24 @@ def expected_phi_from_moments(espe: Sequence[float], error_products, index: int)
 
 
 @_finite
+def expected_phi_from_moments(espe: Sequence[float], error_products, index: int) -> float:
+    """Expected importance from ESPE values and expected error products.
+
+    ``espe[j]`` is E[(Y - Yhat_j)^2], put on the diagonal of ``error_products``,
+    whose [j, k] is E[e_j e_k]. This is the closed form's LOMO readout;
+    :func:`expected_phi` fills in the moments for zero-mean Gaussian truth.
+    Both arguments must be finite, and so must the result.
+    """
+    espe, prod = np.asarray(espe, dtype=np.float64), np.asarray(error_products, dtype=np.float64)
+    for name, moments in (("espe", espe), ("error_products", prod)):
+        bad = np.argwhere(~np.isfinite(moments))
+        if bad.size:
+            at = ", ".join(map(str, bad[0].tolist()))
+            raise ValidationError(f"{name}[{at}] must be finite, got {float(moments[tuple(bad[0])])!r}")
+    return _lomo_from_moments(espe, prod, index)
+
+
+@_finite
 def expected_phi(model: GaussianErrorModel, index: int) -> float:
     """Expected importance under zero-mean truth with the model's variance.
 
@@ -174,8 +186,8 @@ def expected_phi(model: GaussianErrorModel, index: int) -> float:
     ``ESPE_j = sigma^2 + yhat_j^2`` and ``E[e_j e_k] = sigma^2 + yhat_j yhat_k``.
     """
     means = np.asarray(model.forecast_means, dtype=np.float64)
-    prod = model.truth_variance + np.outer(means, means)
-    return expected_phi_from_moments(np.diagonal(prod), prod, index)
+    prod = model.truth_variance + np.outer(means, means)  # may overflow: checked as the result
+    return _lomo_from_moments(np.diagonal(prod), prod, index)
 
 
 @_finite

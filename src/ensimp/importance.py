@@ -30,11 +30,17 @@ A batch takes the most tasks, at least one, whose largest array fits it: the
 (n + 1, T, levels) ensembles for LOMO, levels counting those scored (1 for
 SPE). The subset sums are held one level at a time, a (2^n, T) table no
 larger than the score table, and scored in slices of at most that many
-values, so a slice holds the most subsets the budget allows. A worker's
-LASOMO memory is thus the (2^n, T) score table, its uint8 size vector and
-one level's sums plus the scoring temporaries of one slice (20 MB at n = 20
-and T = 1), then the table, sizes and readouts (22 MB there); never the
-(2^n, T, levels) sum table (193 MB there at 23 levels).
+values, so a slice holds the most subsets the budget allows. Each job
+allocates its working slabs once: the walk scores every slice into one slab
+of a slice's size, with the slice's divided sums as the scorer's scratch,
+and the readouts fill two slabs of half the table's length for every model.
+Nothing the size of a slice or a table is allocated per level, slice or
+model, so a worker thread does not hand pages back to the system only to
+fault them in again. A worker's LASOMO memory is thus the (2^n, T) score
+table, its uint8 size vector, one level's sums and the slab (19.0 MB at
+n = 20 and T = 1, by ``tracemalloc``), then the table, sizes and readouts
+(22.2 MB there); never the (2^n, T, levels) sum table (193 MB there at 23
+levels).
 
 Member values sum left to right in canonical order, WIS terms sum left to
 right over the levels, contributions of one size in ascending bitmask order
@@ -161,21 +167,23 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
     sum is the plain left-to-right sum of its members. Slices of at most
     ``_BLOCK_ELEMENTS`` values are then divided by their counts in place and
     scored by one ``positive_scores`` call each, as -SPE or as minus that one
-    level's WIS term, exactly. The per-level scores are added into the table
-    in level order, then divided by the level count once. Score row 0, the
-    empty coalition, is NaN and is never scored or read.
+    level's WIS term, exactly, into the job's one slab, with the divided sums
+    as scratch. The per-level scores are added into the table in level
+    order, then divided by the level count once. Score row 0, the empty
+    coalition, is NaN and is never scored or read.
     """
     n, t = values.shape[:2]
     # Level-major members, (levels, n, T), and the level set each is scored at.
     members = values[None] if levels is None else np.moveaxis(values, -1, 0).copy()
     level_sets = [None] if levels is None else [QuantileLevels((p,)) for p in levels.levels]
-    step = max(1, _BLOCK_ELEMENTS // t)  # the subsets of one scored slice
+    step = min(max(1, _BLOCK_ELEMENTS // t), (1 << n) - 1)  # the subsets of one scored slice
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
     sums = np.zeros((1 << n, t))  # row 0, the empty sum, stays zero
     scores = np.full((1 << n, t), -0.0)  # -0.0 + x is x, bit for bit
     scores[0] = np.nan
+    slab = np.empty((step, t))  # one slice's scores, the job's only scoring array
     for level, at in zip(members, level_sets):
         for i in range(n):
             np.add(sums[: 1 << i], level[i], out=sums[1 << i : 2 << i])
@@ -183,8 +191,9 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
             rows = slice(start, start + step)
             means = sums[rows]
             means /= sizes[rows, None]
-            # unnamed, so each slice's scores are freed before the next is scored
-            scores[rows] += positive_scores(means if at is None else means[..., None], at, y)
+            # the means are spent once scored, so they are the scorer's scratch
+            out = slab[: len(means)]
+            scores[rows] += positive_scores(means if at is None else means[..., None], at, y, out)
     scores /= len(members)
     return scores, sizes
 
@@ -198,7 +207,8 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     and their sum of squared deviations from it (M2). LASOMO is ``mos``
     itself under permutation weights and the per-size sums' total over
     2^(n-1) - 1 under equal weights. Besides the table and these outputs it
-    holds at most three arrays of half the table's length.
+    holds three arrays of half the table's length, each allocated once: the
+    size order and the two slabs that every model's contributions fill.
 
     For model i the masks without bit i and the masks with it are the two
     halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
@@ -214,19 +224,22 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     starts = np.cumsum(counts) - counts
     mos, total = np.empty((n, t)), np.empty((n, t))
     mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
+    diff, grouped = np.empty((half, t)), np.empty((half - 1, t))  # the call's two slabs
     for i in range(n):
         halves = scores.reshape(half >> i, 2, 1 << i, t)
-        grouped = np.take((halves[:, 1] - halves[:, 0]).reshape(half, t)[1:], by_size, axis=0)
+        np.subtract(halves[:, 1], halves[:, 0], out=diff.reshape(half >> i, 1 << i, t))
+        # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
+        np.take(diff[1:], by_size, axis=0, out=grouped, mode="clip")
         sums = np.add.reduceat(grouped, starts, axis=0)
         mean[i] = sums / counts[:, None]
         # accumulate pins the ascending size order at every batch width; a
         # reduce over a (N, 1) array would sum pairwise instead.
         mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
         total[i] = np.add.accumulate(sums, axis=0)[-1]
-        grouped -= np.repeat(mean[i], counts, axis=0)
+        for size, start, count in zip(mean[i], starts, counts):
+            grouped[start : start + count] -= size
         grouped *= grouped
         m2[i] = np.add.reduceat(grouped, starts, axis=0)
-        del grouped  # with the differences unnamed, three half arrays at most
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
     phi = mos if scheme is WeightScheme.PERMUTATION else total / (half - 1)

@@ -140,13 +140,21 @@ def spe(forecast: PointForecast, obs: Observation) -> float:
     return float(-positive_scores(forecast.value, None, obs.value))
 
 
-def wis_batch(values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray) -> np.ndarray:
+def wis_batch(
+    values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Weighted interval score of quantile rows against observations.
 
     ``values`` holds predictive quantiles along its last axis (one entry per
     level); ``y`` must broadcast against ``values`` without its last axis.
     All WIS evaluations in the package route through this function so that
     scalar and batched calls share one floating-point code path.
+
+    With ``out``, a float64 array of the values' batch shape (``y`` must not
+    widen it), the scores are written into it, and ``values``, if already a
+    float64 array, is overwritten as scratch: when it is held level-major,
+    nothing the size of the batch is allocated. The bits are those of a call
+    without ``out``.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != len(levels):
@@ -154,22 +162,30 @@ def wis_batch(values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray)
             f"quantile axis of length {values.shape[-1]} does not match {len(levels)} levels"
         )
     y = np.asarray(y, dtype=np.float64)
-    # Level-major memory gives each level one contiguous slab; the copy is a
-    # free view when the caller already holds the values that way. Terms sum
-    # strictly left to right over the levels.
+    # Level-major memory gives each level one contiguous slab, a free view
+    # when the caller already holds the values that way. Terms sum strictly
+    # left to right over the levels.
     by_level = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    total = None
-    for tau, q in zip(levels.levels, by_level):
-        term = (y <= q).astype(np.float64)
+    if out is None:  # the caller's values stay intact: two slabs of the call's own
+        out = np.empty(np.broadcast_shapes(by_level.shape[1:], y.shape))
+        scratch = np.empty((2, *out.shape))
+    else:
+        scratch = by_level
+    for k, tau in enumerate(levels.levels):
+        # The first term is built in ``out``, each later one in scratch slab
+        # k - 1 and q - y in slab k: with the values as scratch, the level
+        # before, spent, and this level's quantiles, spent once compared.
+        q = by_level[k, ...]
+        term = scratch[(k - 1) % len(scratch), ...] if k else out
+        np.less_equal(y, q, out=term)  # the indicator, closed at equality, as 0.0 or 1.0
         term -= tau
         term *= 2.0
-        term *= q - y
-        if total is None:
-            total = term
-        else:
-            total += term
-    total /= len(levels)  # in place: total is this call's own array
-    return total
+        term *= np.subtract(q, y, out=scratch[k % len(scratch), ...])
+        if k:
+            out += term
+    if len(levels) > 1:  # x / 1 is x
+        out /= len(levels)
+    return out
 
 
 def wis(forecast: QuantileForecast, obs: Observation) -> float:
@@ -201,18 +217,21 @@ def scored_values(values: np.ndarray, levels: QuantileLevels | None, metric: Met
     return values, levels
 
 
-def positive_scores(values: np.ndarray, levels: QuantileLevels | None, y) -> np.ndarray:
+def positive_scores(
+    values: np.ndarray, levels: QuantileLevels | None, y, out: np.ndarray | None = None
+) -> np.ndarray:
     """-WIS of quantile rows (``levels`` given) or -SPE of point values (None).
 
     ``y`` broadcasts against the values' batch axes. Takes the output of
-    :func:`scored_values`.
+    :func:`scored_values`. With ``out``, the scores are written into it as
+    :func:`wis_batch` writes them, with the same bits.
     """
     if levels is None:
         # A product is correctly rounded; ``**`` goes through libm pow, which is not.
-        d = np.subtract(y, values, dtype=np.float64)  # integer input would not negate in place
-        scores = d * d
+        d = np.subtract(y, values, out=out, dtype=np.float64)  # integer input would not negate in place
+        scores = np.multiply(d, d, out=out)
     else:
-        scores = wis_batch(values, levels, y)
+        scores = wis_batch(values, levels, y, out)
     scores *= -1.0  # in place: a negation would cost one more array
     return scores
 

@@ -270,6 +270,16 @@ class TestOverflow:
         first = (ErrorVector(self.BATCH.errors[:1]),) + tuple(np.asarray(a)[:1] for a in args[1:])
         assert np.isfinite(readout(*first)).all()
 
+    def test_moments_are_checked_finite_and_their_readout_too(self):
+        with pytest.raises(ValidationError, match=r"^espe\[0\] must be finite, got nan$"):
+            expected_phi_from_moments([math.nan, 1.0], np.zeros((2, 2)), 0)
+        products = np.zeros((3, 3))
+        products[1, 2] = -math.inf
+        with pytest.raises(ValidationError, match=r"^error_products\[1, 2\] must be finite, got -inf$"):
+            expected_phi_from_moments([1.0, 1.0, 1.0], products, 0)
+        with pytest.raises(ValidationError, match=r"^expected_phi_from_moments overflows float64$"):
+            expected_phi_from_moments([1e308] * 3, np.zeros((3, 3)), 0)
+
     def test_large_finite_errors_still_read(self):
         ev = ErrorVector([1e150, 0.0, 0.0])
         assert phi_direct(ev, 0) == pytest.approx(phi_decomposed(ev, 0), rel=1e-12)

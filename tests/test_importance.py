@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 from fractions import Fraction
 from unittest import mock
 
@@ -376,21 +381,27 @@ class TestStreamedSubsetTable:
     """The streamed kernel against the materialised table it replaces."""
 
     LEVELS = QuantileLevels((0.1, 0.5, 0.9))
+    # Three inner levels, the first and last canonical levels, and point values.
+    LEVEL_SETS = (LEVELS, QuantileLevels(CANONICAL_LEVELS.levels[::22]), None)
 
     @pytest.mark.parametrize("n", range(2, 13))
     @settings(max_examples=4, deadline=None)
-    @given(t=st.sampled_from((1, 2, 5)), quantile=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_every_block_split_gives_the_same_bits(self, n, t, quantile, seed):
+    @given(t=st.sampled_from((1, 2, 5)), levels=st.sampled_from(LEVEL_SETS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_block_split_gives_the_same_bits(self, n, t, levels, seed):
         rng = np.random.default_rng(seed)
-        shape = (n, t, len(self.LEVELS)) if quantile else (n, t)
+        shape = (n, t) if levels is None else (n, t, len(levels))
         # Mixed magnitudes make the summation order show in the low bits.
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-        values[rng.integers(n)] = 0.0
-        levels = None
-        if quantile:
+        if levels is not None:
             values.sort(axis=-1)
-            levels = self.LEVELS
         y = rng.normal(size=t) * 10.0
+        # The WIS term's edges: the last task's y equals the last member's
+        # value at some level, where the indicator is closed, and the first
+        # member's values are -0.0 against the first task's y of +0.0.
+        y[-1] = values[-1, -1].flat[rng.integers(values[-1, -1].size)]
+        values[0] = -0.0
+        y[0] = 0.0
         want_scores, want_sizes = bf.subset_scores(values, levels and levels.levels, y)
         # Slices of one subset up to the whole table, some not powers of two.
         for budget in [t << low for low in range(n + 1)] + [3 * t, 5 * t + 1]:
@@ -406,10 +417,10 @@ class TestStreamedSubsetTable:
         y = rng.normal(size=t)
         block = 8 * importance._BLOCK_ELEMENTS
         table = 8 * (t << n)
-        # The walk holds the score table, one level's sum table and the uint8
-        # size vector, plus the scoring temporaries of one slice: the WIS
-        # term, its q - y slab, its indicator and the slice's scores.
-        walk_bound = 2 * table + table // 8 + 4 * block
+        # The walk holds the score table, one level's sum table, the uint8
+        # size vector and the job's one scoring slab, plus the members and
+        # numpy's cast buffers, well under an eighth of a block.
+        walk_bound = 2 * table + table // 8 + block + block // 8
         # The readouts then add at most three arrays of half its length,
         # plus their (n, n - 1, T) outputs, well under one block.
         readout_bound = 3 * table // 2 + block
@@ -427,6 +438,48 @@ class TestStreamedSubsetTable:
         assert walk_peak < walk_bound
         assert readout_peak < readout_bound
         assert walk_peak < base + readout_peak  # the readouts stay the worker's peak
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="per-thread rusage is Linux only")
+    def test_a_worker_thread_faults_in_its_slabs_once(self):
+        """The walk allocates nothing per level or slice that the allocator
+        could hand back and fault in again, as worker threads' freed arrays are.
+
+        A fresh interpreter runs one job at n = 18 in one worker thread and
+        prints that thread's minor page faults for the walk and the readouts."""
+        n = 18
+        script = textwrap.dedent(f"""
+        import resource, threading
+        import numpy as np
+        from ensimp import importance
+        from ensimp.scoring import CANONICAL_LEVELS
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+
+        def job():
+            rng = np.random.default_rng(3)
+            values = np.sort(rng.normal(size=({n}, 1, len(CANONICAL_LEVELS))), axis=-1)
+            y = rng.normal(size=1)
+            start = faults()
+            scores, sizes = importance._subset_scores(values, CANONICAL_LEVELS, y)
+            walk = faults()
+            importance._table_readouts(scores, sizes, importance.WeightScheme.PERMUTATION)
+            print(walk - start, faults() - walk)
+
+        worker = threading.Thread(target=job)
+        worker.start()
+        worker.join()
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(importance.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        walk, readouts = map(int, proc.stdout.split())
+        table_pages = 8 * (1 << n) // os.sysconf("SC_PAGE_SIZE")
+        # The score and sum tables, the sizes and the slab are each faulted in
+        # once, about 2.7 tables' pages; fresh scoring arrays per level and
+        # slice faulted in about 24,700 pages here.
+        assert walk < 4 * table_pages, (walk, readouts)
 
     @pytest.mark.parametrize("t, low", [(1, 12), (64, 11), (1024, 7)])
     def test_each_level_is_scored_in_blocks_of_the_whole_budget(self, t, low):

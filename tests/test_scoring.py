@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ensimp.scoring import (
     scored_values,
     spe,
     wis,
+    wis_batch,
 )
 
 
@@ -131,6 +133,38 @@ class TestPositiveScore:
         assert positive_score(
             Metric.SPE, PointForecast(0.0), Observation(-163.3882222222221)
 ) == float(positive_scores(np.float64(0.0), None, -163.3882222222221))
+
+    @pytest.mark.parametrize("levels", [QuantileLevels((0.5,)), CANONICAL_LEVELS, None],
+                             ids=["one level", "23 levels", "point values"])
+    def test_out_gets_the_same_bits_and_no_batch_is_allocated(self, levels, rng):
+        """With ``out``, level-major values are the scratch: the scores keep
+        their bits, and nothing the size of the batch is allocated."""
+        k, shape = 1 if levels is None else len(levels), (20_000, 5)
+        level_major = np.sort(rng.normal(scale=10.0, size=(k, *shape)), axis=0)
+        y = rng.normal(scale=10.0, size=shape[1:])
+        # The indicator's edges: y equal to a quantile, and -0.0 against +0.0.
+        y[1] = level_major[k // 2, 7, 1]
+        level_major[:, 3, 2], y[2] = -0.0, 0.0
+
+        def values():  # a fresh level-major copy, as the scratch is overwritten
+            copy = level_major.copy()
+            return copy[0] if levels is None else np.moveaxis(copy, 0, -1)
+        kept = values()
+        want = positive_scores(kept, levels, y)
+        assert kept.tobytes() == values().tobytes()  # without out the values stay intact
+        out = np.empty(shape)
+        scratch = values()
+        tracemalloc.start()
+        try:
+            got = positive_scores(scratch, levels, y, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is out and got.tobytes() == want.tobytes()
+        assert peak < out.nbytes // 4  # numpy's cast buffers, not a batch
+        if levels is not None:
+            raw = wis_batch(values(), levels, y, np.empty(shape))
+            assert raw.tobytes() == wis_batch(kept, levels, y).tobytes() == (-want).tobytes()
 
     def test_integer_point_values_score_as_floats(self):
         scores = positive_scores(np.array([1, 5, -2]), None, np.array([3, 3, 3]))
