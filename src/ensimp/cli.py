@@ -1,8 +1,8 @@
 """Command-line front end: score, importance, simulate, decompose-check, subset-variance.
 
 Every command is deterministic given its flags and inputs; repeated runs
-produce byte-identical output files. Validation and I/O problems exit
-nonzero with a diagnostic on stderr.
+produce byte-identical output files. Validation, I/O and out-of-memory
+problems exit nonzero with a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -284,6 +284,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: cannot access {exc.filename or 'file'}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
 
 

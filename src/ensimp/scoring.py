@@ -213,6 +213,9 @@ def scored_values(values: np.ndarray, levels: QuantileLevels | None, metric: Met
             raise ValidationError("WIS requires quantile forecasts")
         return values, None
     if metric is Metric.SPE:
+        if 0.5 not in levels.levels:
+            raise ValidationError("SPE scores the 0.5 quantile (the predictive median), "
+                                  "which these forecasts lack")
         return values[..., levels.index_of(0.5)], None
     return values, levels
 

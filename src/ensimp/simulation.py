@@ -3,7 +3,8 @@
 Three scenarios share one engine: three forecasters predict a standard
 normal truth, the third forecaster's bias (``b``) or dispersion (``s``) is
 swept over a grid, and the leave-one-model-out importance of each forecaster
-is averaged over seeded replicates at every grid value.
+is averaged over seeded replicates at every grid value. One stratified truth
+sample is drawn per sweep and shared by every grid value.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from statistics import NormalDist
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -49,77 +52,20 @@ MAX_GRID_POINTS = 100_000
 SWEEP_HEADER = ("scenario", "grid_value", "forecaster", "mean_importance", "replicates", "seed")
 
 
-def _horner(r: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
-    """``(((c0*r + c1)*r + c2)...)``, highest power first, one rounding per step."""
-    acc = coefficients[0] * r + coefficients[1]
-    for c in coefficients[2:]:
-        acc *= r
-        acc += c
-    return acc
-
-
 def normal_quantile(p):
     """Inverse standard-normal CDF for ``p`` in the open interval (0, 1).
 
-    Accepts a scalar or array. This is Wichura's algorithm AS241 (1988),
-    accurate to about 1e-16 relative, as the standard library's
-    ``NormalDist.inv_cdf`` computes it, vectorised: the same coefficients,
-    Horner order and order of operations, so the bits are the same wherever
-    the interpreter's C code was built without fused multiply-add. The tail
-    logarithm is ``math.log`` on the tail values alone, since ``np.log`` can
-    differ from libm in the last bit. The central branch is an odd rational
-    function of q = p - 0.5, which is exact there, and the tail branch works
-    from 1 - p, so ``q(0.5) == 0``, and ``q(1 - p) == -q(p)`` wherever
-    1 - p is exact.
+    Accepts a scalar or array: a scalar (or 0-d array) gives a float, and an
+    array keeps its shape. Each value is the standard library's
+    ``statistics.NormalDist().inv_cdf``, Wichura's algorithm AS241 (1988),
+    accurate to about 1e-16 relative; it gives ``q(0.5) == 0``, and
+    ``q(1 - p) == -q(p)`` wherever 1 - p is exact.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValidationError("probabilities must lie strictly inside (0, 1)")
-
-    # Each branch runs on a superset of its values (its formula stays finite
-    # there) and the next one overwrites the values it does not own.
-    flat = arr.reshape(-1)
-    q = flat - 0.5
-    r = 0.180625 - q * q
-    num = _horner(r, (2.5090809287301226727e3, 3.3430575583588128105e4,
-                      6.7265770927008700853e4, 4.5921953931549871457e4,
-                      1.3731693765509461125e4, 1.9715909503065514427e3,
-                      1.3314166789178437745e2, 3.3871328727963666080e0))
-    den = _horner(r, (5.2264952788528545610e3, 2.8729085735721942674e4,
-                      3.9307895800092710610e4, 2.1213794301586595867e4,
-                      5.3941960214247511077e3, 6.8718700749205790830e2,
-                      4.2313330701600911252e1, 1.0))
-    x = num * q / den
-
-    tail = np.abs(q) > 0.425
-    qt, pt = q[tail], flat[tail]
-    pt = np.where(qt <= 0.0, pt, 1.0 - pt)
-    r = np.sqrt(-np.fromiter(map(math.log, pt.tolist()), dtype=np.float64, count=pt.size))
-    rn = r - 1.6
-    xt = (
-        _horner(rn, (7.74545014278341407640e-4, 2.27238449892691845833e-2,
-                     2.41780725177450611770e-1, 1.27045825245236838258e0,
-                     3.64784832476320460504e0, 5.76949722146069140550e0,
-                     4.63033784615654529590e0, 1.42343711074968357734e0))
-        / _horner(rn, (1.05075007164441684324e-9, 5.47593808499534494600e-4,
-                       1.51986665636164571966e-2, 1.48103976427480074590e-1,
-                       6.89767334985100004550e-1, 1.67638483018380384940e0,
-                       2.05319162663775882187e0, 1.0))
-    )
-    far = r > 5.0
-    rf = r[far] - 5.0
-    xt[far] = (
-        _horner(rf, (2.01033439929228813265e-7, 2.71155556874348757815e-5,
-                     1.24266094738807843860e-3, 2.65321895265761230930e-2,
-                     2.96560571828504891230e-1, 1.78482653991729133580e0,
-                     5.46378491116411436990e0, 6.65790464350110377720e0))
-        / _horner(rf, (2.04426310338993978564e-15, 1.42151175831644588870e-7,
-                       1.84631831751005468180e-5, 7.86869131145613259100e-4,
-                       1.48753612908506148525e-2, 1.36929880922735805310e-1,
-                       5.99832206555887937690e-1, 1.0))
-    )
-    x[tail] = np.where(qt < 0.0, -xt, xt)
-    x = x.reshape(arr.shape)
+    x = np.fromiter(map(NormalDist().inv_cdf, arr.ravel().tolist()),
+                    dtype=np.float64, count=arr.size).reshape(arr.shape)
     return float(x) if x.ndim == 0 else x
 
 
@@ -201,7 +147,7 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.seed < 2**64:  # the Philox key word holds no more
+        if not 0 <= self.seed < 2**64:  # one 64-bit word: the Philox stream keyed (seed, 0)
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.scenario is Scenario.B_DISPERSION and self.sweep.start <= 0:
             raise ValidationError(f"grid start must be > 0 for scenario {self.scenario.value} "
@@ -276,17 +222,16 @@ def _collapsed_ss(phi: np.ndarray) -> np.ndarray:
     return ss
 
 
-def truth_draws(seed: int, grid_index: int, replicates: int) -> np.ndarray:
-    """Standard-normal truth values for one grid point from a counter-based keyed stream.
+def truth_draws(seed: int, replicates: int) -> np.ndarray:
+    """Standard-normal truth values for one sweep from a counter-based keyed stream.
 
-    The Philox stream is keyed by (seed, grid index) and the replicate index
-    is its counter position, so grid points are independent and any subset
-    can be regenerated without drawing the rest. Replicate r's uniform is
-    placed in the r-th of ``replicates`` equal-width strata, which leaves
-    every draw marginally standard normal while sharply reducing the
-    Monte-Carlo error of replicate averages.
+    The Philox stream is keyed by the seed and the replicate index is its
+    counter position. Replicate r's uniform is placed in the r-th of
+    ``replicates`` equal-width strata, which leaves every draw marginally
+    standard normal while sharply reducing the Monte-Carlo error of
+    replicate averages.
     """
-    gen = Generator(Philox(key=np.array([seed, grid_index], dtype=np.uint64)))
+    gen = Generator(Philox(key=seed))
     mantissa = gen.integers(0, 1 << 53, size=replicates)
     v = (mantissa + 0.5) * 2.0**-53
     u = (np.arange(replicates) + v) / replicates
@@ -301,10 +246,9 @@ def _swept_component(spec: SimulationSpec, value: float):
     return NormalSpec(0.0, float(value))
 
 
-def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
-    """Mean and collapsed-strata sum of squares of per-replicate LOMO, per forecaster."""
+def _grid_point(spec: SimulationSpec, y: np.ndarray, value: float):
+    """Mean and collapsed-strata sum of squares of per-replicate LOMO against truths ``y``."""
     components = list(spec.fixed_components) + [_swept_component(spec, value)]
-    y = truth_draws(spec.seed, grid_index, spec.replicates)
     # in the worker thread, which does not inherit it; run_sweep names a non-finite mean
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.scenario is Scenario.A_POINT:
@@ -320,14 +264,18 @@ def _grid_point(spec: SimulationSpec, grid_index: int, value: float):
 def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult:
     """Evaluate the sweep at every grid value.
 
-    Grid points use independent keyed streams, so they run on ``n_workers``
-    threads (None means one worker thread); results are assembled in grid
-    order and are invariant to ``n_workers``.
+    One truth sample is drawn here and every grid value is scored against
+    it (common random numbers), so much of the sampling noise cancels
+    between neighbouring grid values, and a cell does not depend on the
+    grid around it. Grid values run on ``n_workers`` threads (None means
+    one worker thread) that share the read-only sample; results are
+    assembled in grid order and are invariant to ``n_workers``.
     """
     values = spec.sweep.values()
-    jobs = [(spec, g, float(val)) for g, val in enumerate(values)]
+    y = truth_draws(spec.seed, replicates=spec.replicates)  # by name: the tracer reads it
+    y.flags.writeable = False
     with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
-        results = list(ex.map(_grid_point, *zip(*jobs)))
+        results = list(ex.map(partial(_grid_point, spec, y), values.tolist()))
 
     means, collapsed_ss = (np.stack(column, axis=1) for column in zip(*results))
     # The first in CSV order; collapsed_ss is NaN at R = 1 by design, so only means count.

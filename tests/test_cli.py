@@ -50,6 +50,17 @@ class TestScore:
         first = out.read_text().splitlines()[0]
         assert first.startswith("#") and "median" in first
 
+    def test_spe_without_a_median_names_the_metric(self, tmp_path, capsys):
+        no_median = tmp_path / "quartiles.csv"
+        with open(FC) as fh:
+            lines = [line for line in fh if line.split(",")[5] in ("quantile_level", "0.25", "0.75")]
+        no_median.write_text("".join(lines))
+        code = main(["score", "--forecasts", str(no_median), "--truth", TRUTH,
+                     "--metric", "spe", "--output", "-"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: SPE scores the 0.5 quantile (the predictive "
+                                           "median), which these forecasts lack\n")
+
     def test_missing_truth_file_names_path(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         code = main(["score", "--forecasts", FC, "--truth", missing, "--output", "-"])
@@ -223,6 +234,19 @@ class TestSimulate:
         assert captured.err == (
             "error: mean importance (a_point, grid value 1e+155, forecaster_1) is not finite\n")
 
+    def test_out_of_memory_is_one_line(self, monkeypatch, capsys):
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_sweep", exhausted)
+        code = main(["simulate", "--scenario", "a-point", "--replicates", "1000000000000",
+                     "--grid-start", "0", "--grid-end", "0", "--output", "-"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: not enough memory: {message}\n"
 
     @pytest.mark.parametrize("start", ["0", "-1"])
     def test_non_positive_dispersion_start_names_the_flag_and_scenario(self, capsys, start):
