@@ -17,7 +17,7 @@ import numpy as np
 from . import dataio
 from .dataio import NaPolicy, Panel, apply_na_policy, model_mean_scores
 from .decomposition import ErrorVector, ambiguity_check, phi_decomposed, phi_direct
-from .importance import Algorithm, WeightScheme, compute_importance, rank_models
+from .importance import Algorithm, CapacityError, WeightScheme, compute_importance, rank_models
 from .scoring import Metric, ValidationError
 from .simulation import (
     run_sweep,
@@ -202,8 +202,11 @@ def cmd_subset_variance(args) -> int:
     workers = _resolve_workers(args.workers)
     tasks = _read_task_panel(args)
 
-    result = compute_importance(tasks, Metric(args.metric), Algorithm.LASOMO,
-                                WeightScheme(args.weights), n_workers=workers)
+    try:
+        result = compute_importance(tasks, Metric(args.metric), Algorithm.LASOMO,
+                                    WeightScheme(args.weights), n_workers=workers)
+    except CapacityError as exc:  # the per-size diagnostics need every subset's score
+        raise ValidationError(exc.cap) from None
     # Under permutation weights the per-task LASOMO cells are the per-task
     # means over sizes, bit for bit, so the two rows below are equal.
     means = {"mean_over_sizes": _means(result.mean_over_sizes, policy),

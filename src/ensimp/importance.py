@@ -14,15 +14,15 @@ accuracy on a task:
 
 Both are differences of ensemble scores over the lattice of model subsets,
 enumerated by bitmask over the pool's canonical (sorted) model order. For a
-batch of T tasks sharing one pool, :func:`_subset_scores` scores
-every subset once into a (2^n, T) table, and :func:`_table_readouts` reads
-every LASOMO output from that table and its size vector alone: LOMO (its top
-layer), the moments of the marginal contributions at each subset size, their
-per-task mean over sizes, and LASOMO from the same per-size sums, not from
-per-subset weighted terms. The LOMO kernel, shared by the panel path and the
-simulation engine, scores only the n + 1 top-layer ensembles: no model cap.
-Both kernels score the output of ``scored_values``, called once per panel,
-through ``positive_scores`` alone.
+batch of T tasks sharing one pool size n, whatever models each task has,
+:func:`_subset_scores` scores every subset once into a (2^n, T) table, and
+:func:`_table_readouts` reads every LASOMO output from that table and its size
+vector alone: LOMO (its top layer), the moments of the marginal contributions
+at each subset size, their per-task mean over sizes, and LASOMO from the same
+per-size sums, not from per-subset weighted terms. The LOMO kernel, shared by
+the panel path and the simulation engine, scores only the n + 1 top-layer
+ensembles: no model cap. Both kernels score the output of ``scored_values``,
+called once per panel, through ``positive_scores`` alone.
 
 One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
@@ -61,7 +61,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataio import Panel, TaskPanel, TaskPool, from_pools
+from .dataio import Panel, TaskKey, TaskPanel, TaskPool, from_pools
 from .ensembling import member_means
 from .scoring import Metric, QuantileLevels, ValidationError, positive_scores, scored_values
 
@@ -94,7 +94,14 @@ _BLOCK_ELEMENTS = 1 << 17
 
 
 class CapacityError(ValidationError):
-    """Exact subset enumeration refused because the pool is too large."""
+    """Exact subset enumeration refused because the pool is too large.
+
+    ``cap`` states the refusal alone; the message adds that LOMO has no cap.
+    """
+
+    def __init__(self, cap: str) -> None:
+        super().__init__(f"{cap}; use the lomo algorithm instead")
+        self.cap = cap
 
 
 class WeightScheme(Enum):
@@ -113,12 +120,11 @@ class Algorithm(Enum):
     LASOMO = "lasomo"
 
 
-def _check_capacity(n: int) -> None:
+def _check_capacity(n: int, task: TaskKey | None = None) -> None:
     if n > MAX_EXACT_MODELS:
-        raise CapacityError(
-            f"pool of {n} models exceeds the exact-enumeration cap of "
-            f"{MAX_EXACT_MODELS}; use the lomo algorithm instead"
-        )
+        at = "" if task is None else f"task {task}: "
+        raise CapacityError(f"{at}pool of {n} models exceeds the exact-enumeration cap of "
+                            f"{MAX_EXACT_MODELS}")
 
 
 def shapley_weight_exact(n: int, s: int) -> Fraction:
@@ -344,38 +350,38 @@ def compute_importance(
 ) -> ImportanceResult:
     """Compute importance for every (model, task) cell of a task panel.
 
-    Task columns with the same present models share a pool signature and
-    are evaluated in batches as wide as ``_BLOCK_ELEMENTS`` allows,
-    signatures in sorted model-id order, on ``n_workers`` threads (None
-    means one); the output does not depend on either. Build the panel with
+    Tasks are batched by pool size (their count of present models), those of
+    one size in (signature, column) order and as many per batch as
+    ``_BLOCK_ELEMENTS`` allows, and run on ``n_workers`` threads (None means
+    one); the output depends on neither. Build the panel with
     :func:`~ensimp.dataio.build_task_pools` or :func:`~ensimp.dataio.from_pools`.
     """
     panel = tasks.forecasts
     if not tasks:
         raise ValidationError("no tasks to score")
-    signatures: dict[tuple[int, ...], list[int]] = {}
-    for j, (task, col) in enumerate(zip(panel.tasks, panel.present.T.tolist())):
-        rows = tuple(i for i, present in enumerate(col) if present)
+    # Each task's member rows; models are sorted, so row-index order is model-id order.
+    members = [tuple(i for i, p in enumerate(col) if p) for col in panel.present.T.tolist()]
+    for task, rows in zip(panel.tasks, members):
         if len(rows) < 2:
             raise ValidationError(f"task {task} has fewer than 2 models")
         if algorithm is Algorithm.LASOMO:
-            _check_capacity(len(rows))
-        signatures.setdefault(rows, []).append(j)
+            _check_capacity(len(rows), task)
+    sizes = panel.present.sum(axis=0)
+    order = np.array(sorted(range(len(members)), key=members.__getitem__))  # (signature, column)
 
     values, levels = scored_values(panel.values, panel.levels, metric)
-    jobs: list[tuple[tuple[int, ...], list[int]]] = []
+    jobs = []  # each batch's (n, T) member rows and (T,) columns
     width = 1 if levels is None else len(levels)  # the levels scored per value
-    # Models are sorted, so row-index order is model-id order.
-    for rows in sorted(signatures):
-        cols, n = signatures[rows], len(rows)
+    for n in sorted(set(sizes.tolist())):
+        group = order[sizes[order] == n]
         # Per task, the largest array of a batch (see the module docstring).
         widest = (n + 1) * width if algorithm is Algorithm.LOMO else max(1 << n, n * width)
-        per_batch = max(1, _BLOCK_ELEMENTS // widest)
-        jobs += [(rows, cols[k : k + per_batch]) for k in range(0, len(cols), per_batch)]
+        step, rows = max(1, _BLOCK_ELEMENTS // widest), np.array([members[j] for j in group]).T
+        jobs += [(rows[:, k : k + step], group[k : k + step]) for k in range(0, len(group), step)]
 
     def run(job):
         rows, cols = job
-        batch, y = values[np.ix_(rows, cols)], tasks.truth[cols]
+        batch, y = values[rows, cols], tasks.truth[cols]
         # per job, as worker threads do not inherit it; the Panel names a non-finite cell
         with np.errstate(over="ignore", invalid="ignore"):
             if algorithm is Algorithm.LOMO:
@@ -385,34 +391,34 @@ def compute_importance(
     with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
         outputs = list(ex.map(run, jobs))
 
-    phi, lomo, mos = (np.full(panel.present.shape, np.nan) for _ in range(3))
-    moments: dict[tuple[str, int], list[tuple[np.ndarray, ...]]] = {}
+    phi, lomo, mos = cells = np.full((3, *panel.present.shape), np.nan)
+    # Each LASOMO cell's per-size mean and M2 about its task's own mean, size r at index r - 2.
+    largest = int(sizes.max()) if algorithm is Algorithm.LASOMO else 1
+    moments = np.empty((2, *panel.present.shape, largest - 1))
     for (rows, cols), (cells_phi, *table) in zip(jobs, outputs):
-        cells, n = np.ix_(rows, cols), len(rows)
-        phi[cells] = cells_phi
-        if not table:
-            continue
-        lomo[cells], mos[cells], mean, m2 = table
-        for i, row in enumerate(rows):
-            for k in range(n - 1):
-                # C(n - 1, k + 1) contributions of size r = k + 2 per task
-                part = (np.full(len(cols), math.comb(n - 1, k + 1)), mean[i, k], m2[i, k])
-                moments.setdefault((panel.models[row], k + 2), []).append(part)
+        phi[rows, cols] = cells_phi
+        if table:
+            lomo[rows, cols], mos[rows, cols], mean, m2 = table
+            moments[:, rows, cols, : len(rows) - 1] = np.swapaxes(np.stack((mean, m2)), 2, 3)
 
-    per_task = Panel(panel.models, panel.tasks, phi, panel.present)
     if algorithm is Algorithm.LOMO:
-        return ImportanceResult(per_task)
+        return ImportanceResult(Panel(panel.models, panel.tasks, phi, panel.present))
 
     by_size: dict[str, dict[int, SizeStat]] = {m: {} for m in panel.models}
+    comb = np.array([[math.comb(a, b) for b in range(largest)] for a in range(largest)])
     # The exact two-level formula: N = sum(c), mean = sum(c * mean_t) / N and
-    # M2 = sum(M2_t) + sum(c * (mean_t - mean)^2), each sum over the tasks in
+    # M2 = sum(M2_t) + sum(c * (mean_t - mean)^2), a task of n models giving
+    # c = C(n - 1, r - 1) contributions of size r, each sum over the tasks in
     # (signature, column) order, which the batching does not change.
-    for (model, r), parts in sorted(moments.items()):
-        count, mean, m2 = map(np.concatenate, zip(*parts))
-        total = int(count.sum())
-        pooled = np.add.reduce(count * mean) / total
-        dev = mean - pooled
-        m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
-        by_size[model][r] = SizeStat(float(pooled), float(m2 / total), total)
-    lomo, mos = (Panel(panel.models, panel.tasks, cells, panel.present) for cells in (lomo, mos))
+    for row, model in enumerate(panel.models):
+        tasks_in = order[panel.present[row, order]]
+        for k in range(sizes[tasks_in].max(initial=1) - 1):
+            cols = tasks_in[sizes[tasks_in] > k + 1]
+            count, (mean, m2) = comb[sizes[cols] - 1, k + 1], moments[:, row, cols, k]
+            total = int(count.sum())
+            pooled = np.add.reduce(count * mean) / total
+            dev = mean - pooled
+            m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
+            by_size[model][k + 2] = SizeStat(float(pooled), float(m2 / total), total)
+    per_task, lomo, mos = (Panel(panel.models, panel.tasks, c, panel.present) for c in cells)
     return ImportanceResult(per_task, by_size, lomo, mos)

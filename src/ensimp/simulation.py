@@ -13,6 +13,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import partial
 from statistics import NormalDist
 
@@ -126,7 +127,10 @@ class Grid:
         return math.floor(self._steps()) + 1
 
     def values(self) -> np.ndarray:
-        return self.start + self.step * np.arange(len(self))
+        # The double nearest each decimal start + k * step, start and step read
+        # as their shortest repr, so a value has the same bits on every grid.
+        start, step = (Fraction(repr(float(x))) for x in (self.start, self.step))
+        return np.array([float(start + step * k) for k in range(len(self))])
 
 
 @dataclass(frozen=True)

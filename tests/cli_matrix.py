@@ -4,6 +4,7 @@ Usage::
 
     python tests/cli_matrix.py SRC OUT.json          # run every case with PYTHONPATH=SRC
     python tests/cli_matrix.py --diff A.json B.json  # list the cases that differ
+    python tests/cli_matrix.py --same-across-workers A.json  # list w1 cases unlike their w2 twin
 
 A record maps each case id to its argv, its exit code and the sha256 of its
 stdout, its stderr and its output file. The inputs are written into a fresh
@@ -17,7 +18,9 @@ commands, the cases run ``simulate`` and ``decompose-check`` at their test
 and benchmark sizes, and two ``simulate`` errors: a bias of 1e155, whose
 squared errors overflow, and a dispersion grid that starts at sd 0.
 ``--diff`` prints each differing case with the fields that differ and exits
-1 if there is any.
+1 if there is any. ``--same-across-workers`` prints each ``.../w1`` case
+whose exit code, stdout, stderr or output differs from its ``.../w2`` twin
+in one record, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ SEED = 3
 # than a two-CPU machine has.
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 JOBS = 2
+FIELDS = ("exit", "stdout", "stderr", "output")
 
 
 def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
@@ -172,7 +176,7 @@ def diff(a: str, b: str) -> int:
             print(f"{case}: only in {a if case in old else b}")
             differ += 1
             continue
-        fields = [f for f in ("exit", "stdout", "stderr", "output") if old[case][f] != new[case][f]]
+        fields = [f for f in FIELDS if old[case][f] != new[case][f]]
         if fields:
             print(f"{case}: {', '.join(fields)}")
             differ += 1
@@ -180,9 +184,25 @@ def diff(a: str, b: str) -> int:
     return 1 if differ else 0
 
 
+def same_across_workers(path: str) -> int:
+    results = json.loads(Path(path).read_text())
+    twins = [(case, case[:-1] + "2") for case in sorted(results)
+             if case.endswith("/w1") and case[:-1] + "2" in results]
+    differ = 0
+    for one, two in twins:
+        fields = [f for f in FIELDS if results[one][f] != results[two][f]]
+        if fields:
+            print(f"{one}: {', '.join(fields)} not as in {two}")
+            differ += 1
+    print(f"{differ} of {len(twins)} twin pairs differ")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--diff":
         return diff(argv[1], argv[2])
+    if len(argv) == 2 and argv[0] == "--same-across-workers":
+        return same_across_workers(argv[1])
     if len(argv) == 2 and not argv[0].startswith("-"):
         return record(*argv)
     print(__doc__, file=sys.stderr)

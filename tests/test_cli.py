@@ -396,6 +396,27 @@ class TestSubsetVariance:
                 assert float(r["variance"]) == 0.0
                 assert float(r["mean"]) == 0.0
 
+    def test_capacity_error_names_the_task_and_offers_no_flag(self, tmp_path, capsys):
+        # subset-variance has no --algorithm flag, and LOMO has no per-size rows
+        big = tmp_path / "big.csv"
+        with open(big, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(("model", "forecast_date", "location", "horizon",
+                        "target_end_date", "quantile_level", "value"))
+            for i in range(21):
+                for lvl, val in ((0.25, 1.0 + i), (0.5, 2.0 + i), (0.75, 3.0 + i)):
+                    w.writerow((f"m{i:02d}", "2021-11-06", "25", 1, "2021-11-13", lvl, val))
+        truth = tmp_path / "truth.csv"
+        truth.write_text("location,target_end_date,value\n25,2021-11-13,2\n")
+        code = main(["subset-variance", "--forecasts", str(big), "--truth", str(truth),
+                     "--output", str(tmp_path / "sv.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: task 2021-11-06/25/h1/2021-11-13: pool of 21 models exceeds the "
+            "exact-enumeration cap of 20\n"
+        )
+        assert not (tmp_path / "sv.csv").exists()
+
 
 class TestWorkers:
     def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):

@@ -21,6 +21,7 @@ from ensimp.dataio import NaPolicy, Panel, TaskPanel, TaskPool, apply_na_policy,
 from ensimp.importance import (
     Algorithm,
     CapacityError,
+    SizeStat,
     WeightScheme,
     compute_importance,
     importance_by_subset_size,
@@ -375,6 +376,70 @@ class TestComputeImportance:
         # so no model's average may come out higher under worst.
         for m in worst:
             assert worst[m] <= mean[m] + 1e-12
+
+
+class TestBatchesByPoolSize:
+    # Four signatures of three models and one of four, two tasks each,
+    # interleaved so no signature's tasks are adjacent columns.
+    SIGNATURES = ("abc", "ace", "bde", "abcd", "cde")
+
+    def pools(self, rng):
+        pools = []
+        for i in range(2 * len(self.SIGNATURES)):
+            _, forecasts, levels, y = random_quantile_pool(rng, 5)
+            names = [f"m{c}" for c in self.SIGNATURES[i % len(self.SIGNATURES)]]
+            pools.append(quantile_pool({m: forecasts[m] for m in names}, levels, y, i))
+        return pools
+
+    def test_one_kernel_job_per_pool_size(self, rng, monkeypatch):
+        calls = {"_subset_scores": [], "lomo_kernel": []}
+        for name, seen in calls.items():
+            kernel = getattr(importance, name)
+            monkeypatch.setattr(importance, name,
+                                lambda v, *a, k=kernel, s=seen: s.append(v.shape[:2]) or k(v, *a))
+        tasks = from_pools(self.pools(rng))
+        for algorithm in Algorithm:
+            compute_importance(tasks, Metric.WIS, algorithm, n_workers=1)
+        # (pool size, batch width): sizes ascending, every task of a size in one batch
+        assert calls == {"_subset_scores": [(3, 8), (4, 2)], "lomo_kernel": [(3, 8), (4, 2)]}
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_cells_equal_those_of_each_task_alone(self, rng, metric):
+        pools = self.pools(rng)
+        batched = compute_importance(from_pools(pools), metric, Algorithm.LASOMO, n_workers=2)
+        for tp in pools:
+            alone = compute_importance(from_pools([tp]), metric, Algorithm.LASOMO)
+            rows = [batched.per_task.models.index(m) for m in tp.pool.model_ids]
+            j = batched.per_task.tasks.index(tp.task)
+            for got, want in ((batched.per_task, alone.per_task), (batched.lomo, alone.lomo),
+                              (batched.mean_over_sizes, alone.mean_over_sizes)):
+                assert got.values[rows, j].tobytes() == want.values[:, 0].tobytes()
+
+    def test_sizes_pool_tasks_in_signature_then_column_order(self, rng):
+        pools = self.pools(rng)
+        result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, n_workers=2)
+        # Each task's own per-size (count, mean, M2), pooled by the two-level
+        # formula over the tasks in (signature, column) order.
+        parts: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
+        for tp in sorted(pools, key=lambda tp: (tp.pool.model_ids, tp.task)):
+            panel = from_pools([tp]).forecasts
+            values, levels = scoring.scored_values(panel.values, panel.levels, Metric.WIS)
+            table = importance._subset_scores(values, levels, np.array([tp.truth.value]))
+            *_, mean, m2 = importance._table_readouts(*table, WeightScheme.PERMUTATION)
+            n = len(tp.pool.model_ids)
+            for i, m in enumerate(tp.pool.model_ids):
+                for k in range(n - 1):
+                    parts.setdefault((m, k + 2), []).append(
+                        (math.comb(n - 1, k + 1), mean[i, k, 0], m2[i, k, 0]))
+        assert sorted(parts) == sorted((m, r) for m, by_r in result.by_subset_size.items()
+                                       for r in by_r)
+        for (m, r), rows in parts.items():
+            count, mean, m2 = (np.array(column) for column in zip(*rows))
+            total = int(count.sum())
+            pooled = np.add.reduce(count * mean) / total
+            dev = mean - pooled
+            m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
+            assert result.by_subset_size[m][r] == SizeStat(float(pooled), float(m2 / total), total)
 
 
 class TestStreamedSubsetTable:

@@ -247,6 +247,20 @@ class TestRunSweep:
         assert wide.mean_importance[:, 2].tobytes() == alone.mean_importance[:, 0].tobytes()
         assert wide.standard_errors()[:, 2].tobytes() == alone.standard_errors()[:, 0].tobytes()
 
+    def test_zoomed_grid_reproduces_the_default_sweep_at_every_shared_value(self):
+        base = setting_a_prob()
+
+        def sweep(grid):
+            return run_sweep(SimulationSpec(base.scenario, base.fixed_components, grid,
+                                            replicates=200, seed=11))
+
+        default, zoomed = sweep(base.sweep), sweep(Grid(0.5, 1.5, 0.05))
+        at = {v: k for k, v in enumerate(default.grid_values.tolist())}
+        cols = [at[v] for v in zoomed.grid_values.tolist()]  # a KeyError is an unshared value
+        assert len(cols) == 21
+        assert default.mean_importance[:, cols].tobytes() == zoomed.mean_importance.tobytes()
+        assert default.standard_errors()[:, cols].tobytes() == zoomed.standard_errors().tobytes()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_mean_rejected_naming_scenario_grid_value_and_forecaster(self):
         # The squared errors overflow at b = 1e155: forecasters 1 and 2 get
