@@ -215,6 +215,10 @@ def cmd_subset_variance(args) -> int:
     rows = []
     for model in result.per_task.models:
         for r, st in sorted(result.by_subset_size.get(model, {}).items()):
+            for name, value in (("mean", st.mean), ("variance", st.variance)):
+                if not np.isfinite(value):
+                    raise ValidationError(f"{name} of model {model!r} at subset size {r} "
+                                          "overflows float64")
             rows.append({"model": model, "subset_size": str(r), "mean": st.mean,
                          "variance": st.variance, "n_subsets": st.count})
         for name, values in means.items():

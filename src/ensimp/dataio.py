@@ -337,9 +337,10 @@ def apply_na_policy(panel: Panel, policy: NaPolicy) -> Panel:
     values, present = panel.values[:, kept], panel.present[:, kept]
     if policy is not NaPolicy.DROP:
         fills = []
-        for col, mask in zip(values.T, present.T):
+        for task, col, mask in zip(tasks, values.T, present.T):
             vals = col[mask].tolist()
-            fills.append(min(vals) if policy is NaPolicy.WORST else math.fsum(vals) / len(vals))
+            fills.append(min(vals) if policy is NaPolicy.WORST
+                         else _mean(vals, "mean fill of task {}", task))
         values = np.where(present, values, np.asarray(fills, dtype=np.float64))
         present = np.ones_like(present)
     return Panel(panel.models, tasks, values, present)
@@ -354,8 +355,17 @@ def model_mean_scores(panel: Panel) -> dict[str, float]:
     for model, row, mask in zip(panel.models, panel.values, panel.present):
         vals = row[mask].tolist()
         if vals:
-            means[model] = math.fsum(vals) / len(vals)
+            means[model] = _mean(vals, "mean of model {!r} over tasks", model)
     return means
+
+
+def _mean(vals: list[float], what: str, name: object) -> float:
+    """The correctly rounded sum of ``vals`` over their count. A sum that
+    overflows, though every value is finite, is rejected as ``what`` of ``name``."""
+    try:
+        return math.fsum(vals) / len(vals)
+    except OverflowError:
+        raise ValidationError(f"{what.format(name)} overflows float64") from None
 
 
 def _parse_date(text: str, where: str, col: str) -> date:

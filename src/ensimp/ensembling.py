@@ -1,13 +1,12 @@
 """Equal-weight mean ensembles over pools of component forecasts.
 
-A pool's members are kept in sorted model-id order; that ordering is the
-canonical one used everywhere (bitmask enumeration, summation order), which
-makes ensemble values independent of the order members were supplied in.
+Members are kept in sorted model-id order, the canonical one: bitmask
+enumeration follows it, and every ensemble, of any size, sums its members left
+to right in it, so values do not depend on the order members were supplied in.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -20,10 +19,6 @@ __all__ = [
     "mean_point_ensemble",
     "mean_quantile_ensemble",
 ]
-
-# Plain left-to-right summation is exact enough for small pools; beyond this
-# many members the per-level sums switch to compensated (fsum) accumulation.
-_PLAIN_SUM_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -84,18 +79,13 @@ class ForecastPool:
 def member_means(rows: np.ndarray) -> np.ndarray:
     """Mean over the leading member axis of values in canonical member order.
 
-    Members sum strictly left to right whatever the trailing axes are, which
-    keeps results bit-identical to the bitmask enumeration path; pools above
-    ``_PLAIN_SUM_LIMIT`` members switch to compensated sums.
+    Members sum left to right at every pool size, as the subset table sums
+    them; m members' sum errs by at most (m - 1)u sum|x| (Higham 2002, 4.2).
     """
-    m = rows.shape[0]
-    if m <= _PLAIN_SUM_LIMIT:
-        total = rows[0]
-        for row in rows[1:]:
-            total = total + row
-        return total / m
-    cols = rows.reshape(m, -1).T
-    return np.asarray([math.fsum(col) for col in cols]).reshape(rows.shape[1:]) / m
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total / rows.shape[0]
 
 
 def _subset_mean(pool: ForecastPool, subset: Iterable[str]) -> np.ndarray:

@@ -42,12 +42,13 @@ n = 20 and T = 1, by ``tracemalloc``), then the table, sizes and readouts
 (22.2 MB there); never the (2^n, T, levels) sum table (193 MB there at 23
 levels).
 
-Member values sum left to right in canonical order, WIS terms sum left to
-right over the levels, contributions of one size in ascending bitmask order
-and the per-size sums in ascending size order, and each task's per-size
-moments are pooled once over all tasks, in (signature, column) order. So
-every output is reproducible bit for bit across runs, worker counts, block
-budgets and batch widths, and the table's LOMO equals the LOMO kernel's.
+Member values sum left to right in canonical order at every pool size, WIS
+terms sum left to right over the levels, contributions of one size in
+ascending bitmask order and the per-size sums in ascending size order, and
+each task's per-size moments are pooled once over all tasks, in (signature,
+column) order. So every output is reproducible bit for bit across runs,
+worker counts, block budgets and batch widths, and for every pool the table
+accepts, the table's LOMO equals the LOMO kernel's.
 """
 
 from __future__ import annotations
@@ -409,16 +410,18 @@ def compute_importance(
     # The exact two-level formula: N = sum(c), mean = sum(c * mean_t) / N and
     # M2 = sum(M2_t) + sum(c * (mean_t - mean)^2), a task of n models giving
     # c = C(n - 1, r - 1) contributions of size r, each sum over the tasks in
-    # (signature, column) order, which the batching does not change.
-    for row, model in enumerate(panel.models):
-        tasks_in = order[panel.present[row, order]]
-        for k in range(sizes[tasks_in].max(initial=1) - 1):
-            cols = tasks_in[sizes[tasks_in] > k + 1]
-            count, (mean, m2) = comb[sizes[cols] - 1, k + 1], moments[:, row, cols, k]
-            total = int(count.sum())
-            pooled = np.add.reduce(count * mean) / total
-            dev = mean - pooled
-            m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
-            by_size[model][k + 2] = SizeStat(float(pooled), float(m2 / total), total)
+    # (signature, column) order, which the batching does not change. As in
+    # the jobs, numpy stays silent: whoever reports a moment checks it finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, model in enumerate(panel.models):
+            tasks_in = order[panel.present[row, order]]
+            for k in range(sizes[tasks_in].max(initial=1) - 1):
+                cols = tasks_in[sizes[tasks_in] > k + 1]
+                count, (mean, m2) = comb[sizes[cols] - 1, k + 1], moments[:, row, cols, k]
+                total = int(count.sum())
+                pooled = np.add.reduce(count * mean) / total
+                dev = mean - pooled
+                m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
+                by_size[model][k + 2] = SizeStat(float(pooled), float(m2 / total), total)
     per_task, lomo, mos = (Panel(panel.models, panel.tasks, c, panel.present) for c in cells)
     return ImportanceResult(per_task, by_size, lomo, mos)

@@ -11,12 +11,16 @@ stdout, its stderr and its output file. The inputs are written into a fresh
 temporary directory whose path is replaced by ``$TMP`` before hashing, so
 records of two source trees compare case by case. They are the bundled
 fixture; the hub-panel and wide-pool files that ``perfbench/inputs.py``
-writes at seed 3; small files that break the row rule (a wrong field
-count, whitespace-only rows, one trailing blank line); and the fixture with
-every value times 1e200, whose squared errors overflow. Besides the panel
-commands, the cases run ``simulate`` and ``decompose-check`` at their test
-and benchmark sizes, and two ``simulate`` errors: a bias of 1e155, whose
-squared errors overflow, and a dispersion grid that starts at sd 0.
+writes at seed 3, and its 40-model, 4-task file, run as LOMO alone at one
+and at two workers; small files that break the row rule (a wrong field
+count, whitespace-only rows, one trailing blank line); the fixture with
+every value times 1e200, whose squared errors overflow, run for SPE and,
+with LASOMO, for WIS, whose per-size variances overflow; and 2 models on
+30 tasks whose finite scores near -1e307 overflow when summed over tasks,
+run as ``score``. Besides the panel commands, the cases run ``simulate``
+and ``decompose-check`` at their test and benchmark sizes, and two
+``simulate`` errors: a bias of 1e155, whose squared errors overflow, and a
+dispersion grid that starts at sd 0.
 ``--diff`` prints each differing case with the fields that differ and exits
 1 if there is any. ``--same-across-workers`` prints each ``.../w1`` case
 whose exit code, stdout, stderr or output differs from its ``.../w2`` twin
@@ -52,7 +56,9 @@ def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
     from ensimp.scoring import CANONICAL_LEVELS
 
     pairs = {"fixture": (FIXTURES / "forecasts.csv", FIXTURES / "truth.csv")}
-    for name, shape in (("hub-panel", inputs.HUB_PANEL), ("wide-pool", inputs.WIDE_POOL)):
+    pool40 = inputs.PanelShape(40, 2, 1, 2, 0.0, 0.0, 0)
+    for name, shape in (("hub-panel", inputs.HUB_PANEL), ("wide-pool", inputs.WIDE_POOL),
+                        ("pool40", pool40)):
         (tmp / name).mkdir()
         pairs[name] = (tmp / name / "forecasts.csv", tmp / name / "truth.csv")
         inputs.write_panel(shape, CANONICAL_LEVELS.levels, SEED, *pairs[name])
@@ -78,6 +84,13 @@ def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
         for row in table[1:]:
             row[k] = repr(float(row[k]) * 1e200)
         path.write_text("".join(",".join(row) + "\n" for row in table), encoding="utf-8")
+    pairs["sum-overflow"] = (tmp / "sum-overflow-forecasts.csv", tmp / "sum-overflow-truth.csv")
+    pairs["sum-overflow"][0].write_text("".join(
+        [forecasts[0]] + [f"{m},2021-11-08,{t:02d},1,2021-11-13,{p},{v * scale!r}\n"
+                          for m, scale in (("m1", 1e307), ("m2", 2e307)) for t in range(1, 31)
+                          for p, v in ((0.25, 1.0), (0.5, 1.5), (0.75, 2.0))]), encoding="utf-8")
+    pairs["sum-overflow"][1].write_text("".join(
+        [truth[0]] + [f"{t:02d},2021-11-13,0\n" for t in range(1, 31)]), encoding="utf-8")
     return pairs
 
 
@@ -91,6 +104,17 @@ def cases(pairs: dict[str, tuple[Path, Path]]) -> dict[str, list[str]]:
             out[f"{name}/score/spe"] = ["score", *data, "--metric", "spe", *out_flag]
             out[f"{name}/importance/lomo/spe"] = ["importance", *data, "--algorithm", "lomo",
                                                   "--metric", "spe", *out_flag]
+            # WIS: the per-size variances overflow, which only subset-variance reports
+            out[f"{name}/importance/lasomo/wis"] = ["importance", *data, "--algorithm", "lasomo",
+                                                    "--metric", "wis", *out_flag]
+            out[f"{name}/subset-variance/wis"] = ["subset-variance", *data, "--metric", "wis",
+                                                  *out_flag]
+            continue
+        if name == "pool40":  # past the enumeration cap, only LOMO runs
+            for workers in (1, 2):
+                out[f"{name}/importance/lomo/w{workers}"] = [
+                    "importance", *data, "--algorithm", "lomo", "--workers", str(workers),
+                    *out_flag]
             continue
         if name not in ("fixture", "hub-panel", "wide-pool"):
             out[f"{name}/score"] = ["score", *data, *out_flag]

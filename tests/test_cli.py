@@ -478,3 +478,68 @@ def test_overflowing_scores_print_only_the_error_line(tmp_path, argv):
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: cell ('alder', 2021-11-06/25/h1/2021-11-13) is not finite\n"
+
+
+def test_overflowing_per_size_moments_stop_subset_variance(tmp_path, capsys):
+    # the contributions near 1e200 are finite; their squared deviations are not
+    fc, truth = overflowing_fixture(tmp_path)
+    out = tmp_path / "sv.csv"
+    assert main(["subset-variance", "--forecasts", fc, "--truth", truth, "--metric", "wis",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: variance of model 'alder' at subset size 2 overflows float64\n")
+    assert not out.exists()
+
+
+def test_importance_pools_per_size_moments_without_warnings(tmp_path, capsys):
+    # importance writes no per-size moment, so their overflow is not its error
+    fc, truth = overflowing_fixture(tmp_path)
+    out = tmp_path / "imp.csv"
+    assert main(["importance", "--forecasts", fc, "--truth", truth, "--metric", "wis",
+                 "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_rows(out)) == 3 * 5 + 22  # five summary rows a model, 22 cells
+
+
+def write_huge_panel(tmp_path, scales, n_tasks):
+    """Models named by their scale: quantiles 1, 1.5 and 2 times it at levels
+    0.25, 0.5 and 0.75 on ``n_tasks`` tasks whose truth is 0. Every -WIS is
+    finite, near -1.33 times the scale."""
+    fc, truth = tmp_path / "huge-forecasts.csv", tmp_path / "huge-truth.csv"
+    rows = ["model,forecast_date,location,horizon,target_end_date,quantile_level,value"]
+    for j, scale in enumerate(scales):
+        for t in range(n_tasks):
+            rows += [f"m{j}-{scale!r},2021-11-08,{t + 1:02d},1,2021-11-13,{p},{v * scale!r}"
+                     for p, v in ((0.25, 1.0), (0.5, 1.5), (0.75, 2.0))]
+    fc.write_text("\n".join(rows) + "\n")
+    truth.write_text("".join(["location,target_end_date,value\n"]
+                             + [f"{t + 1:02d},2021-11-13,0\n" for t in range(n_tasks)]))
+    return ["--forecasts", str(fc), "--truth", str(truth)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["score"],
+    ["importance", "--algorithm", "lomo"],
+    ["importance"],
+    ["subset-variance"],
+])
+def test_a_mean_over_tasks_that_overflows_names_the_model(tmp_path, capsys, argv):
+    # 30 scores near -1.33e307 are finite; their sum is not
+    data = write_huge_panel(tmp_path, (1e307, 2e307), 30)
+    out = tmp_path / "out.csv"
+    assert main([*argv, *data, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: mean of model 'm0-1e+307' over tasks overflows float64\n")
+    assert not out.exists()
+
+
+def test_a_mean_fill_that_overflows_names_the_task(tmp_path, capsys):
+    # each model's two scores have a finite mean; the seven that fill the
+    # gap m7 leaves on task 01 do not have a finite sum
+    data = write_huge_panel(tmp_path, (2e307,) * 8, 2)
+    fc = Path(data[1])
+    lines = fc.read_text().splitlines(True)
+    fc.write_text("".join(x for x in lines if not (x.startswith("m7-") and ",01," in x)))
+    assert main(["score", *data, "--na", "mean", "--output", "-"]) == 1
+    assert capsys.readouterr().err == (
+        "error: mean fill of task 2021-11-08/01/h1/2021-11-13 overflows float64\n")

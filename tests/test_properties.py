@@ -142,18 +142,29 @@ def test_cells_do_not_depend_on_worker_count(pools, metric, scheme):
         assert column.tolist() == lasomo_all(tp, metric, scheme).tolist()
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.lists(member, min_size=40, max_size=40), coordinate)
-def test_lomo_of_a_large_pool_uses_exact_sums(members, y):
-    tp = make_pool(members, y)
+def left_to_right_lomo(tp: TaskPool, y: float) -> list[float]:
+    """LOMO under -WIS in pure Python, members summed left to right in canonical order."""
     rows = [list(f.values) for f in tp.pool.forecasts]
 
     def neg_wis(sub):
-        ens = [math.fsum(col) / len(sub) for col in zip(*sub)]
-        return -bf.wis(LEVELS.levels, ens, y)
+        return -bf.wis(LEVELS.levels, bf.ensemble_quantiles(sub), y)
 
-    want = [neg_wis(rows) - neg_wis(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
-    assert lomo_all(tp, Metric.WIS).tolist() == want
+    return [neg_wis(rows) - neg_wis(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(member, min_size=40, max_size=40), coordinate)
+def test_lomo_of_a_large_pool_sums_left_to_right(members, y):
+    tp = make_pool(members, y)
+    assert lomo_all(tp, Metric.WIS).tolist() == left_to_right_lomo(tp, y)
+
+
+def test_lomo_of_33_members_sums_left_to_right():
+    """One member past where sums were once compensated: 1e16 absorbs each
+    1.0 that follows it, so only the left-to-right sum gives these bits."""
+    members = [(1e16, 1.0)] + [(1.0, 1.0)] * 31 + [(-1e16, 1.0)]
+    tp = make_pool(members, 0.5, names=[f"m{j:02d}" for j in range(33)])
+    assert lomo_all(tp, Metric.WIS).tolist() == left_to_right_lomo(tp, 0.5)
 
 
 @FEW
