@@ -329,19 +329,19 @@ def apply_na_policy(panel: Panel, policy: NaPolicy) -> Panel:
     """Resolve missing cells: leave absent (drop), or fill per task column.
 
     ``worst`` fills with the column minimum of present values, ``mean`` with
-    the column average. Task columns with no present value at all cannot be
-    filled and are removed under every policy.
+    the column average. Only columns with a gap are filled: no fill is
+    computed for a gap-free column. Task columns with no present value at
+    all cannot be filled and are removed under every policy.
     """
     kept = panel.present.any(axis=0)
     tasks = tuple(t for t, k in zip(panel.tasks, kept.tolist()) if k)
-    values, present = panel.values[:, kept], panel.present[:, kept]
+    values, present = panel.values[:, kept], panel.present[:, kept]  # copies, filled in place
     if policy is not NaPolicy.DROP:
-        fills = []
-        for task, col, mask in zip(tasks, values.T, present.T):
+        for j in np.flatnonzero(~present.all(axis=0)).tolist():
+            col, mask = values[:, j], present[:, j]
             vals = col[mask].tolist()
-            fills.append(min(vals) if policy is NaPolicy.WORST
-                         else _mean(vals, "mean fill of task {}", task))
-        values = np.where(present, values, np.asarray(fills, dtype=np.float64))
+            col[~mask] = (min(vals) if policy is NaPolicy.WORST
+                          else _mean(vals, "mean fill of task {}", tasks[j]))
         present = np.ones_like(present)
     return Panel(panel.models, tasks, values, present)
 

@@ -45,8 +45,8 @@ levels).
 Member values sum left to right in canonical order at every pool size, WIS
 terms sum left to right over the levels, contributions of one size in
 ascending bitmask order and the per-size sums in ascending size order, and
-each task's per-size moments are pooled once over all tasks, in (signature,
-column) order. So every output is reproducible bit for bit across runs,
+each task's per-size moments are pooled once over all tasks, in the panel's
+column (task) order. So every output is reproducible bit for bit across runs,
 worker counts, block budgets and batch widths, and for every pool the table
 accepts, the table's LOMO equals the LOMO kernel's.
 """
@@ -351,33 +351,30 @@ def compute_importance(
 ) -> ImportanceResult:
     """Compute importance for every (model, task) cell of a task panel.
 
-    Tasks are batched by pool size (their count of present models), those of
-    one size in (signature, column) order and as many per batch as
-    ``_BLOCK_ELEMENTS`` allows, and run on ``n_workers`` threads (None means
-    one); the output depends on neither. Build the panel with
-    :func:`~ensimp.dataio.build_task_pools` or :func:`~ensimp.dataio.from_pools`.
+    Tasks are batched by pool size (their count of present models), in column
+    order, as many per batch as ``_BLOCK_ELEMENTS`` allows, and run on
+    ``n_workers`` threads (None means one); the output depends on neither.
+    Per-size moments are pooled over tasks in column order. Build the panel
+    with :func:`~ensimp.dataio.build_task_pools` or :func:`~ensimp.dataio.from_pools`.
     """
     panel = tasks.forecasts
     if not tasks:
         raise ValidationError("no tasks to score")
-    # Each task's member rows; models are sorted, so row-index order is model-id order.
-    members = [tuple(i for i, p in enumerate(col) if p) for col in panel.present.T.tolist()]
-    for task, rows in zip(panel.tasks, members):
-        if len(rows) < 2:
-            raise ValidationError(f"task {task} has fewer than 2 models")
-        if algorithm is Algorithm.LASOMO:
-            _check_capacity(len(rows), task)
     sizes = panel.present.sum(axis=0)
-    order = np.array(sorted(range(len(members)), key=members.__getitem__))  # (signature, column)
+    bad = (sizes < 2) | ((sizes > MAX_EXACT_MODELS) & (algorithm is Algorithm.LASOMO))
+    for j in np.flatnonzero(bad)[:1].tolist():  # the first task, in column order, to fail
+        if sizes[j] < 2:
+            raise ValidationError(f"task {panel.tasks[j]} has fewer than 2 models")
+        _check_capacity(int(sizes[j]), panel.tasks[j])
 
     values, levels = scored_values(panel.values, panel.levels, metric)
-    jobs = []  # each batch's (n, T) member rows and (T,) columns
+    jobs = []  # each batch's (n, T) member rows, in model-id order, and (T,) columns
     width = 1 if levels is None else len(levels)  # the levels scored per value
-    for n in sorted(set(sizes.tolist())):
-        group = order[sizes[order] == n]
+    for n in np.unique(sizes).tolist():
         # Per task, the largest array of a batch (see the module docstring).
         widest = (n + 1) * width if algorithm is Algorithm.LOMO else max(1 << n, n * width)
-        step, rows = max(1, _BLOCK_ELEMENTS // widest), np.array([members[j] for j in group]).T
+        group, step = np.flatnonzero(sizes == n), max(1, _BLOCK_ELEMENTS // widest)
+        rows = np.nonzero(panel.present[:, group].T)[1].reshape(-1, n).T  # ascending per task
         jobs += [(rows[:, k : k + step], group[k : k + step]) for k in range(0, len(group), step)]
 
     def run(job):
@@ -410,11 +407,11 @@ def compute_importance(
     # The exact two-level formula: N = sum(c), mean = sum(c * mean_t) / N and
     # M2 = sum(M2_t) + sum(c * (mean_t - mean)^2), a task of n models giving
     # c = C(n - 1, r - 1) contributions of size r, each sum over the tasks in
-    # (signature, column) order, which the batching does not change. As in
-    # the jobs, numpy stays silent: whoever reports a moment checks it finite.
+    # column order, which the batching does not change. As in the jobs, numpy
+    # stays silent: whoever reports a moment checks it finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for row, model in enumerate(panel.models):
-            tasks_in = order[panel.present[row, order]]
+            tasks_in = np.flatnonzero(panel.present[row])
             for k in range(sizes[tasks_in].max(initial=1) - 1):
                 cols = tasks_in[sizes[tasks_in] > k + 1]
                 count, (mean, m2) = comb[sizes[cols] - 1, k + 1], moments[:, row, cols, k]

@@ -17,10 +17,12 @@ count, whitespace-only rows, one trailing blank line); the fixture with
 every value times 1e200, whose squared errors overflow, run for SPE and,
 with LASOMO, for WIS, whose per-size variances overflow; and 2 models on
 30 tasks whose finite scores near -1e307 overflow when summed over tasks,
-run as ``score``. Besides the panel commands, the cases run ``simulate``
-and ``decompose-check`` at their test and benchmark sizes, and two
-``simulate`` errors: a bias of 1e155, whose squared errors overflow, and a
-dispersion grid that starts at sd 0.
+run as ``score``; and 8 models on one task with no gap whose scores near
+-2.7e307 overflow when summed over the models, run as ``score`` under each
+NA policy, none of which has a cell to fill. Besides the panel commands,
+the cases run ``simulate`` and ``decompose-check`` at their test and
+benchmark sizes, and two ``simulate`` errors: a bias of 1e155, whose
+squared errors overflow, and a dispersion grid that starts at sd 0.
 ``--diff`` prints each differing case with the fields that differ and exits
 1 if there is any. ``--same-across-workers`` prints each ``.../w1`` case
 whose exit code, stdout, stderr or output differs from its ``.../w2`` twin
@@ -91,6 +93,11 @@ def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
                           for p, v in ((0.25, 1.0), (0.5, 1.5), (0.75, 2.0))]), encoding="utf-8")
     pairs["sum-overflow"][1].write_text("".join(
         [truth[0]] + [f"{t:02d},2021-11-13,0\n" for t in range(1, 31)]), encoding="utf-8")
+    pairs["gap-free"] = (tmp / "gap-free-forecasts.csv", tmp / "gap-free-truth.csv")
+    pairs["gap-free"][0].write_text("".join(
+        [forecasts[0]] + [f"m{m},2021-11-08,01,1,2021-11-13,{p},{v * 2e307!r}\n" for m in range(8)
+                          for p, v in ((0.25, 1.0), (0.5, 1.5), (0.75, 2.0))]), encoding="utf-8")
+    pairs["gap-free"][1].write_text(truth[0] + "01,2021-11-13,0\n", encoding="utf-8")
     return pairs
 
 
@@ -115,6 +122,10 @@ def cases(pairs: dict[str, tuple[Path, Path]]) -> dict[str, list[str]]:
                 out[f"{name}/importance/lomo/w{workers}"] = [
                     "importance", *data, "--algorithm", "lomo", "--workers", str(workers),
                     *out_flag]
+            continue
+        if name == "gap-free":  # a fill of its one task would overflow
+            for na in ("drop", "worst", "mean"):
+                out[f"{name}/score/{na}"] = ["score", *data, "--na", na, *out_flag]
             continue
         if name not in ("fixture", "hub-panel", "wide-pool"):
             out[f"{name}/score"] = ["score", *data, *out_flag]

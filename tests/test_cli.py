@@ -218,7 +218,6 @@ class TestSimulate:
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_the_philox_key_rejected_naming_the_flag(self, capsys, seed):
-        # -1 and 2**64 - 1 would otherwise write the same sweep
         code = main(["simulate", "--scenario", "a-point", "--replicates", "3", "--grid-start", "0",
                      "--grid-end", "0", "--seed", seed, "--output", "-"])
         assert code == 1
@@ -543,3 +542,15 @@ def test_a_mean_fill_that_overflows_names_the_task(tmp_path, capsys):
     assert main(["score", *data, "--na", "mean", "--output", "-"]) == 1
     assert capsys.readouterr().err == (
         "error: mean fill of task 2021-11-08/01/h1/2021-11-13 overflows float64\n")
+
+
+@pytest.mark.parametrize("na", ["mean", "worst"])
+def test_a_gap_free_task_is_not_filled(tmp_path, capsys, na):
+    # the eight scores of the one task have no finite sum, but no cell is
+    # missing, so no fill is computed and the output is drop's
+    data = write_huge_panel(tmp_path, (2e307,) * 8, 1)
+    drop, out = tmp_path / "drop.csv", tmp_path / f"{na}.csv"
+    assert main(["score", *data, "--na", "drop", "--output", str(drop)]) == 0
+    assert main(["score", *data, "--na", na, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == drop.read_bytes()

@@ -415,13 +415,13 @@ class TestBatchesByPoolSize:
                               (batched.mean_over_sizes, alone.mean_over_sizes)):
                 assert got.values[rows, j].tobytes() == want.values[:, 0].tobytes()
 
-    def test_sizes_pool_tasks_in_signature_then_column_order(self, rng):
+    def test_sizes_pool_tasks_in_column_order(self, rng):
         pools = self.pools(rng)
         result = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, n_workers=2)
         # Each task's own per-size (count, mean, M2), pooled by the two-level
-        # formula over the tasks in (signature, column) order.
+        # formula over the tasks in column order.
         parts: dict[tuple[str, int], list[tuple[int, float, float]]] = {}
-        for tp in sorted(pools, key=lambda tp: (tp.pool.model_ids, tp.task)):
+        for tp in sorted(pools, key=lambda tp: tp.task):
             panel = from_pools([tp]).forecasts
             values, levels = scoring.scored_values(panel.values, panel.levels, Metric.WIS)
             table = importance._subset_scores(values, levels, np.array([tp.truth.value]))
@@ -440,6 +440,17 @@ class TestBatchesByPoolSize:
             dev = mean - pooled
             m2 = np.add.reduce(m2) + np.add.reduce(count * dev * dev)
             assert result.by_subset_size[m][r] == SizeStat(float(pooled), float(m2 / total), total)
+
+    def test_the_first_failing_task_in_column_order_is_named(self):
+        # Column 0 is over the LASOMO cap, column 1 under two models: each
+        # algorithm names the first task that fails one of its checks.
+        big = point_pool({f"m{i:02d}": float(i) for i in range(21)}, y=0.0, i=0)
+        tasks = from_pools([big, point_pool({"m00": 0.0}, y=0.0, i=1)])
+        assert tasks.forecasts.tasks == (task_key(0), task_key(1))
+        with pytest.raises(CapacityError, match=f"task {task_key(0)}: pool of 21 models"):
+            compute_importance(tasks, Metric.SPE, Algorithm.LASOMO)
+        with pytest.raises(ValidationError, match=f"task {task_key(1)} has fewer than 2 models"):
+            compute_importance(tasks, Metric.SPE, Algorithm.LOMO)
 
 
 class TestStreamedSubsetTable:
