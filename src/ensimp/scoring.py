@@ -8,6 +8,12 @@ importance kernels, the object API's :func:`positive_score`, which scores one
 forecast and returns a plain float, and the raw :func:`spe` all go through
 it. Which values a metric scores is settled once, before that, by
 :func:`scored_values`: the kernels take its output, not a metric.
+
+Every WIS goes through :func:`wis_batch`, which applies the indicator
+``1[y <= q]`` in one of two ways: per element, or, for forecasts that do not
+vary across a non-decreasing truth sample, by one binary search per
+quantile that splits the sample where the indicator turns from 1 to 0. Both
+evaluate the same per-element expression, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -140,6 +146,49 @@ def spe(forecast: PointForecast, obs: Observation) -> float:
     return float(-positive_scores(forecast.value, None, obs.value))
 
 
+def _ascending_sample(values: np.ndarray, y: np.ndarray) -> bool:
+    """Whether every forecast row is scored against all of a non-decreasing ``y``.
+
+    The shape tests come first, so a call with one truth per row pays only
+    for them; a NaN truth fails the order test.
+    """
+    return (y.ndim == 1 and len(y) > 1 and (values.ndim == 1 or values.shape[-2] == 1)
+            and bool(np.all(y[1:] >= y[:-1])))
+
+
+def _wis_ascending(values: np.ndarray, levels: QuantileLevels, y: np.ndarray, out):
+    """:func:`wis_batch` of rows constant along ``y``'s axis against ascending ``y``.
+
+    ``y[:cut] <= q`` exactly where ``cut = searchsorted(y, q, side="right")``,
+    so each level's term is ``q - y`` times ``(1.0 - tau) * 2.0`` on the first
+    ``cut`` truths and ``(0.0 - tau) * 2.0`` on the rest: the values
+    ``(1[y <= q] - tau) * 2.0`` takes, one IEEE product per truth as on the
+    per-element path.
+    """
+    shape = (*values.shape[:-2], len(y))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValidationError(f"out has shape {out.shape}, the scores {shape}")
+    cuts = np.searchsorted(y, values, side="right")
+    cuts[np.isnan(values)] = 0  # y <= NaN is False; searchsorted puts NaN above every y
+    factors = [((1.0 - tau) * 2.0, (0.0 - tau) * 2.0) for tau in levels.levels]
+    term = np.empty(len(y))
+    for row in np.ndindex(shape[:-1]):
+        total = out[row]
+        for k, (q, cut, (hit, miss)) in enumerate(
+                zip(values[row].ravel().tolist(), cuts[row].ravel().tolist(), factors)):
+            at = term if k else total
+            np.subtract(q, y, out=at)
+            at[:cut] *= hit
+            at[cut:] *= miss
+            if k:
+                total += at
+    if len(levels) > 1:  # x / 1 is x
+        out /= len(levels)
+    return out
+
+
 def wis_batch(
     values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -147,14 +196,26 @@ def wis_batch(
 
     ``values`` holds predictive quantiles along its last axis (one entry per
     level); ``y`` must broadcast against ``values`` without its last axis.
-    All WIS evaluations in the package route through this function so that
-    scalar and batched calls share one floating-point code path.
+    All WIS evaluations in the package route through this function. Each
+    truth's term at level k is ``((1[y <= q_k] - tau_k) * 2.0) * (q_k - y)``,
+    the terms sum left to right over the levels, and the sum is divided by
+    the level count once. The indicator is applied in one of two ways, with
+    the same bits:
 
-    With ``out``, a float64 array of the values' batch shape (``y`` must not
-    widen it), the scores are written into it, and ``values``, if already a
-    float64 array, is overwritten as scratch: when it is held level-major,
-    nothing the size of the batch is allocated. The bits are those of a call
-    without ``out``.
+    * per element, by comparing each truth with its quantile;
+    * by one binary search per row and level, when ``y`` is 1-D, holds at
+      least two values and is non-decreasing, and the values do not vary
+      along its axis (their batch shape is empty or ends in 1). That is the
+      simulation's shape: a few ensembles against one sorted truth sample.
+      The search splits the sample where the indicator turns from 1.0 to 0.0,
+      and each side is multiplied by that indicator's factor.
+
+    With ``out``, a float64 array of the scores' shape, the scores are
+    written into it, with the bits of a call without ``out``. On the
+    per-element path that must be the values' batch shape (``y`` must not
+    widen it), and ``values``, if already a float64 array, is overwritten as
+    scratch: when it is held level-major, nothing the size of the batch is
+    allocated.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != len(levels):
@@ -162,6 +223,8 @@ def wis_batch(
             f"quantile axis of length {values.shape[-1]} does not match {len(levels)} levels"
         )
     y = np.asarray(y, dtype=np.float64)
+    if _ascending_sample(values, y):
+        return _wis_ascending(values, levels, y, out)
     # Level-major memory gives each level one contiguous slab, a free view
     # when the caller already holds the values that way. Terms sum strictly
     # left to right over the levels.

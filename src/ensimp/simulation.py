@@ -233,7 +233,10 @@ def truth_draws(seed: int, replicates: int) -> np.ndarray:
     counter position. Replicate r's uniform is placed in the r-th of
     ``replicates`` equal-width strata, which leaves every draw marginally
     standard normal while sharply reducing the Monte-Carlo error of
-    replicate averages.
+    replicate averages. The strata ascend with the replicate index, so the
+    sample is non-decreasing: the simulation's WIS calls score each ensemble
+    against it with one binary search per level (see
+    :func:`~ensimp.scoring.wis_batch`).
     """
     gen = Generator(Philox(key=seed))
     mantissa = gen.integers(0, 1 << 53, size=replicates)
@@ -250,8 +253,11 @@ def _swept_component(spec: SimulationSpec, value: float):
     return NormalSpec(0.0, float(value))
 
 
-def _grid_point(spec: SimulationSpec, y: np.ndarray, value: float):
-    """Mean and collapsed-strata sum of squares of per-replicate LOMO against truths ``y``."""
+def _grid_point(spec: SimulationSpec, z: np.ndarray, y: np.ndarray, value: float):
+    """Mean and collapsed-strata sum of squares of per-replicate LOMO against truths ``y``.
+
+    ``z`` holds the standard-normal quantiles at the canonical levels.
+    """
     components = list(spec.fixed_components) + [_swept_component(spec, value)]
     # in the worker thread, which does not inherit it; run_sweep names a non-finite mean
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,7 +265,6 @@ def _grid_point(spec: SimulationSpec, y: np.ndarray, value: float):
             values = np.asarray([[c.value] for c in components], dtype=np.float64)
             phi = lomo_kernel(values, None, y)
         else:
-            z = normal_quantile(CANONICAL_LEVELS.as_array())
             quantiles = np.stack([[c.mean + c.sd * z] for c in components])
             phi = lomo_kernel(quantiles, CANONICAL_LEVELS, y)
         return phi.mean(axis=1), _collapsed_ss(phi)
@@ -278,8 +283,9 @@ def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult
     values = spec.sweep.values()
     y = truth_draws(spec.seed, replicates=spec.replicates)  # by name: the tracer reads it
     y.flags.writeable = False
+    z = normal_quantile(CANONICAL_LEVELS.as_array())
     with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
-        results = list(ex.map(partial(_grid_point, spec, y), values.tolist()))
+        results = list(ex.map(partial(_grid_point, spec, z, y), values.tolist()))
 
     means, collapsed_ss = (np.stack(column, axis=1) for column in zip(*results))
     # The first in CSV order; collapsed_ss is NaN at R = 1 by design, so only means count.

@@ -1,9 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ensimp import scoring
 from ensimp.scoring import (
     CANONICAL_LEVELS,
     Metric,
@@ -228,3 +232,80 @@ def test_wis_matches_explicit_formula(rng):
         ) / k
         got = wis(qf(levels, values), Observation(y))
         assert got == pytest.approx(expected, abs=1e-13)
+
+
+# Truths and quantiles from one small pool, so truths repeat and meet
+# quantiles exactly, with -0.0 against +0.0 and values whose difference
+# overflows; quantiles may also be infinite or NaN.
+_EDGES = (-0.0, 0.0, 1.0, -2.5, 1e308, -1e308)
+_truth = st.sampled_from(_EDGES) | st.floats(-10.0, 10.0)
+_quantile = _truth | st.sampled_from((math.inf, -math.inf, math.nan))
+# Batch shapes constant along the truth axis: none (1-D values) or ending in 1.
+_batch = st.sampled_from(((), (1,), (3, 1), (2, 2, 1)))
+
+
+def _spy_ascending():
+    return mock.patch.object(scoring, "_wis_ascending", wraps=scoring._wis_ascending)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=st.lists(st.sampled_from(CANONICAL_LEVELS.levels), min_size=1, max_size=5,
+                    unique=True).map(lambda ls: QuantileLevels(tuple(sorted(ls)))),
+    batch=_batch,
+    data=st.data(),
+    with_out=st.booleans(),
+)
+@example(levels=QuantileLevels((0.5,)), batch=(), data=None, with_out=True)
+def test_ascending_truths_split_once_per_level_with_the_bits_of_the_comparison(
+        levels, batch, data, with_out):
+    """Against an ascending sample, one binary search per row and level gives
+    the bits of the per-element comparison run on a shuffled copy of the
+    sample, once unshuffled."""
+    if data is None:  # the pinned example: a quantile equal to a truth, -0.0 against 0.0
+        y, values, perm = np.array([-0.0, 0.0, 0.5, 0.5, 2.0]), np.array([0.5]), [4, 0, 3, 1, 2]
+    else:
+        r = data.draw(st.integers(2, 30), label="replicates")
+        y = np.sort(np.array(data.draw(st.lists(_truth, min_size=r, max_size=r), label="y")))
+        n = math.prod(batch) * len(levels)
+        values = np.array(data.draw(st.lists(_quantile, min_size=n, max_size=n), label="q"))
+        values = values.reshape(*batch, len(levels))
+        perm = data.draw(st.permutations(range(r)), label="shuffle")
+    scores_shape = (*values.shape[:-2], len(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Values spread along the truth axis always take the comparison.
+        spread = np.broadcast_to(values, (*scores_shape, len(levels)))
+        shuffled = wis_batch(spread, levels, y[perm])
+        want = np.empty(scores_shape)
+        want[..., perm] = shuffled
+        out = np.full(scores_shape, np.nan) if with_out else None
+        with _spy_ascending() as spy:
+            got = wis_batch(values, levels, y, out)
+    assert spy.call_count == 1
+    assert got.shape == scores_shape and (out is None or got is out)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("values, y", [
+    (np.array([[1.0, 2.0]]), np.array([3.0, 1.0, 2.0])),  # descending in part
+    (np.array([[1.0, 2.0]]), np.array([0.0, np.nan, 2.0])),  # a NaN truth
+    (np.array([[1.0, 2.0]]), np.array([1.5])),  # one truth
+    (np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([0.5, 1.5])),  # values vary along y's axis
+    (np.array([1.0, 2.0]), np.array(0.5)),  # a scalar truth
+], ids=["descending", "NaN truth", "one truth", "values vary along y", "scalar truth"])
+def test_other_truths_take_the_comparison(values, y):
+    levels = QuantileLevels((0.25, 0.75))
+    with _spy_ascending() as spy:
+        got = wis_batch(values, levels, y)
+    assert spy.call_count == 0
+    rows = np.broadcast_to(values, (*got.shape, 2)).reshape(-1, 2).tolist()
+    want = [((float(obs <= q0) - 0.25) * 2.0 * (q0 - obs)
+             + (float(obs <= q1) - 0.75) * 2.0 * (q1 - obs)) / 2
+            for (q0, q1), obs in zip(rows, np.broadcast_to(y, got.shape).ravel().tolist())]
+    np.testing.assert_array_equal(got.ravel(), want)
+
+
+def test_ascending_truths_reject_an_out_of_another_shape():
+    with pytest.raises(ValidationError, match="shape"):
+        wis_batch(np.zeros((2, 1, 3)), QuantileLevels((0.25, 0.5, 0.75)), np.array([0.0, 1.0]),
+                  np.empty((2, 1)))

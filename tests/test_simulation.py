@@ -1,12 +1,13 @@
 import csv
 import math
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from ensimp import simulation
+from ensimp import scoring, simulation
 from ensimp.decomposition import GaussianErrorModel, expected_phi
 from ensimp.ensembling import ForecastPool, mean_quantile_ensemble
 from ensimp.scoring import CANONICAL_LEVELS, QuantileLevels, ValidationError
@@ -188,6 +189,12 @@ class TestTruthDraws:
         assert abs(y.mean()) < 0.01
         assert abs(y.std() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("replicates", [1, 2, 3, 50, 20_000])
+    def test_sample_ascends_with_the_replicate_index(self, replicates):
+        for seed in (0, 7, 42, 2**64 - 1):
+            y = truth_draws(seed, replicates)
+            assert len(y) == replicates and np.all(y[1:] >= y[:-1])
+
 
 class TestRunSweep:
     def test_bit_identical_across_runs_and_workers(self):
@@ -224,6 +231,16 @@ class TestRunSweep:
             assert calls == [((9,), {"replicates": 50})]
         assert results[0].mean_importance.tobytes() == results[1].mean_importance.tobytes()
         assert results[0].collapsed_ss.tobytes() == results[1].collapsed_ss.tobytes()
+
+    @pytest.mark.parametrize("setting", [setting_a_prob, setting_b_dispersion])
+    def test_every_grid_value_scores_by_one_split_per_level(self, setting):
+        """Each grid value's one WIS call scores its ensembles against the
+        ascending sample by binary search, not by a comparison per truth."""
+        spec = setting()
+        with mock.patch.object(scoring, "wis_batch", wraps=scoring.wis_batch) as calls, \
+                mock.patch.object(scoring, "_wis_ascending", wraps=scoring._wis_ascending) as split:
+            run_sweep(spec, n_workers=1)
+        assert calls.call_count == split.call_count == len(spec.sweep)
 
     @pytest.mark.parametrize("setting", [setting_a_point, setting_a_prob, setting_b_dispersion])
     def test_cell_does_not_depend_on_the_grid_around_it(self, setting):
