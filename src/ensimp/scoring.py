@@ -146,16 +146,6 @@ def spe(forecast: PointForecast, obs: Observation) -> float:
     return float(-positive_scores(forecast.value, None, obs.value))
 
 
-def _ascending_sample(values: np.ndarray, y: np.ndarray) -> bool:
-    """Whether every forecast row is scored against all of a non-decreasing ``y``.
-
-    The shape tests come first, so a call with one truth per row pays only
-    for them; a NaN truth fails the order test.
-    """
-    return (y.ndim == 1 and len(y) > 1 and (values.ndim == 1 or values.shape[-2] == 1)
-            and bool(np.all(y[1:] >= y[:-1])))
-
-
 def _wis_ascending(values: np.ndarray, levels: QuantileLevels, y: np.ndarray, out):
     """:func:`wis_batch` of rows constant along ``y``'s axis against ascending ``y``.
 
@@ -223,7 +213,10 @@ def wis_batch(
             f"quantile axis of length {values.shape[-1]} does not match {len(levels)} levels"
         )
     y = np.asarray(y, dtype=np.float64)
-    if _ascending_sample(values, y):
+    # The shape tests come first, so a call with one truth per row pays only
+    # for them; a NaN truth fails the order test.
+    if (y.ndim == 1 and len(y) > 1 and (values.ndim == 1 or values.shape[-2] == 1)
+            and np.all(y[1:] >= y[:-1])):
         return _wis_ascending(values, levels, y, out)
     # Level-major memory gives each level one contiguous slab, a free view
     # when the caller already holds the values that way. Terms sum strictly
