@@ -162,18 +162,21 @@ def _wis_ascending(values: np.ndarray, levels: QuantileLevels, y: np.ndarray, ou
         raise ValidationError(f"out has shape {out.shape}, the scores {shape}")
     cuts = np.searchsorted(y, values, side="right")
     cuts[np.isnan(values)] = 0  # y <= NaN is False; searchsorted puts NaN above every y
-    factors = [((1.0 - tau) * 2.0, (0.0 - tau) * 2.0) for tau in levels.levels]
-    term = np.empty(len(y))
-    for row in np.ndindex(shape[:-1]):
-        total = out[row]
-        for k, (q, cut, (hit, miss)) in enumerate(
-                zip(values[row].ravel().tolist(), cuts[row].ravel().tolist(), factors)):
-            at = term if k else total
-            np.subtract(q, y, out=at)
-            at[:cut] *= hit
-            at[cut:] *= miss
-            if k:
-                total += at
+    rows = list(np.ndindex(shape[:-1]))
+    by_level = cuts.reshape(-1, len(levels)).T.tolist()  # each level's cut in every row
+    # Each level is one subtraction and one addition over every row, so a
+    # worker thread makes few numpy calls and seldom waits for the GIL.
+    term = np.empty(shape)
+    for k, (tau, level_cuts) in enumerate(zip(levels.levels, by_level)):
+        at = term if k else out
+        np.subtract(values[..., k], y, out=at)
+        hit, miss = (1.0 - tau) * 2.0, (0.0 - tau) * 2.0
+        for row, cut in zip(rows, level_cuts):
+            line = at[row]
+            line[:cut] *= hit
+            line[cut:] *= miss
+        if k:
+            out += term
     if len(levels) > 1:  # x / 1 is x
         out /= len(levels)
     return out
