@@ -287,7 +287,7 @@ def test_ascending_truths_split_once_per_level_with_the_bits_of_the_comparison(
 
 
 @pytest.mark.parametrize("values, y", [
-    (np.array([[1.0, 2.0]]), np.array([3.0, 1.0, 2.0])),  # descending in part
+    (np.array([[1.0, 2.0]]), np.array([3.0, 2.0, 1.0])),  # descending
     (np.array([[1.0, 2.0]]), np.array([0.0, np.nan, 2.0])),  # a NaN truth
     (np.array([[1.0, 2.0]]), np.array([1.5])),  # one truth
     (np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([0.5, 1.5])),  # values vary along y's axis
