@@ -9,11 +9,13 @@ forecast and returns a plain float, and the raw :func:`spe` all go through
 it. Which values a metric scores is settled once, before that, by
 :func:`scored_values`: the kernels take its output, not a metric.
 
-Every WIS goes through :func:`wis_batch`, which applies the indicator
-``1[y <= q]`` in one of two ways: per element, or, for forecasts that do not
-vary across a non-decreasing truth sample, by one binary search per
-quantile that splits the sample where the indicator turns from 1 to 0. Both
-evaluate the same per-element expression, so they give the same bits.
+Every WIS goes through :func:`wis_batch`: one loop over the levels builds
+each level's term ``(q - y) * ((1[y <= q] - tau) * 2.0)`` and adds it to
+the sum. The factor is applied in one of two ways: per element, or, for
+forecasts that do not vary across a non-decreasing truth sample, by one
+binary search per quantile that splits the sample where the indicator turns
+from 1 to 0. Both evaluate the same per-element expression, so they give the
+same bits, and an ``out`` array follows one rule for both.
 """
 
 from __future__ import annotations
@@ -146,42 +148,6 @@ def spe(forecast: PointForecast, obs: Observation) -> float:
     return float(-positive_scores(forecast.value, None, obs.value))
 
 
-def _wis_ascending(values: np.ndarray, levels: QuantileLevels, y: np.ndarray, out):
-    """:func:`wis_batch` of rows constant along ``y``'s axis against ascending ``y``.
-
-    ``y[:cut] <= q`` exactly where ``cut = searchsorted(y, q, side="right")``,
-    so each level's term is ``q - y`` times ``(1.0 - tau) * 2.0`` on the first
-    ``cut`` truths and ``(0.0 - tau) * 2.0`` on the rest: the values
-    ``(1[y <= q] - tau) * 2.0`` takes, one IEEE product per truth as on the
-    per-element path.
-    """
-    shape = (*values.shape[:-2], len(y))
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValidationError(f"out has shape {out.shape}, the scores {shape}")
-    cuts = np.searchsorted(y, values, side="right")
-    cuts[np.isnan(values)] = 0  # y <= NaN is False; searchsorted puts NaN above every y
-    rows = list(np.ndindex(shape[:-1]))
-    by_level = cuts.reshape(-1, len(levels)).T.tolist()  # each level's cut in every row
-    # Each level is one subtraction and one addition over every row, so a
-    # worker thread makes few numpy calls and seldom waits for the GIL.
-    term = np.empty(shape)
-    for k, (tau, level_cuts) in enumerate(zip(levels.levels, by_level)):
-        at = term if k else out
-        np.subtract(values[..., k], y, out=at)
-        hit, miss = (1.0 - tau) * 2.0, (0.0 - tau) * 2.0
-        for row, cut in zip(rows, level_cuts):
-            line = at[row]
-            line[:cut] *= hit
-            line[cut:] *= miss
-        if k:
-            out += term
-    if len(levels) > 1:  # x / 1 is x
-        out /= len(levels)
-    return out
-
-
 def wis_batch(
     values: np.ndarray, levels: QuantileLevels, y: float | np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -190,25 +156,24 @@ def wis_batch(
     ``values`` holds predictive quantiles along its last axis (one entry per
     level); ``y`` must broadcast against ``values`` without its last axis.
     All WIS evaluations in the package route through this function. Each
-    truth's term at level k is ``((1[y <= q_k] - tau_k) * 2.0) * (q_k - y)``,
-    the terms sum left to right over the levels, and the sum is divided by
-    the level count once. The indicator is applied in one of two ways, with
-    the same bits:
+    truth's term at level k is ``(q_k - y)`` times the factor
+    ``(1[y <= q_k] - tau_k) * 2.0``; the terms are built one level at a time,
+    sum left to right over the levels, and the sum is divided by the level
+    count once. The factor is applied in one of two ways, with the same bits:
 
     * per element, by comparing each truth with its quantile;
     * by one binary search per row and level, when ``y`` is 1-D, holds at
       least two values and is non-decreasing, and the values do not vary
-      along its axis (their batch shape is empty or ends in 1). That is the
-      simulation's shape: a few ensembles against one sorted truth sample.
-      The search splits the sample where the indicator turns from 1.0 to 0.0,
-      and each side is multiplied by that indicator's factor.
+      along its axis (their batch shape ends in 1). That is the simulation's
+      shape: a few ensembles against one sorted truth sample. The search
+      splits the row where the indicator turns from 1.0 to 0.0, and each
+      side is multiplied by its factor.
 
     With ``out``, a float64 array of the scores' shape, the scores are
-    written into it, with the bits of a call without ``out``. On the
-    per-element path that must be the values' batch shape (``y`` must not
-    widen it), and ``values``, if already a float64 array, is overwritten as
-    scratch: when it is held level-major, nothing the size of the batch is
-    allocated.
+    written into it, with the bits of a call without ``out``. Then
+    ``values``, if already a float64 array of that batch shape, is
+    overwritten as scratch: when it is held level-major, nothing the size of
+    the batch is allocated.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != len(levels):
@@ -216,30 +181,50 @@ def wis_batch(
             f"quantile axis of length {values.shape[-1]} does not match {len(levels)} levels"
         )
     y = np.asarray(y, dtype=np.float64)
+    # Level-major memory gives each level one contiguous slab, a free view
+    # when the caller already holds the values that way.
+    by_level = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+    shape = np.broadcast_shapes(by_level.shape[1:], y.shape)
+    if out is not None and out.shape != shape:
+        raise ValidationError(f"out has shape {out.shape}, the scores {shape}")
     # The shape tests come first, so a call with one truth per row pays only
     # for them; a NaN truth fails the order test.
-    if (y.ndim == 1 and len(y) > 1 and (values.ndim == 1 or values.shape[-2] == 1)
-            and np.all(y[1:] >= y[:-1])):
-        return _wis_ascending(values, levels, y, out)
-    # Level-major memory gives each level one contiguous slab, a free view
-    # when the caller already holds the values that way. Terms sum strictly
-    # left to right over the levels.
-    by_level = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    if out is None:  # the caller's values stay intact: two slabs of the call's own
-        out = np.empty(np.broadcast_shapes(by_level.shape[1:], y.shape))
-        scratch = np.empty((2, *out.shape))
-    else:
-        scratch = by_level
+    split = (y.ndim == 1 and len(y) > 1 and values.shape[-2:-1] == (1,)
+             and np.all(y[1:] >= y[:-1]))
+    if split:
+        # y[:cut] <= q exactly where cut = searchsorted(y, q, side="right")
+        cuts = np.searchsorted(y, by_level[..., 0], side="right")
+        cuts[np.isnan(by_level[..., 0])] = 0  # y <= NaN is False; searchsorted puts NaN above every y
+        cuts = cuts.reshape(len(levels), -1).tolist()  # each level's cut in every row
+        rows = list(np.ndindex(shape[:-1]))
+        scratch = np.empty((1, *shape))
+    elif out is not None and by_level.shape[1:] == shape:
+        scratch = by_level  # the values are spent level by level
+    else:  # the caller's values stay intact: two slabs of the call's own
+        scratch = np.empty((2, *shape))
+    if out is None:
+        out = np.empty(shape)
     for k, tau in enumerate(levels.levels):
         # The first term is built in ``out``, each later one in scratch slab
-        # k - 1 and q - y in slab k: with the values as scratch, the level
-        # before, spent, and this level's quantiles, spent once compared.
+        # k - 1; the comparison builds q - y in slab k. With the values as
+        # scratch, those are the level before, spent, and this level's
+        # quantiles, spent once compared.
         q = by_level[k, ...]
         term = scratch[(k - 1) % len(scratch), ...] if k else out
-        np.less_equal(y, q, out=term)  # the indicator, closed at equality, as 0.0 or 1.0
-        term -= tau
-        term *= 2.0
-        term *= np.subtract(q, y, out=scratch[k % len(scratch), ...])
+        if split:
+            # One subtraction and one addition over every row per level, so a
+            # worker thread makes few numpy calls and seldom waits for the GIL.
+            np.subtract(q, y, out=term)
+            hit, miss = (1.0 - tau) * 2.0, (0.0 - tau) * 2.0
+            for row, cut in zip(rows, cuts[k]):
+                line = term[row]
+                line[:cut] *= hit
+                line[cut:] *= miss
+        else:
+            np.less_equal(y, q, out=term)  # the indicator, closed at equality, as 0.0 or 1.0
+            term -= tau
+            term *= 2.0
+            term *= np.subtract(q, y, out=scratch[k % len(scratch), ...])
         if k:
             out += term
     if len(levels) > 1:  # x / 1 is x
@@ -285,8 +270,9 @@ def positive_scores(
     """-WIS of quantile rows (``levels`` given) or -SPE of point values (None).
 
     ``y`` broadcasts against the values' batch axes. Takes the output of
-    :func:`scored_values`. With ``out``, the scores are written into it as
-    :func:`wis_batch` writes them, with the same bits.
+    :func:`scored_values`. With ``out``, which must have the scores' shape,
+    the scores are written into it as :func:`wis_batch` writes them, with the
+    same bits.
     """
     if levels is None:
         # A product is correctly rounded; ``**`` goes through libm pow, which is not.

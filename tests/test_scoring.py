@@ -240,12 +240,13 @@ def test_wis_matches_explicit_formula(rng):
 _EDGES = (-0.0, 0.0, 1.0, -2.5, 1e308, -1e308)
 _truth = st.sampled_from(_EDGES) | st.floats(-10.0, 10.0)
 _quantile = _truth | st.sampled_from((math.inf, -math.inf, math.nan))
-# Batch shapes constant along the truth axis: none (1-D values) or ending in 1.
-_batch = st.sampled_from(((), (1,), (3, 1), (2, 2, 1)))
+# Batch shapes constant along the truth axis: ending in 1.
+_batch = st.sampled_from(((1,), (3, 1), (2, 2, 1)))
 
 
-def _spy_ascending():
-    return mock.patch.object(scoring, "_wis_ascending", wraps=scoring._wis_ascending)
+def _spy_split():
+    """Spy on the binary search, the one numpy call only the split makes."""
+    return mock.patch.object(np, "searchsorted", wraps=np.searchsorted)
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,14 +257,14 @@ def _spy_ascending():
     data=st.data(),
     with_out=st.booleans(),
 )
-@example(levels=QuantileLevels((0.5,)), batch=(), data=None, with_out=True)
+@example(levels=QuantileLevels((0.5,)), batch=(1,), data=None, with_out=True)
 def test_ascending_truths_split_once_per_level_with_the_bits_of_the_comparison(
         levels, batch, data, with_out):
     """Against an ascending sample, one binary search per row and level gives
     the bits of the per-element comparison run on a shuffled copy of the
     sample, once unshuffled."""
     if data is None:  # the pinned example: a quantile equal to a truth, -0.0 against 0.0
-        y, values, perm = np.array([-0.0, 0.0, 0.5, 0.5, 2.0]), np.array([0.5]), [4, 0, 3, 1, 2]
+        y, values, perm = np.array([-0.0, 0.0, 0.5, 0.5, 2.0]), np.array([[0.5]]), [4, 0, 3, 1, 2]
     else:
         r = data.draw(st.integers(2, 30), label="replicates")
         y = np.sort(np.array(data.draw(st.lists(_truth, min_size=r, max_size=r), label="y")))
@@ -279,7 +280,7 @@ def test_ascending_truths_split_once_per_level_with_the_bits_of_the_comparison(
         want = np.empty(scores_shape)
         want[..., perm] = shuffled
         out = np.full(scores_shape, np.nan) if with_out else None
-        with _spy_ascending() as spy:
+        with _spy_split() as spy:
             got = wis_batch(values, levels, y, out)
     assert spy.call_count == 1
     assert got.shape == scores_shape and (out is None or got is out)
@@ -292,10 +293,12 @@ def test_ascending_truths_split_once_per_level_with_the_bits_of_the_comparison(
     (np.array([[1.0, 2.0]]), np.array([1.5])),  # one truth
     (np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([0.5, 1.5])),  # values vary along y's axis
     (np.array([1.0, 2.0]), np.array(0.5)),  # a scalar truth
-], ids=["descending", "NaN truth", "one truth", "values vary along y", "scalar truth"])
+    (np.array([1.0, 2.0]), np.array([0.5, 1.5, 2.5])),  # 1-D values
+], ids=["descending", "NaN truth", "one truth", "values vary along y", "scalar truth",
+        "1-D values"])
 def test_other_truths_take_the_comparison(values, y):
     levels = QuantileLevels((0.25, 0.75))
-    with _spy_ascending() as spy:
+    with _spy_split() as spy:
         got = wis_batch(values, levels, y)
     assert spy.call_count == 0
     rows = np.broadcast_to(values, (*got.shape, 2)).reshape(-1, 2).tolist()
@@ -305,7 +308,10 @@ def test_other_truths_take_the_comparison(values, y):
     np.testing.assert_array_equal(got.ravel(), want)
 
 
-def test_ascending_truths_reject_an_out_of_another_shape():
+@pytest.mark.parametrize("values, y", [
+    (np.zeros((2, 1, 3)), np.array([0.0, 1.0])),  # split: scores (2, 2)
+    (np.zeros((2, 3, 3)), np.array([0.0, 1.0, 2.0])),  # per element: scores (2, 3)
+], ids=["split", "per element"])
+def test_an_out_of_another_shape_is_rejected(values, y):
     with pytest.raises(ValidationError, match="shape"):
-        wis_batch(np.zeros((2, 1, 3)), QuantileLevels((0.25, 0.5, 0.75)), np.array([0.0, 1.0]),
-                  np.empty((2, 1)))
+        wis_batch(values, QuantileLevels((0.25, 0.5, 0.75)), y, np.empty((2, 1)))

@@ -238,7 +238,7 @@ class TestRunSweep:
         ascending sample by binary search, not by a comparison per truth."""
         spec = setting()
         with mock.patch.object(scoring, "wis_batch", wraps=scoring.wis_batch) as calls, \
-                mock.patch.object(scoring, "_wis_ascending", wraps=scoring._wis_ascending) as split:
+                mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as split:
             run_sweep(spec, n_workers=1)
         assert calls.call_count == split.call_count == len(spec.sweep)
 
