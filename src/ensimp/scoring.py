@@ -171,9 +171,9 @@ def wis_batch(
 
     With ``out``, a float64 array of the scores' shape, the scores are
     written into it, with the bits of a call without ``out``. Then
-    ``values``, if already a float64 array of that batch shape, is
-    overwritten as scratch: when it is held level-major, nothing the size of
-    the batch is allocated.
+    ``values``, if already a float64 array whose batch shape is the scores',
+    is overwritten as scratch by the comparison: when it is held
+    level-major, nothing the size of the batch is allocated.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != len(levels):
@@ -184,7 +184,7 @@ def wis_batch(
     # Level-major memory gives each level one contiguous slab, a free view
     # when the caller already holds the values that way.
     by_level = np.ascontiguousarray(np.moveaxis(values, -1, 0))
-    shape = np.broadcast_shapes(by_level.shape[1:], y.shape)
+    shape = np.broadcast(by_level[0], y).shape
     if out is not None and out.shape != shape:
         raise ValidationError(f"out has shape {out.shape}, the scores {shape}")
     # The shape tests come first, so a call with one truth per row pays only
@@ -193,8 +193,8 @@ def wis_batch(
              and np.all(y[1:] >= y[:-1]))
     if split:
         # y[:cut] <= q exactly where cut = searchsorted(y, q, side="right")
-        cuts = np.searchsorted(y, by_level[..., 0], side="right")
-        cuts[np.isnan(by_level[..., 0])] = 0  # y <= NaN is False; searchsorted puts NaN above every y
+        cuts = np.searchsorted(y, by_level, side="right")
+        cuts[np.isnan(by_level)] = 0  # y <= NaN is False; searchsorted puts NaN above every y
         cuts = cuts.reshape(len(levels), -1).tolist()  # each level's cut in every row
         rows = list(np.ndindex(shape[:-1]))
         scratch = np.empty((1, *shape))

@@ -315,3 +315,14 @@ def test_other_truths_take_the_comparison(values, y):
 def test_an_out_of_another_shape_is_rejected(values, y):
     with pytest.raises(ValidationError, match="shape"):
         wis_batch(values, QuantileLevels((0.25, 0.5, 0.75)), y, np.empty((2, 1)))
+
+
+def test_an_out_of_the_scores_shape_is_filled_when_y_widens_the_values():
+    """Per element too, values with no batch axes against three truths fill
+    an out of shape (3,), with the bits of a call without one; the values,
+    too small to be scratch, stay intact."""
+    values, y, levels = np.array([1.0, 2.0]), np.array([2.5, 0.5, 1.5]), QuantileLevels((0.25, 0.75))
+    want = wis_batch(values, levels, y)
+    out = np.full(3, np.nan)
+    assert wis_batch(values, levels, y, out) is out
+    assert out.tobytes() == want.tobytes() and values.tolist() == [1.0, 2.0]
