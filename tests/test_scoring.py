@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensimp import scoring
 from ensimp.scoring import (
     CANONICAL_LEVELS,
     Metric,
