@@ -147,19 +147,6 @@ def phi_decomposed(errors: ErrorVector, index):
     return _at(contributions_by_size(e[..., :, None] * e[..., None, :])[..., -1], errors, index)
 
 
-def _lomo_from_moments(espe: np.ndarray, error_products, index: int) -> float:
-    """The closed form's LOMO readout of the moments, unchecked for finiteness."""
-    n = len(espe)
-    if n < 2:
-        raise ValidationError("need at least 2 forecasters")
-    _checked(espe, index)
-    prod = np.array(error_products, dtype=np.float64)
-    if prod.shape != (n, n):
-        raise ValidationError(f"error_products must be {n}x{n}, got {prod.shape}")
-    np.fill_diagonal(prod, espe)
-    return float(contributions_by_size(prod)[index, -1])
-
-
 @_finite
 def expected_phi_from_moments(espe: Sequence[float], error_products, index: int) -> float:
     """Expected importance from ESPE values and expected error products.
@@ -169,13 +156,21 @@ def expected_phi_from_moments(espe: Sequence[float], error_products, index: int)
     :func:`expected_phi` fills in the moments for zero-mean Gaussian truth.
     Both arguments must be finite, and so must the result.
     """
-    espe, prod = np.asarray(espe, dtype=np.float64), np.asarray(error_products, dtype=np.float64)
+    # prod is a copy, as its diagonal is set below
+    espe, prod = np.asarray(espe, dtype=np.float64), np.array(error_products, dtype=np.float64)
     for name, moments in (("espe", espe), ("error_products", prod)):
         bad = np.argwhere(~np.isfinite(moments))
         if bad.size:
             at = ", ".join(map(str, bad[0].tolist()))
             raise ValidationError(f"{name}[{at}] must be finite, got {float(moments[tuple(bad[0])])!r}")
-    return _lomo_from_moments(espe, prod, index)
+    n = len(espe)
+    if n < 2:
+        raise ValidationError("need at least 2 forecasters")
+    _checked(espe, index)
+    if prod.shape != (n, n):
+        raise ValidationError(f"error_products must be {n}x{n}, got {prod.shape}")
+    np.fill_diagonal(prod, espe)
+    return float(contributions_by_size(prod)[index, -1])
 
 
 @_finite
@@ -187,7 +182,7 @@ def expected_phi(model: GaussianErrorModel, index: int) -> float:
     """
     means = np.asarray(model.forecast_means, dtype=np.float64)
     prod = model.truth_variance + np.outer(means, means)  # may overflow: checked as the result
-    return _lomo_from_moments(np.diagonal(prod), prod, index)
+    return float(contributions_by_size(prod)[_checked(means, index), -1])
 
 
 @_finite

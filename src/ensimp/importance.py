@@ -370,7 +370,7 @@ def compute_importance(
     values, levels = scored_values(panel.values, panel.levels, metric)
     jobs = []  # each batch's (n, T) member rows, in model-id order, and (T,) columns
     width = 1 if levels is None else len(levels)  # the levels scored per value
-    for n in np.unique(sizes).tolist():
+    for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, kept resident
         # Per task, the largest array of a batch (see the module docstring).
         widest = (n + 1) * width if algorithm is Algorithm.LOMO else max(1 << n, n * width)
         group, step = np.flatnonzero(sizes == n), max(1, _BLOCK_ELEMENTS // widest)

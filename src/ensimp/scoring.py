@@ -163,11 +163,11 @@ def wis_batch(
 
     * per element, by comparing each truth with its quantile;
     * by one binary search per row and level, when ``y`` is 1-D, holds at
-      least two values and is non-decreasing, and the values do not vary
-      along its axis (their batch shape ends in 1). That is the simulation's
-      shape: a few ensembles against one sorted truth sample. The search
-      splits the row where the indicator turns from 1.0 to 0.0, and each
-      side is multiplied by its factor.
+      least two values and is non-decreasing, the values do not vary along
+      its axis (their batch shape ends in 1) and ``out``, if given, is
+      C-contiguous. That is the simulation's shape: a few ensembles against
+      one sorted truth sample. The search splits the row where the indicator
+      turns from 1.0 to 0.0, and each side is multiplied by its factor.
 
     With ``out``, a float64 array of the scores' shape, the scores are
     written into it, with the bits of a call without ``out``. Then
@@ -188,15 +188,14 @@ def wis_batch(
     if out is not None and out.shape != shape:
         raise ValidationError(f"out has shape {out.shape}, the scores {shape}")
     # The shape tests come first, so a call with one truth per row pays only
-    # for them; a NaN truth fails the order test.
+    # for them; a NaN truth fails the order test. The split's rows are views
+    # of a C-contiguous term.
     split = (y.ndim == 1 and len(y) > 1 and values.shape[-2:-1] == (1,)
-             and np.all(y[1:] >= y[:-1]))
+             and (out is None or out.flags.c_contiguous) and np.all(y[1:] >= y[:-1]))
     if split:
-        # y[:cut] <= q exactly where cut = searchsorted(y, q, side="right")
-        cuts = np.searchsorted(y, by_level, side="right")
-        cuts[np.isnan(by_level)] = 0  # y <= NaN is False; searchsorted puts NaN above every y
-        cuts = cuts.reshape(len(levels), -1).tolist()  # each level's cut in every row
-        rows = list(np.ndindex(shape[:-1]))
+        # y[:cut] <= q exactly where cut = searchsorted(y, q, side="right"); a
+        # NaN quantile's row is NaN - y, the same NaN whichever side it is on
+        cuts = np.searchsorted(y, by_level, side="right").reshape(len(levels), -1).tolist()
         scratch = np.empty((1, *shape))
     elif out is not None and by_level.shape[1:] == shape:
         scratch = by_level  # the values are spent level by level
@@ -206,25 +205,21 @@ def wis_batch(
         out = np.empty(shape)
     for k, tau in enumerate(levels.levels):
         # The first term is built in ``out``, each later one in scratch slab
-        # k - 1; the comparison builds q - y in slab k. With the values as
-        # scratch, those are the level before, spent, and this level's
-        # quantiles, spent once compared.
+        # k - 1; the comparison builds its factor in slab k. With the values
+        # as scratch, those are the level before, spent, and this level's
+        # quantiles, spent once q - y is taken.
         q = by_level[k, ...]
-        term = scratch[(k - 1) % len(scratch), ...] if k else out
+        term = np.subtract(q, y, out=scratch[(k - 1) % len(scratch), ...] if k else out)
         if split:
-            # One subtraction and one addition over every row per level, so a
-            # worker thread makes few numpy calls and seldom waits for the GIL.
-            np.subtract(q, y, out=term)
             hit, miss = (1.0 - tau) * 2.0, (0.0 - tau) * 2.0
-            for row, cut in zip(rows, cuts[k]):
-                line = term[row]
+            for line, cut in zip(term.reshape(-1, shape[-1]), cuts[k]):
                 line[:cut] *= hit
                 line[cut:] *= miss
         else:
-            np.less_equal(y, q, out=term)  # the indicator, closed at equality, as 0.0 or 1.0
-            term -= tau
-            term *= 2.0
-            term *= np.subtract(q, y, out=scratch[k % len(scratch), ...])
+            factor = np.less_equal(y, q, out=scratch[k % len(scratch), ...])  # closed at equality
+            factor -= tau
+            factor *= 2.0
+            term *= factor  # (q - y) * factor: IEEE products commute, bit for bit
         if k:
             out += term
     if len(levels) > 1:  # x / 1 is x

@@ -262,11 +262,10 @@ def _grid_point(spec: SimulationSpec, z: np.ndarray, y: np.ndarray, value: float
     # in the worker thread, which does not inherit it; run_sweep names a non-finite mean
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.scenario is Scenario.A_POINT:
-            values = np.asarray([[c.value] for c in components], dtype=np.float64)
-            phi = lomo_kernel(values, None, y)
+            values, levels = np.asarray([[c.value] for c in components], dtype=np.float64), None
         else:
-            quantiles = np.stack([[c.mean + c.sd * z] for c in components])
-            phi = lomo_kernel(quantiles, CANONICAL_LEVELS, y)
+            values, levels = np.stack([[c.mean + c.sd * z] for c in components]), CANONICAL_LEVELS
+        phi = lomo_kernel(values, levels, y)
         return phi.mean(axis=1), _collapsed_ss(phi)
 
 

@@ -445,6 +445,20 @@ def test_cli_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("algorithm", ["lasomo", "lomo"])
+def test_importance_does_not_load_numpy_ma(tmp_path, algorithm):
+    # numpy.ma stays resident once imported (np.unique imports it); a child
+    # process, since scipy has imported it here
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["importance", "--algorithm", algorithm, "--forecasts", FC, "--truth", TRUTH,
+            "--output", str(tmp_path / "imp.csv")]
+    code = f"import sys; from ensimp import cli; assert cli.main({argv!r}) == 0; " \
+           "assert 'numpy.ma' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def overflowing_fixture(tmp_path):
     """The bundled fixture with every forecast and truth value times 1e200: the
     squared errors overflow."""

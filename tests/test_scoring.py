@@ -256,14 +256,17 @@ def _spy_split():
     data=st.data(),
     with_out=st.booleans(),
 )
-@example(levels=QuantileLevels((0.5,)), batch=(1,), data=None, with_out=True)
+@example(levels=QuantileLevels((0.25, 0.5)), batch=(3, 1), data=None, with_out=True)
 def test_ascending_truths_split_once_per_level_with_the_bits_of_the_comparison(
         levels, batch, data, with_out):
     """Against an ascending sample, one binary search per row and level gives
     the bits of the per-element comparison run on a shuffled copy of the
     sample, once unshuffled."""
-    if data is None:  # the pinned example: a quantile equal to a truth, -0.0 against 0.0
-        y, values, perm = np.array([-0.0, 0.0, 0.5, 0.5, 2.0]), np.array([[0.5]]), [4, 0, 3, 1, 2]
+    if data is None:
+        # The pinned example: quantiles equal to truths, -0.0 against 0.0, a
+        # row with a NaN quantile and a row with -inf and inf.
+        y, perm = np.array([-0.0, 0.0, 0.5, 0.5, 2.0]), [4, 0, 3, 1, 2]
+        values = np.array([[[0.0, 0.5]], [[math.nan, 0.5]], [[-math.inf, math.inf]]])
     else:
         r = data.draw(st.integers(2, 30), label="replicates")
         y = np.sort(np.array(data.draw(st.lists(_truth, min_size=r, max_size=r), label="y")))
@@ -325,3 +328,14 @@ def test_an_out_of_the_scores_shape_is_filled_when_y_widens_the_values():
     out = np.full(3, np.nan)
     assert wis_batch(values, levels, y, out) is out
     assert out.tobytes() == want.tobytes() and values.tolist() == [1.0, 2.0]
+
+
+def test_a_strided_out_is_filled_with_the_bits_of_a_call_without_one():
+    """Values that split against an ascending sample, scored into an ``out``
+    whose leading axes no reshape can merge, lose none of its rows."""
+    values = np.arange(8.0).reshape(2, 2, 1, 2) - 3.0
+    y, levels = np.array([-2.0, 0.0, 0.5]), QuantileLevels((0.25, 0.75))
+    want = wis_batch(values, levels, y)
+    out = np.full((2, 2, 3), np.nan).transpose(1, 0, 2)
+    assert wis_batch(values, levels, y, out) is out
+    assert out.tobytes() == want.tobytes()
