@@ -219,7 +219,7 @@ def wis_batch(
             factor = np.less_equal(y, q, out=scratch[k % len(scratch), ...])  # closed at equality
             factor -= tau
             factor *= 2.0
-            term *= factor  # (q - y) * factor: IEEE products commute, bit for bit
+            term *= factor
         if k:
             out += term
     if len(levels) > 1:  # x / 1 is x
