@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -67,16 +69,14 @@ def _print_report(report: dataio.ReadReport) -> None:
         print(f"excluded task: {line}", file=sys.stderr)
 
 
-def _task_rows(panel: Panel, metric: str) -> list[dict]:
+def _task_rows(panel: Panel, metric: str) -> Iterator[dict]:
     """One row per present cell, models then tasks in sorted order."""
-    rows = []
     for model, values, present in zip(panel.models, panel.values.tolist(), panel.present):
         for j in present.nonzero()[0].tolist():
             task = panel.tasks[j]
-            rows.append({"model": model, "metric": metric, "value": values[j],
-                         "forecast_date": task.forecast_date, "location": task.location,
-                         "horizon": task.horizon, "target_end_date": task.target_end_date})
-    return rows
+            yield {"model": model, "metric": metric, "value": values[j],
+                   "forecast_date": task.forecast_date, "location": task.location,
+                   "horizon": task.horizon, "target_end_date": task.target_end_date}
 
 
 def _present_counts(panel: Panel) -> dict[str, int]:
@@ -105,11 +105,11 @@ def cmd_score(args) -> int:
     rows = _summary_rows(
         {m: {label: means[m]} for m in means}, _present_counts(panel), len(panel.tasks)
     )
-    rows += _task_rows(panel, f"{label}_task")
     note = None
     if metric is Metric.SPE:
         note = "spe scores the 0.5-level quantile (predictive median) as the point estimate"
-    dataio.write_results(rows, args.output, args.format, note=note)
+    dataio.write_results(chain(rows, _task_rows(panel, f"{label}_task")), args.output,
+                         args.format, note=note)
     return 0
 
 
@@ -134,8 +134,8 @@ def cmd_importance(args) -> int:
     summary = {m: {name: values[m] for name, values in columns.items() if m in values}
                for m in result.per_task.models}
     rows = _summary_rows(summary, _present_counts(scores), len(scores.tasks))
-    rows += _task_rows(result.per_task, "phi_task")
-    dataio.write_results(rows, args.output, args.format)
+    dataio.write_results(chain(rows, _task_rows(result.per_task, "phi_task")), args.output,
+                         args.format)
     return 0
 
 

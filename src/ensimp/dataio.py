@@ -34,7 +34,6 @@ The object API's :class:`TaskPool` list reaches the same path through
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
@@ -664,39 +663,36 @@ def write_results(
     """Write result rows as CSV or JSON; every table the package emits goes through here.
 
     Rows are mappings keyed by ``header`` (missing keys and None are empty
-    cells). ``output`` of ``-`` streams to standard output. Callers are
-    responsible for row ordering; this function writes rows as given. An
-    empty row list produces a header-only CSV (or an empty JSON row list).
-    A ``note`` becomes a ``#`` comment line above the CSV header; JSON
-    output is the envelope ``{"note": ..., "rows": [...]}``, each row
-    without its empty cells.
+    cells), in any iterable, read once. ``output`` of ``-`` streams to
+    standard output. Callers are responsible for row ordering; this function
+    writes rows as given. An empty row list produces a header-only CSV (or an
+    empty JSON row list). A ``note`` becomes a ``#`` comment line above the
+    CSV header; JSON output is the envelope ``{"note": ..., "rows": [...]}``,
+    each row without its empty cells. CSV rows are written as they are
+    formatted and JSON is encoded into the target, with no copy of the
+    table; an unknown format is refused before the output is opened.
     """
-    rows = list(rows)
-    if fmt == "csv":
-        text = _results_csv(rows, note, header)
-    elif fmt == "json":
-        text = _results_json(rows, note, header)
-    else:
+    writers = {"csv": _results_csv, "json": _results_json}
+    if fmt not in writers:
         raise ValidationError(f"unknown output format {fmt!r}")
     if output == "-":
-        sys.stdout.write(text)
+        writers[fmt](sys.stdout, rows, note, header)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            writers[fmt](fh, rows, note, header)
 
 
-def _results_csv(rows: list[Mapping[str, object]], note: str | None, header: Sequence[str]) -> str:
-    buf = io.StringIO()
+def _results_csv(fh, rows: Iterable[Mapping[str, object]], note: str | None,
+                 header: Sequence[str]) -> None:
     if note:
-        buf.write(f"# {note}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+        fh.write(f"# {note}\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_result_cell(row.get(k)) for k in header])
-    return buf.getvalue()
+    writer.writerows([_result_cell(row.get(k)) for k in header] for row in rows)
 
 
-def _results_json(rows: list[Mapping[str, object]], note: str | None, header: Sequence[str]) -> str:
+def _results_json(fh, rows: Iterable[Mapping[str, object]], note: str | None,
+                  header: Sequence[str]) -> None:
     out = []
     for row in rows:
         entry = {}
@@ -706,5 +702,5 @@ def _results_json(rows: list[Mapping[str, object]], note: str | None, header: Se
                 continue
             entry[k] = v.isoformat() if isinstance(v, date) else v
         out.append(entry)
-    payload = {"note": note, "rows": out}
-    return json.dumps(payload, indent=2) + "\n"
+    json.dump({"note": note, "rows": out}, fh, indent=2)
+    fh.write("\n")

@@ -386,18 +386,16 @@ def compute_importance(
                 return (lomo_kernel(batch, levels, y),)
             return _table_readouts(*_subset_scores(batch, levels, y), scheme)
 
-    with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
-        outputs = list(ex.map(run, jobs))
-
     phi, lomo, mos = cells = np.full((3, *panel.present.shape), np.nan)
     # Each LASOMO cell's per-size mean and M2 about its task's own mean, size r at index r - 2.
     largest = int(sizes.max()) if algorithm is Algorithm.LASOMO else 1
     moments = np.empty((2, *panel.present.shape, largest - 1))
-    for (rows, cols), (cells_phi, *table) in zip(jobs, outputs):
-        phi[rows, cols] = cells_phi
-        if table:
-            lomo[rows, cols], mos[rows, cols], mean, m2 = table
-            moments[:, rows, cols, : len(rows) - 1] = np.swapaxes(np.stack((mean, m2)), 2, 3)
+    with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
+        for (rows, cols), (cells_phi, *table) in zip(jobs, ex.map(run, jobs)):
+            phi[rows, cols] = cells_phi
+            if table:
+                lomo[rows, cols], mos[rows, cols], mean, m2 = table
+                moments[:, rows, cols, : len(rows) - 1] = np.swapaxes(np.stack((mean, m2)), 2, 3)
 
     if algorithm is Algorithm.LOMO:
         return ImportanceResult(Panel(panel.models, panel.tasks, phi, panel.present))

@@ -305,7 +305,7 @@ def run_sweep(spec: SimulationSpec, n_workers: int | None = None) -> SweepResult
 
 def write_sweep_csv(result: SweepResult, output: str) -> None:
     """Write one CSV row per (grid value, forecaster), in that order, to a path or ``-``."""
-    rows = [
+    rows = (
         {
             "scenario": result.scenario.value,
             "grid_value": float(val),
@@ -316,5 +316,5 @@ def write_sweep_csv(result: SweepResult, output: str) -> None:
         }
         for g, val in enumerate(result.grid_values)
         for i in range(result.mean_importance.shape[0])
-    ]
+    )
     write_results(rows, output, header=SWEEP_HEADER)

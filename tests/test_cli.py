@@ -11,6 +11,7 @@ from conftest import FIXTURES, ORACLES, mutated_decomposition, perfbench_inputs
 
 from ensimp import cli, importance
 from ensimp.cli import _resolve_workers, main
+from ensimp.dataio import FORECAST_HEADER
 from ensimp.ensembling import ForecastPool
 from ensimp.scoring import CANONICAL_LEVELS, QuantileForecast
 
@@ -32,7 +33,26 @@ def two_model_fixture(tmp_path):
     return str(dst)
 
 
+def one_task_files(tmp_path, target_end_date, truth_rows=""):
+    """Models m1 and m2 forecasting 2021-11-08/01/h1 for ``target_end_date``, and a truth file."""
+    fc, truth = tmp_path / "fc.csv", tmp_path / "truth.csv"
+    rows = [f"{m},2021-11-08,01,1,{target_end_date},{lvl},{lvl + k}\n"
+            for k, m in enumerate(("m1", "m2")) for lvl in (0.25, 0.5, 0.75)]
+    fc.write_text(",".join(FORECAST_HEADER) + "\n" + "".join(rows))
+    truth.write_text("location,target_end_date,value\n" + truth_rows)
+    return str(fc), str(truth)
+
+
 class TestScore:
+    def test_an_inconsistent_target_end_date_warns_once_per_model(self, tmp_path, capsys):
+        fc, truth = one_task_files(tmp_path, "2021-11-22", "01,2021-11-22,2\n")
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--forecasts", fc, "--truth", truth, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: ({m!r}, 2021-11-08/01/h1/2021-11-22): target_end_date is inconsistent "
+            "with forecast_date + 1 week(s)\n" for m in ("m1", "m2"))
+        assert len(read_rows(out)) == 4  # two summaries and two task cells
+
     def test_writes_cells_and_summaries(self, tmp_path, capsys):
         out = tmp_path / "scores.csv"
         assert main(["score", "--forecasts", FC, "--truth", TRUTH, "--output", str(out)]) == 0
@@ -148,6 +168,15 @@ class TestImportance:
         err = capsys.readouterr().err
         assert code != 0
         assert "lomo" in err
+
+    def test_a_task_without_truth_is_excluded_and_the_run_fails(self, tmp_path, capsys):
+        fc, truth = one_task_files(tmp_path, "2021-11-15")
+        out = tmp_path / "imp.csv"
+        assert main(["importance", "--forecasts", fc, "--truth", truth, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "excluded task: 2021-11-08/01/h1/2021-11-15: no truth value\n"
+            "error: no scoreable tasks after joining forecasts with truth\n")
+        assert not out.exists()
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

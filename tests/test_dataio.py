@@ -136,6 +136,13 @@ class TestReadForecasts:
         body = "alpha,2021-11-06,25,1,2021-11-13,0.5,twenty\n"
         with pytest.raises(ParseError, match="row 2"):
             read_forecasts(forecast_csv(tmp_path, body))
+        for body, col, text in (("alpha,2021-11-06,25,1,2021-11-13,0.5,inf\n", "value", "inf"),
+                                ("alpha,2021-11-06,25,1,2021-11-13,nan,20.0\n",
+                                 "quantile_level", "nan")):
+            path = forecast_csv(tmp_path, body)
+            with pytest.raises(ParseError) as err:
+                read_forecasts(path)
+            assert str(err.value) == f"{path}: row 2: non-finite number in {col!r}: {text!r}"
 
     def test_invalid_task_key_names_the_row(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:1])
@@ -346,10 +353,11 @@ class TestRowRule:
     BLANK = "\n   \n, ,\t\n"
 
     def test_field_count_messages_name_file_and_row(self, tmp_path):
-        path = forecast_csv(tmp_path, "alpha,2021-11-06,25,1,2021-11-13,0.5\n")
-        with pytest.raises(ParseError) as err:
-            read_forecasts(path)
-        assert str(err.value) == f"{path}: row 2: expected 7 fields, got 6"
+        for line, got in (("alpha,2021-11-06,25,1,2021-11-13,0.5\n", 6), ("alpha\n", 1)):
+            path = forecast_csv(tmp_path, line)
+            with pytest.raises(ParseError) as err:
+                read_forecasts(path)
+            assert str(err.value) == f"{path}: row 2: expected 7 fields, got {got}"
         path = truth_csv(tmp_path, "MA,2021-12-25,150\n" + self.BLANK + "MA,2021-12-26,1,2\n")
         with pytest.raises(ParseError) as err:
             read_truth(path)
@@ -591,6 +599,29 @@ class TestWriteResults:
         write_results(rows, str(a), "csv")
         write_results(rows, str(b), "csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_one_shot_generator_writes_what_its_list_writes(self, fmt, tmp_path, capsys):
+        rows = [
+            {"model": "A", "metric": "neg_wis", "value": -40.2 / 7, "n_predictions": 3},
+            {"model": "A", "metric": "phi_task", "value": 0.1 + 0.2, "horizon": None,
+             "forecast_date": date(2021, 11, 6), "target_end_date": date(2021, 11, 13)},
+        ]
+        written = []
+        for make in (lambda: rows, lambda: (row for row in rows)):
+            out = tmp_path / f"r.{fmt}"
+            write_results(make(), str(out), fmt, note="n")
+            write_results(make(), "-", fmt, note="n")
+            written.append((out.read_bytes(), capsys.readouterr().out.encode()))
+        assert written[1] == written[0]
+        assert written[0][1] == written[0][0]
+
+    def test_unknown_format_leaves_the_output_untouched(self, tmp_path):
+        out = tmp_path / "r.xml"
+        out.write_bytes(b"old bytes\n")
+        with pytest.raises(ValidationError, match="unknown output format 'xml'"):
+            write_results([{"model": "A"}], str(out), "xml")
+        assert out.read_bytes() == b"old bytes\n"
 
     def test_format_float_round_trips(self, rng, tmp_path):
         values = [0.1, 1 / 3, -40.2, 1e-300, 12345.6789e10] + list(rng.normal(size=200))
