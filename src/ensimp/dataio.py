@@ -11,24 +11,23 @@ that hold a value, and ``values``, either (models, tasks) scores or, with
 
 A plain forecast file, with no ``"`` and no carriage return, is read
 column-wise in 1 MB blocks: each line is split once from the right into key
-text, level and value, each distinct key text is parsed once, and each
-block's levels and values are cast in one numpy call each. Anything
-irregular sends the read back to the start, through the :mod:`csv` row
-reader, which also takes quoted fields and CRLF and is the one source of row
-errors, each naming the file and row. Both readers skip rows that hold
-nothing but whitespace, so a blank row keeps a file on the column-wise
-read, and both hand the same columns (the (model, task) keys, and per row a
-key index, level and value) to one array back half, which finds repeated
-levels, infers the declared level set, reports invalid groups and calendar
-slips, and fills the forecast panel, checking monotonicity as one array
-check. :func:`build_task_pools` keeps the tasks that can be scored, as a
-:class:`TaskPanel` with their truth;
-:func:`score_records` and :func:`score_tasks` score every present cell in
-one call of the array scorer; the NA policies are column operations and the
-per-model means row operations; and :func:`write_results` writes every table
-the package emits.
-The object API's :class:`TaskPool` list reaches the same path through
-:func:`from_pools`.
+text, level and value, each distinct key text is parsed once, and each block's
+levels and values are cast in one numpy call each. Anything irregular restarts
+the read with the :mod:`csv` row reader, which also takes quoted fields and
+CRLF and is the one source of row errors, each naming the file and row; one
+dict from (key index, level) to value is both its duplicate check and its
+store. Both readers skip rows that hold nothing but whitespace, so a blank row
+keeps a file on the column-wise read, and both hand the same columns (the
+(model, task) keys, and per row a key index, level and value) to one array back
+half, which sorts the columns in place, finds repeated levels, infers the
+declared level set from one tuple per distinct set, reports invalid groups and
+calendar slips, and fills the forecast panel, checking monotonicity as one
+array check. :func:`build_task_pools` keeps the tasks that can be scored, as a
+:class:`TaskPanel` with their truth; :func:`score_records` and
+:func:`score_tasks` score every present cell in one call of the array scorer;
+the NA policies are column operations and the per-model means row operations;
+and :func:`write_results` writes every table the package emits. The object
+API's :class:`TaskPool` list reaches the same path through :func:`from_pools`.
 """
 
 from __future__ import annotations
@@ -528,14 +527,12 @@ def _row_columns(fh, path: str) -> _Columns:
     """The columns of any forecast file, read row by row with :mod:`csv`.
 
     This reader takes quoted fields, carriage returns and blank rows, and is
-    the one source of row errors, each naming the file and row.
+    the one source of row errors, each naming the file and row. One dict from
+    (key index, level) to value holds each row once: duplicate check and store.
     """
     by_text: dict[tuple[str, ...], int] = {}
     by_key: dict[tuple[str, TaskKey], int] = {}
-    gid: list[int] = []
-    level: list[float] = []
-    value: list[float] = []
-    seen: set[tuple[int, float]] = set()
+    cells: dict[tuple[int, float], float] = {}
     for where, row in _csv_rows(fh, path, FORECAST_HEADER):
         text = tuple(row[:5])
         g = by_text.get(text)
@@ -543,33 +540,35 @@ def _row_columns(fh, path: str) -> _Columns:
             g = by_text[text] = by_key.setdefault(_parse_key(row, where), len(by_key))
         p = _parse_float(row[5], where, "quantile_level")
         v = _parse_float(row[6], where, "value")
-        if (g, p) in seen:
+        if (g, p) in cells:
             model, task = list(by_key)[g]
             raise ParseError(f"{where}: duplicate quantile row for ({model!r}, {task}, {p})")
-        seen.add((g, p))
-        gid.append(g)
-        level.append(p)
-        value.append(v)
-    return list(by_key), np.array(gid, dtype=np.intp), np.array(level), np.array(value)
+        cells[g, p] = v
+    pairs = np.fromiter(cells, dtype=(np.float64, 2), count=len(cells))
+    value = np.fromiter(cells.values(), dtype=np.float64, count=len(cells))
+    return list(by_key), pairs[:, 0].astype(np.intp), pairs[:, 1], value
 
 
 def _forecast_panel(
     path: str, keys: list[tuple[str, TaskKey]], gid: np.ndarray, level: np.ndarray,
     value: np.ndarray,
 ) -> tuple[Panel, ReadReport]:
-    """The panel and report of a forecast file's columns (see ``_Columns``)."""
+    """The panel and report of a forecast file's columns (see ``_Columns``), sorted
+    in place, one column at a time; equal level sets share one tuple."""
     report = ReadReport()
     if not keys:
         return _fill([], [], None), report
     order = np.lexsort((level, gid))
-    gid, level, value = gid[order], level[order], value[order]
+    for column in (gid, level, value):
+        column[:] = column[order]
     same = gid[1:] == gid[:-1]
     if (same & (level[1:] == level[:-1])).any():
         raise _Irregular  # a repeated (key, level) pair: the row reader names its row
     # Every key has a row, so after the sort key g's levels are slice g.
     bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(gid)]
-    ordered = level.tolist()
-    signatures = [tuple(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
+    interned: dict[tuple[float, ...], tuple[float, ...]] = {}
+    signatures = [interned.setdefault(sig, sig) for sig in
+                  (tuple(level[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))]
     counts = Counter(signatures)
     declared = max(sorted(counts), key=lambda sig: (counts[sig], len(sig)))
     try:
@@ -579,17 +578,14 @@ def _forecast_panel(
 
     valid = [sig == declared for sig in signatures]
     for g in sorted((g for g, ok in enumerate(valid) if not ok), key=keys.__getitem__):
-        extra = sorted(set(signatures[g]).difference(declared))
+        # The key's own levels: its interned tuple may spell a zero with the other sign.
+        extra = sorted(set(level[bounds[g]:bounds[g + 1]].tolist()).difference(declared))
         if extra:
-            problem = (
-                f"levels {', '.join(map(str, extra))} outside the "
-                f"{len(declared)} declared levels"
-            )
+            problem = (f"levels {', '.join(map(str, extra))} outside the "
+                       f"{len(declared)} declared levels")
         else:
-            problem = (
-                f"incomplete quantile set ({len(signatures[g])} of "
-                f"{len(declared)} declared levels)"
-            )
+            problem = (f"incomplete quantile set ({len(signatures[g])} of "
+                       f"{len(declared)} declared levels)")
         model, task = keys[g]
         report.invalid.append(f"({model!r}, {task}): {problem}")
     kept = [keys[g] for g, ok in enumerate(valid) if ok]

@@ -84,8 +84,9 @@ class NormalSpec:
 
 def normal_quantile_forecast(spec: NormalSpec, levels: QuantileLevels) -> QuantileForecast:
     """Quantiles of N(mean, sd^2) at the given levels (monotone by construction)."""
-    z = normal_quantile(levels.as_array())
-    return QuantileForecast(levels, tuple(spec.mean + spec.sd * z))
+    with np.errstate(over="ignore", invalid="ignore"):  # QuantileForecast names a non-finite one
+        values = spec.mean + spec.sd * normal_quantile(levels.as_array())
+    return QuantileForecast(levels, tuple(values))
 
 
 class Scenario(Enum):

@@ -12,16 +12,17 @@ temporary directory whose path is replaced by ``$TMP`` before hashing, so
 records of two source trees compare case by case. They are the bundled
 fixture; the hub-panel and wide-pool files that ``perfbench/inputs.py``
 writes at seed 3, and its 40-model, 4-task file, run as LOMO alone at one
-and at two workers; small files that break the row rule (a wrong field
-count, whitespace-only rows, one trailing blank line); the fixture with
-every value times 1e200, whose squared errors overflow, run for SPE and,
-with LASOMO, for WIS, whose per-size variances overflow; and 2 models on
-30 tasks whose finite scores near -1e307 overflow when summed over tasks,
-run as ``score``; and 8 models on one task with no gap whose scores near
--2.7e307 overflow when summed over the models, run as ``score`` under each
-NA policy, none of which has a cell to fill. Besides the panel commands,
-the cases run ``simulate`` and ``decompose-check`` at their test and
-benchmark sizes, and two ``simulate`` errors: a bias of 1e155, whose
+and at two workers; the hub-panel forecasts with every model id quoted,
+which the row reader reads, run as ``score``; small files that break the row
+rule (a wrong field count, whitespace-only rows, one trailing blank line);
+the fixture with every value times 1e200, whose squared errors overflow, run
+for SPE and, with LASOMO, for WIS, whose per-size variances overflow; and 2
+models on 30 tasks whose finite scores near -1e307 overflow when summed over
+tasks, run as ``score``; and 8 models on one task with no gap whose scores
+near -2.7e307 overflow when summed over the models, run as ``score`` under
+each NA policy, none of which has a cell to fill. Besides the panel
+commands, the cases run ``simulate`` and ``decompose-check`` at their test
+and benchmark sizes, and two ``simulate`` errors: a bias of 1e155, whose
 squared errors overflow, and a dispersion grid that starts at sd 0.
 ``--diff`` prints each differing case with the fields that differ and exits
 1 if there is any. ``--same-across-workers`` prints each ``.../w1`` case
@@ -64,6 +65,13 @@ def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
         (tmp / name).mkdir()
         pairs[name] = (tmp / name / "forecasts.csv", tmp / name / "truth.csv")
         inputs.write_panel(shape, CANONICAL_LEVELS.levels, SEED, *pairs[name])
+    # Every model id in double quotes, as R's write.csv quotes string columns:
+    # the row reader's path at benchmark size.
+    hub_forecasts, hub_truth = pairs["hub-panel"]
+    lines = hub_forecasts.read_text(encoding="utf-8").splitlines(True)
+    pairs["hub-panel-quoted"] = (tmp / "hub-panel" / "forecasts-quoted.csv", hub_truth)
+    pairs["hub-panel-quoted"][0].write_text(
+        lines[0] + "".join('"' + line.replace(",", '",', 1) for line in lines[1:]), encoding="utf-8")
     rows = tmp / "rows"
     rows.mkdir()
     forecasts = FIXTURES.joinpath("forecasts.csv").read_text(encoding="utf-8").splitlines(True)

@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from ensimp.dataio import (
     score_records,
     write_results,
 )
-from ensimp.scoring import Metric, QuantileLevels, ValidationError
+from ensimp.scoring import CANONICAL_LEVELS, Metric, QuantileLevels, ValidationError
 
 LEVELS = "0.25,0.5,0.75"
 
@@ -167,6 +168,46 @@ class TestReadForecasts:
             read_forecasts(path)
         assert str(err.value) == f"{path}: quantile level 1.5 outside open interval (0, 1)"
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_declared_set_ties_go_to_more_levels_then_the_smaller_set(self, tmp_path, quote):
+        """Two signatures held by equally many keys: the longer one is declared,
+        and of two as long, the smaller. Levels join a signature by float
+        equality, so ``-0`` counts with ``0``. Quoted model ids take the row
+        reader."""
+
+        def read(*key_levels):
+            body = "".join(
+                rows_for(f"{quote}m{i}{quote}", "2021-11-06", "25", 1, "2021-11-13",
+                         [(p, 10.0 * k) for k, p in enumerate(levels)])
+                for i, levels in enumerate(key_levels))
+            return forecast_csv(tmp_path, body)
+
+        def invalid(*models_problems):
+            task = TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13))
+            return [f"('{model}', {task}): {problem}" for model, problem in models_problems]
+
+        triple, pair = ("0.25", "0.5", "0.75"), ("0.25", "0.5")
+        panel, report = read_forecasts(read(pair, triple, pair, triple))
+        assert panel.models == ("m1", "m3") and panel.levels.levels == (0.25, 0.5, 0.75)
+        short = "incomplete quantile set (2 of 3 declared levels)"
+        assert report.invalid == invalid(("m0", short), ("m2", short))
+
+        panel, report = read_forecasts(read(("0.5", "0.75"), pair, ("0.5", "0.75"), pair))
+        assert panel.models == ("m1", "m3") and panel.levels.levels == (0.25, 0.5)
+        outside = "levels 0.75 outside the 2 declared levels"
+        assert report.invalid == invalid(("m0", outside), ("m2", outside))
+
+        path = read(("0", "0.5"), ("0", "0.5"), ("-0", "0.5"), triple, triple)
+        with pytest.raises(ParseError) as err:
+            read_forecasts(path)
+        assert str(err.value) == f"{path}: quantile level 0.0 outside open interval (0, 1)"
+
+        # A level outside the declared set is named as its own row spells it.
+        panel, report = read_forecasts(read(("0", "0.5"), ("-0", "0.5"), triple, triple, triple))
+        assert panel.models == ("m2", "m3", "m4")
+        assert report.invalid == invalid(("m0", "levels 0.0 outside the 3 declared levels"),
+                                         ("m1", "levels -0.0 outside the 3 declared levels"))
+
     def test_key_spellings_join_one_group(self, tmp_path):
         body = (
             "alpha,2021-11-06, 25,01,2021-11-13,0.25,10.0\n"
@@ -234,6 +275,22 @@ class TestColumnWiseRead:
         panel, report = read_forecasts(str(fc))
         assert len(panel) == tallies["groups"] - tallies["incomplete_groups"]
         assert len(report.invalid) == tallies["incomplete_groups"]
+
+    def test_read_peak_is_under_110_bytes_per_row(self, tmp_path, no_row_reader):
+        """The hub-panel read holds each row once: the columns are sorted in
+        place and each key's levels are read as one tuple per level set,
+        with no Python float per row."""
+        inputs = perfbench_inputs()
+        fc = tmp_path / "forecasts.csv"
+        inputs.write_panel(inputs.HUB_PANEL, CANONICAL_LEVELS.levels, 3, fc, tmp_path / "truth.csv")
+        rows = inputs.describe(fc)["rows"]
+        tracemalloc.start()
+        try:
+            read_forecasts(str(fc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 218_940 and peak < 110 * rows
 
     def test_fixture_importance_matches_oracle(self, tmp_path, no_row_reader):
         out = tmp_path / "imp.csv"
@@ -451,6 +508,12 @@ class TestFromPools:
             from_pools(pools)
         assert str(task_key(1)) in str(err.value)
 
+    def test_a_repeated_task_is_rejected_naming_it(self):
+        pool = quantile_pool({"a": (1.0, 2.0, 3.0), "b": (2.0, 3.0, 4.0)}, self.LEVELS, 2.0, i=1)
+        with pytest.raises(ValidationError) as err:
+            from_pools([pool, pool])
+        assert str(err.value) == f"duplicate task {task_key(1)}"
+
 
 class TestTaskPanel:
     def panel(self, tasks=2):
@@ -477,6 +540,21 @@ class TestTaskPanel:
     def test_one_truth_value_per_task(self):
         with pytest.raises(ValidationError, match="one truth value per task"):
             TaskPanel(self.panel(), [0.5])
+
+    def test_panel_arrays_are_checked_naming_the_fault(self):
+        keys, ones = (task_key(0), task_key(1)), np.ones((2, 2))
+        with pytest.raises(ValidationError) as err:
+            Panel(("a", "b"), keys, np.ones((2, 3)), ones)
+        assert str(err.value) == "panel arrays must be (2, 2) and (2, 2), got (2, 3) and (2, 2)"
+        for models, tasks in ((("b", "a"), keys), (("a", "a"), keys), (("a", "b"), keys[::-1])):
+            with pytest.raises(ValidationError) as err:
+                Panel(models, tasks, ones, ones)
+            assert str(err.value) == "panel models and tasks must be sorted and distinct"
+        values = np.array([[1.0, 2.0], [np.inf, np.nan]])
+        with pytest.raises(ValidationError) as err:
+            Panel(("a", "b"), keys, values, ones)
+        assert str(err.value) == f"cell ('b', {task_key(0)}) is not finite"
+        assert len(Panel(("a", "b"), keys, values, [[True, True], [False, False]])) == 2
 
 
 class TestScoreRecords:

@@ -152,6 +152,8 @@ class TestExpectedPhi:
             GaussianErrorModel((1.0, 2.0), 0.0)
         with pytest.raises(ValidationError):
             expected_phi_from_moments([1.0, 2.0], np.ones((3, 3)), 0)
+        with pytest.raises(ValidationError, match="^need at least 2 forecasters$"):
+            expected_phi_from_moments([1.0], np.ones((1, 1)), 0)
         for bad in (1.5, True):
             with pytest.raises(ValidationError, match=rf"model index {bad} is not an integer in \[0, 2\]"):
                 expected_phi_from_moments([1.0, 2.0, 3.0], np.ones((3, 3)), bad)

@@ -143,6 +143,15 @@ class TestPoolValidation:
         with pytest.raises(ValidationError):
             ForecastPool((), ())
 
+    def test_one_forecast_per_id(self):
+        with pytest.raises(ValidationError, match="^model_ids and forecasts must have equal length$"):
+            ForecastPool(("a", "b"), (PointForecast(1.0),))
+
+    def test_point_pool_has_no_levels(self):
+        pool = ForecastPool.from_dict({"a": PointForecast(1.0)})
+        with pytest.raises(ValidationError, match="^point-forecast pool has no quantile levels$"):
+            pool.levels
+
     def test_distinct_ids(self):
         with pytest.raises(ValidationError):
             ForecastPool(("a", "a"), (PointForecast(1.0), PointForecast(2.0)))

@@ -451,6 +451,9 @@ class TestBatchesByPoolSize:
             compute_importance(tasks, Metric.SPE, Algorithm.LASOMO)
         with pytest.raises(ValidationError, match=f"task {task_key(1)} has fewer than 2 models"):
             compute_importance(tasks, Metric.SPE, Algorithm.LOMO)
+        for algorithm in Algorithm:
+            with pytest.raises(ValidationError, match="^no tasks to score$"):
+                compute_importance(from_pools([]), Metric.SPE, algorithm)
 
 
 class TestStreamedSubsetTable:

@@ -60,6 +60,11 @@ class TestWis:
     def test_single_median(self):
         assert wis(qf([0.5], [1.0]), Observation(0.0)) == 1.0
 
+    def test_values_need_one_quantile_per_level(self):
+        with pytest.raises(ValidationError) as err:
+            wis_batch(np.ones((4, 2)), QuantileLevels((0.25, 0.5, 0.75)), 0.0)
+        assert str(err.value) == "quantile axis of length 2 does not match 3 levels"
+
     def test_three_levels(self):
         assert wis(qf([0.25, 0.5, 0.75], [1.0, 2.0, 3.0]), Observation(2.0)) == pytest.approx(
             1.0 / 3.0, abs=1e-15
@@ -216,6 +221,14 @@ class TestQuantileTypes:
         fc = qf([0.25, 0.5, 0.75], [1.0, 2.0, 3.0])
         median, levels = scored_values(fc.as_array(), fc.levels, Metric.SPE)
         assert median == 2.0 and levels is None
+        with pytest.raises(ValidationError, match="^unknown metric 'spe'$"):
+            scored_values(fc.as_array(), fc.levels, "spe")
+
+    def test_index_of_names_a_missing_level(self):
+        assert CANONICAL_LEVELS.index_of(0.5) == 11
+        with pytest.raises(ValidationError) as err:
+            CANONICAL_LEVELS.index_of(0.33)
+        assert str(err.value) == "level 0.33 not among the forecast's quantile levels"
 
 
 def test_wis_matches_explicit_formula(rng):

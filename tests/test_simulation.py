@@ -10,7 +10,7 @@ from scipy.special import ndtri
 from ensimp import scoring, simulation
 from ensimp.decomposition import GaussianErrorModel, expected_phi
 from ensimp.ensembling import ForecastPool, mean_quantile_ensemble
-from ensimp.scoring import CANONICAL_LEVELS, QuantileLevels, ValidationError
+from ensimp.scoring import CANONICAL_LEVELS, PointForecast, QuantileLevels, ValidationError
 from ensimp.simulation import (
     MAX_GRID_POINTS,
     Grid,
@@ -115,6 +115,11 @@ class TestNormalQuantileForecast:
         assert fc.values[1] == pytest.approx(2.0 * normal_quantile(0.975), abs=1e-12)
         assert fc.values[1] == pytest.approx(3.919927, abs=1e-6)
 
+    def test_overflowing_quantiles_are_one_validation_error(self):
+        # No numpy warning first: under -W error it would replace the message.
+        with pytest.raises(ValidationError, match="^quantile value must be finite, got -inf$"):
+            normal_quantile_forecast(NormalSpec(0.0, 1e308), CANONICAL_LEVELS)
+
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
             NormalSpec(0.0, 0.0)
@@ -164,6 +169,10 @@ class TestGrid:
     def test_component_kinds_checked(self):
         with pytest.raises(ValidationError):
             SimulationSpec(Scenario.A_POINT, (NormalSpec(0, 1),), Grid(0, 1, 0.5))
+        for scenario in (Scenario.A_PROB, Scenario.B_DISPERSION):
+            with pytest.raises(ValidationError,
+                               match="^probabilistic scenarios take NormalSpec components$"):
+                SimulationSpec(scenario, (PointForecast(0.0),), Grid(0.5, 1, 0.5))
 
     @pytest.mark.parametrize("start", [0.0, -1.0])
     def test_dispersion_grid_must_start_above_zero(self, start):
