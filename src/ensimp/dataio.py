@@ -664,9 +664,9 @@ def write_results(
     writes rows as given. An empty row list produces a header-only CSV (or an
     empty JSON row list). A ``note`` becomes a ``#`` comment line above the
     CSV header; JSON output is the envelope ``{"note": ..., "rows": [...]}``,
-    each row without its empty cells. CSV rows are written as they are
-    formatted and JSON is encoded into the target, with no copy of the
-    table; an unknown format is refused before the output is opened.
+    each row without its empty cells. Both formats write each row as it is
+    formatted, with no copy of the table; an unknown format is refused before
+    the output is opened.
     """
     writers = {"csv": _results_csv, "json": _results_json}
     if fmt not in writers:
@@ -689,14 +689,13 @@ def _results_csv(fh, rows: Iterable[Mapping[str, object]], note: str | None,
 
 def _results_json(fh, rows: Iterable[Mapping[str, object]], note: str | None,
                   header: Sequence[str]) -> None:
-    out = []
+    # The bytes json.dump(envelope, fh, indent=2) writes, a row at a time: JSON
+    # escapes every newline in a string, so a row's lines indent as a whole.
+    fh.write(f'{{\n  "note": {json.dumps(note)},\n  "rows": [')
+    sep = "\n    "
     for row in rows:
-        entry = {}
-        for k in header:
-            v = row.get(k)
-            if v is None:
-                continue
-            entry[k] = v.isoformat() if isinstance(v, date) else v
-        out.append(entry)
-    json.dump({"note": note, "rows": out}, fh, indent=2)
-    fh.write("\n")
+        entry = {k: v.isoformat() if isinstance(v, date) else v
+                 for k in header if (v := row.get(k)) is not None}
+        fh.write(sep + json.dumps(entry, indent=2).replace("\n", "\n    "))
+        sep = ",\n    "
+    fh.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")

@@ -28,19 +28,24 @@ One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
 (2^n, T) score table or the (n, T, levels) scored values for LASOMO, the
 (n + 1, T, levels) ensembles for LOMO, levels counting those scored (1 for
-SPE). The subset sums are held one level at a time, a (2^n, T) table no
-larger than the score table, and scored in slices of at most that many
-values, so a slice holds the most subsets the budget allows. Each job
-allocates its working slabs once: the walk scores every slice into one slab
-of a slice's size, with the slice's divided sums as the scorer's scratch,
-and the readouts fill two slabs of half the table's length for every model.
-Nothing the size of a slice or a table is allocated per level, slice or
-model, so a worker thread does not hand pages back to the system only to
-fault them in again. A worker's LASOMO memory is thus the (2^n, T) score
-table, its uint8 size vector, one level's sums and the slab (19.0 MB at
-n = 20 and T = 1, by ``tracemalloc``), then the table, sizes and readouts
-(22.2 MB there); never the (2^n, T, levels) sum table (193 MB there at 23
-levels).
+SPE). The subset sums are held one level at a time, and only for the masks
+without the top member: a (2^(n-1), T) table, half the score table. They are
+scored in slices of at most that many values, so a slice holds the most
+subsets the budget allows, each slice plus the top member first, from one
+upper buffer. The readouts group every model's contributions by size into
+one slab, whole sizes at a time, as many rows as the budget allows. Each job
+allocates its working arrays once: the walk's scoring slab and upper buffer,
+with the divided sums as the scorer's scratch, and the readouts'
+contributions (half the table's length), slab and slab indices. Nothing the
+size of a slice or a table is allocated per level, slice or model, so a
+worker thread does not hand pages back to the system only to fault them in
+again. Every job of a pool size reads one shared, read-only size table: the
+uint8 size of every mask and the size order of the half without the top
+member (:func:`_size_table`; 5.2 MB at n = 20, once per process). A worker's
+LASOMO memory is thus the (2^n, T) score table, one level's half sums, the
+slab and the upper buffer (14.8 MB at n = 20 and T = 1, by ``tracemalloc``),
+then the table and the readouts (14.2 MB there); never the (2^n, T, levels)
+sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order at every pool size, WIS
 terms sum left to right over the levels, contributions of one size in
@@ -53,6 +58,7 @@ accepts, the table's LOMO equals the LOMO kernel's.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -164,43 +170,68 @@ def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y) -> np.ndar
     return scores[0] - scores[1:]
 
 
+@functools.lru_cache(maxsize=MAX_EXACT_MODELS)
+def _size_table(n: int):
+    """The uint8 member count of masks 0 to 2^n - 1, and the stable order by
+    count of masks 1 to 2^(n-1) - 1 (entry k is mask k + 1).
+
+    Both are read-only, shared by every job of pool size ``n`` in every
+    thread; :func:`compute_importance` builds them before its workers start.
+    The cache holds at most one entry per pool size up to the model cap
+    (5.2 MB at n = 20, 10.5 MB for all), whatever the process has run.
+    """
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    order = np.argsort(sizes[1 : 1 << (n - 1)], kind="stable")
+    sizes.flags.writeable = order.flags.writeable = False
+    return sizes, order
+
+
 def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
     """Positively oriented ensemble score of every subset, and its member count.
 
     Both are indexed by bitmask over canonical member order; the counts are
-    uint8. The sums of the scored ``values`` are held one level at a time
-    (point values are one): each (2^n, T) sum table is filled by doubling, as
-    the counts are, so members join in ascending bit order and each subset's
-    sum is the plain left-to-right sum of its members. Slices of at most
-    ``_BLOCK_ELEMENTS`` values are then divided by their counts in place and
-    scored by one ``positive_scores`` call each, as -SPE or as minus that one
-    level's WIS term, exactly, into the job's one slab, with the divided sums
-    as scratch. The per-level scores are added into the table in level
-    order, then divided by the level count once. Score row 0, the empty
-    coalition, is NaN and is never scored or read.
+    the shared uint8 vector of :func:`_size_table`. The sums of the scored
+    ``values`` are held one level at a time (point values are one), and only
+    for the masks without the top member: each (2^(n-1), T) sum table is
+    filled by doubling, as the counts are, so members join in ascending bit
+    order and each subset's sum is the plain left-to-right sum of its
+    members. The table is then walked in slices of at most
+    ``_BLOCK_ELEMENTS`` values. Each slice plus the top member, the add the
+    doubling's last step would make, goes into the job's one upper buffer
+    and is scored first; then the slice itself is divided by its counts in
+    place and scored. Each is scored by one ``positive_scores`` call, as
+    -SPE or as minus that one level's WIS term, exactly, into the job's one
+    slab, with the divided sums as scratch. The per-level scores are added
+    into the table in level order, then divided by the level count once.
+    Score row 0, the empty coalition, is NaN and is never scored or read.
     """
     n, t = values.shape[:2]
     # Level-major members, (levels, n, T), and the level set each is scored at.
     members = values[None] if levels is None else np.moveaxis(values, -1, 0).copy()
     level_sets = [None] if levels is None else [QuantileLevels((p,)) for p in levels.levels]
-    step = min(max(1, _BLOCK_ELEMENTS // t), (1 << n) - 1)  # the subsets of one scored slice
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    sums = np.zeros((1 << n, t))  # row 0, the empty sum, stays zero
+    half, sizes = 1 << (n - 1), _size_table(n)[0]
+    step = min(max(1, _BLOCK_ELEMENTS // t), half)  # the subsets of one scored slice
+    sums = np.zeros((half, t))  # row 0, the empty sum, stays zero
     scores = np.full((1 << n, t), -0.0)  # -0.0 + x is x, bit for bit
     scores[0] = np.nan
-    slab = np.empty((step, t))  # one slice's scores, the job's only scoring array
+    slab, upper = np.empty((step, t)), np.empty((step, t))  # the job's only slice arrays
     for level, at in zip(members, level_sets):
-        for i in range(n):
+        for i in range(n - 1):
             np.add(sums[: 1 << i], level[i], out=sums[1 << i : 2 << i])
-        for start in range(1, 1 << n, step):
-            rows = slice(start, start + step)
-            means = sums[rows]
-            means /= sizes[rows, None]
-            # the means are spent once scored, so they are the scorer's scratch
-            out = slab[: len(means)]
-            scores[rows] += positive_scores(means if at is None else means[..., None], at, y, out)
+        for start in range(0, half, step):
+            lower = sums[start : start + step]
+            top = np.add(lower, level[n - 1], out=upper[: len(lower)])
+            low = max(start, 1)  # mask 0, the empty sum, only feeds the upper slice
+            for first, means in ((half + start, top), (low, sums[low : start + step])):
+                if len(means):
+                    rows = slice(first, first + len(means))
+                    means /= sizes[rows, None]
+                    # the means are spent once scored, so they are the scorer's scratch
+                    out = slab[: len(means)]
+                    scores[rows] += positive_scores(means if at is None else means[..., None],
+                                                    at, y, out)
     scores /= len(members)
     return scores, sizes
 
@@ -213,40 +244,60 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     (n, n - 1, T) mean of each model's marginal contributions in each task
     and their sum of squared deviations from it (M2). LASOMO is ``mos``
     itself under permutation weights and the per-size sums' total over
-    2^(n-1) - 1 under equal weights. Besides the table and these outputs it
-    holds three arrays of half the table's length, each allocated once: the
-    size order and the two slabs that every model's contributions fill.
+    2^(n-1) - 1 under equal weights. Besides the table, the shared size
+    order and these outputs it holds three arrays, each allocated once:
+    every model's contributions, half the table's length, and one slab into
+    which they are grouped by size, with the slab's indices into them. The
+    slab takes whole sizes in ascending order, as many as fit
+    ``_BLOCK_ELEMENTS`` counting a row's T values and its index, or the
+    largest size alone if it does not fit. At hub-panel sizes every size
+    fits one slab.
 
     For model i the masks without bit i and the masks with it are the two
     halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
     in ascending mask order. Model i's marginal contributions thus come out
     indexed by the mask with bit i squeezed out, whose popcount is the size
-    of the coalition i joins, whatever i is: one popcount vector serves
-    every model.
+    of the coalition i joins, whatever i is: one size order serves every
+    model.
     """
     n, t = int(sizes[-1]), scores.shape[1]  # the full mask holds all n members
-    half = 1 << (n - 1)
-    by_size = np.argsort(sizes[1:half], kind="stable")  # mask 0 has no score
+    half, by_size = 1 << (n - 1), _size_table(n)[1]
     counts = np.asarray([math.comb(n - 1, s) for s in range(1, n)])
-    starts = np.cumsum(counts) - counts
-    mos, total = np.empty((n, t)), np.empty((n, t))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # A slab row is T values and one index: whole sizes, as many as fit the budget
+    budget = max(_BLOCK_ELEMENTS // (t + 1), int(counts.max()))
+    firsts = [0]  # each slab's first size, by index
+    for k in range(1, n - 1):
+        if ends[k] - starts[firsts[-1]] > budget:
+            firsts.append(k)
+    chunks = [(k, starts[k.start], ends[k.stop - 1], starts[k] - starts[k.start])
+              for k in map(slice, firsts, firsts[1:] + [n - 1])]
+    rows = max(hi - lo for _, lo, hi, _ in chunks)
+    mos, total, sums = np.empty((n, t)), np.empty((n, t)), np.empty((n - 1, t))
     mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
-    diff, grouped = np.empty((half, t)), np.empty((half - 1, t))  # the call's two slabs
+    # np.take would copy a read-only index array on every call, so the slab's
+    # indices are copied into one array of their own
+    diff, slab, index = np.empty((half, t)), np.empty((rows, t)), np.empty(rows, by_size.dtype)
     for i in range(n):
         halves = scores.reshape(half >> i, 2, 1 << i, t)
         np.subtract(halves[:, 1], halves[:, 0], out=diff.reshape(half >> i, 1 << i, t))
-        # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
-        np.take(diff[1:], by_size, axis=0, out=grouped, mode="clip")
-        sums = np.add.reduceat(grouped, starts, axis=0)
-        mean[i] = sums / counts[:, None]
+        for k, lo, hi, local in chunks:
+            grouped, picks = slab[: hi - lo], index[: hi - lo]
+            np.copyto(picks, by_size[lo:hi])
+            # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
+            np.take(diff[1:], picks, axis=0, out=grouped, mode="clip")
+            # reduceat over some sizes gives the bits it gives over all of them
+            sums[k] = np.add.reduceat(grouped, local, axis=0)
+            mean[i, k] = sums[k] / counts[k, None]
+            for size, start, count in zip(mean[i, k], local, counts[k]):
+                grouped[start : start + count] -= size
+            grouped *= grouped
+            m2[i, k] = np.add.reduceat(grouped, local, axis=0)
         # accumulate pins the ascending size order at every batch width; a
         # reduce over a (N, 1) array would sum pairwise instead.
         mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
         total[i] = np.add.accumulate(sums, axis=0)[-1]
-        for size, start, count in zip(mean[i], starts, counts):
-            grouped[start : start + count] -= size
-        grouped *= grouped
-        m2[i] = np.add.reduceat(grouped, starts, axis=0)
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
     phi = mos if scheme is WeightScheme.PERMUTATION else total / (half - 1)
@@ -373,6 +424,8 @@ def compute_importance(
     for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, kept resident
         # Per task, the largest array of a batch (see the module docstring).
         widest = (n + 1) * width if algorithm is Algorithm.LOMO else max(1 << n, n * width)
+        if algorithm is Algorithm.LASOMO:
+            _size_table(n)  # built once, before the workers that share it start
         group, step = np.flatnonzero(sizes == n), max(1, _BLOCK_ELEMENTS // widest)
         rows = np.nonzero(panel.present[:, group].T)[1].reshape(-1, n).T  # ascending per task
         jobs += [(rows[:, k : k + step], group[k : k + step]) for k in range(0, len(group), step)]

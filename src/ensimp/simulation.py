@@ -18,7 +18,6 @@ from functools import partial
 from statistics import NormalDist
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .dataio import write_results
 from .importance import lomo_kernel
@@ -239,6 +238,8 @@ def truth_draws(seed: int, replicates: int) -> np.ndarray:
     against it with one binary search per level (see
     :func:`~ensimp.scoring.wis_batch`).
     """
+    from numpy.random import Generator, Philox  # loaded only by the commands that draw
+
     gen = Generator(Philox(key=seed))
     mantissa = gen.integers(0, 1 << 53, size=replicates)
     v = (mantissa + 0.5) * 2.0**-53

@@ -474,6 +474,24 @@ def test_cli_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random, about 6 MB resident, serves only the commands that draw;
+    # numpy 1.x imports it with numpy itself
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def loads_numpy_random(module):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}, sys; print('numpy.random' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip() == "True"
+
+    if loads_numpy_random("numpy"):
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert not loads_numpy_random("ensimp.cli")
+
+
 @pytest.mark.parametrize("algorithm", ["lasomo", "lomo"])
 def test_importance_does_not_load_numpy_ma(tmp_path, algorithm):
     # numpy.ma stays resident once imported (np.unique imports it); a child

@@ -671,6 +671,43 @@ class TestWriteResults:
         assert payload["note"] == "hello"
         assert payload["rows"][0]["value"] == 1.0 / 3.0
 
+    @pytest.mark.parametrize("note", [None, "", 'a "quoted"\nnote \u00e9'])
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{}],
+        [{"model": "A", "metric": "phi", "value": 1.0 / 3.0, "horizon": None},
+         {"model": "line\nbreak", "value": float("nan"), "n_predictions": 3},
+         {"location": None},
+         {"value": -float("inf"), "forecast_date": date(2021, 11, 6), "pct_submitted": 1e-300}],
+    ], ids=["empty", "one-empty-row", "mixed"])
+    def test_json_is_the_envelope_json_dump_writes(self, tmp_path, rows, note):
+        """Streamed a row at a time, the bytes of the one json.dump of the table."""
+        out = tmp_path / "r.json"
+        write_results(rows, str(out), "json", note=note)
+        table = [{k: v.isoformat() if isinstance(v, date) else v
+                  for k in dataio.RESULT_HEADER if (v := row.get(k)) is not None} for row in rows]
+        assert out.read_text() == json.dumps({"note": note, "rows": table}, indent=2) + "\n"
+
+    def test_json_rows_are_not_held(self, tmp_path):
+        """Rows are encoded as they come: the writer holds one row, not the table.
+
+        Each row's encoder leaves a little cyclic garbage until the collector
+        runs, so the bound is set well under a tenth of the table's bytes."""
+        row = {"model": "model00", "metric": "phi_task", "value": 1.0 / 3.0,
+               "forecast_date": date(2021, 11, 1), "location": "01", "horizon": 1,
+               "target_end_date": date(2021, 11, 6)}
+        out = tmp_path / "r.json"
+        with open(out, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                dataio._results_json(sink, (dict(row) for _ in range(20_000)), "n",
+                                     dataio.RESULT_HEADER)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.stat().st_size > 4e6
+        assert peak < 1 << 20, peak
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         rows = [{"model": "A", "metric": "phi", "value": 0.123456789123456789}]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -403,6 +403,31 @@ class TestBatchesByPoolSize:
         # (pool size, batch width): sizes ascending, every task of a size in one batch
         assert calls == {"_subset_scores": [(3, 8), (4, 2)], "lomo_kernel": [(3, 8), (4, 2)]}
 
+    def test_each_pool_size_builds_one_read_only_size_table(self, rng):
+        """One job per task on more workers than cores, switching threads
+        every microsecond: each pool size's table is built once, before the
+        jobs, and the cells are the one-worker cells bit for bit."""
+        tasks = from_pools(self.pools(rng))
+        want = compute_importance(tasks, Metric.WIS, Algorithm.LASOMO, n_workers=1)
+        importance._size_table.cache_clear()
+        compute_importance(tasks, Metric.WIS, Algorithm.LOMO, n_workers=2)
+        assert importance._size_table.cache_info().misses == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(importance, "_BLOCK_ELEMENTS", 8):
+                got = compute_importance(tasks, Metric.WIS, Algorithm.LASOMO, n_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert importance._size_table.cache_info().misses == 2  # pool sizes 3 and 4
+        for a, b in ((got.per_task, want.per_task), (got.lomo, want.lomo),
+                     (got.mean_over_sizes, want.mean_over_sizes)):
+            assert a.values.tobytes() == b.values.tobytes()
+        assert got.by_subset_size == want.by_subset_size
+        for array in importance._size_table(4):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
     @pytest.mark.parametrize("metric", list(Metric))
     def test_cells_equal_those_of_each_task_alone(self, rng, metric):
         pools = self.pools(rng)
@@ -496,27 +521,40 @@ class TestStreamedSubsetTable:
         y = rng.normal(size=t)
         block = 8 * importance._BLOCK_ELEMENTS
         table = 8 * (t << n)
-        # The walk holds the score table, one level's sum table, the uint8
-        # size vector and the job's one scoring slab, plus the members and
-        # numpy's cast buffers, well under an eighth of a block.
-        walk_bound = 2 * table + table // 8 + block + block // 8
-        # The readouts then add at most three arrays of half its length,
-        # plus their (n, n - 1, T) outputs, well under one block.
-        readout_bound = 3 * table // 2 + block
+        # The shared size table: a uint8 count per mask and the int64 size
+        # order of the lower half, built once per pool size before any job.
+        size_bound = (1 << n) + 8 * (1 << (n - 1))
+        # The walk holds the score table, the half table of one level's sums
+        # (the masks without the top member) and the job's scoring slab and
+        # upper buffer, plus the members and numpy's buffers, under a
+        # quarter of a block.
+        walk_bound = table + table // 2 + 2 * block + block // 4
+        # The readouts add one array of half its length and a slab of whole
+        # sizes, T values and an index per row, a block's worth or the
+        # largest size's count, plus their (n, n - 1, T) outputs and numpy's
+        # buffers, under a quarter of a block.
+        slab_rows = max(importance._BLOCK_ELEMENTS // (t + 1), math.comb(n - 1, n // 2))
+        readout_bound = table // 2 + 8 * (t + 1) * slab_rows + block // 4
         assert walk_bound + readout_bound < 100e6
+        importance._size_table.cache_clear()
         tracemalloc.start()
         try:
-            scores, sizes = importance._subset_scores(values, CANONICAL_LEVELS, y)
-            walk_peak = tracemalloc.get_traced_memory()[1]
+            importance._size_table(n)
+            size_table = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
+            scores, sizes = importance._subset_scores(values, CANONICAL_LEVELS, y)
+            walk_peak = tracemalloc.get_traced_memory()[1] - size_table
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0] - size_table
             importance._table_readouts(scores, sizes, WeightScheme.PERMUTATION)
-            readout_peak = tracemalloc.get_traced_memory()[1] - base
+            readout_peak = tracemalloc.get_traced_memory()[1] - size_table - base
         finally:
             tracemalloc.stop()
+        assert sum(a.nbytes for a in importance._size_table(n)) <= size_bound
+        assert size_table < size_bound + 4096
         assert walk_peak < walk_bound
         assert readout_peak < readout_bound
-        assert walk_peak < base + readout_peak  # the readouts stay the worker's peak
+        assert walk_peak > base + readout_peak  # the walk is the worker's peak
 
     @pytest.mark.skipif(sys.platform != "linux", reason="per-thread rusage is Linux only")
     def test_a_worker_thread_faults_in_its_slabs_once(self):
@@ -562,20 +600,22 @@ class TestStreamedSubsetTable:
 
     @pytest.mark.parametrize("t, low", [(1, 12), (64, 11), (1024, 7)])
     def test_each_level_is_scored_in_blocks_of_the_whole_budget(self, t, low):
-        """One ``wis_batch`` call per level and slice of 2^L subsets, L as large as fits.
+        """One ``wis_batch`` call per level and slice of 2^L subsets, L as large as
+        fits, a slice never more than the half of the table without the top member.
 
         A walk that went back to small slabs would make many more calls."""
         n, k = 12, len(CANONICAL_LEVELS)
+        slices = 2 ** (n - min(low, n - 1))
         rng = np.random.default_rng(3)
         values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
         with mock.patch.object(scoring, "wis_batch", wraps=scoring.wis_batch) as calls:
             importance._subset_scores(values, CANONICAL_LEVELS, rng.normal(size=t))
-        assert calls.call_count == k * 2 ** (n - low)
+        assert calls.call_count == k * slices
         # Point values are one level: one -SPE call per slice.
         values = values[..., 0]
         with mock.patch.object(importance, "positive_scores", wraps=scoring.positive_scores) as calls:
             importance._subset_scores(values, None, rng.normal(size=t))
-        assert calls.call_count == 2 ** (n - low)
+        assert calls.call_count == slices
 
     @pytest.mark.parametrize("algorithm, kernel", [(Algorithm.LOMO, "lomo_kernel"),
                                                    (Algorithm.LASOMO, "_subset_scores")])
