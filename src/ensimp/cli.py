@@ -31,16 +31,18 @@ from .simulation import (
 
 SUBSET_VARIANCE_HEADER = ("model", "subset_size", "mean", "variance", "n_subsets")
 _CHECK_CHUNK = 1 << 13
+_WORKERS_HELP = "worker threads, capped at the CPUs this process may use (default: all of them)"
 
 
 def _resolve_workers(requested: int | None) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise ValidationError(f"--workers must be >= 1, got {requested}")
-        return requested
+    """The worker threads to start: ``requested``, at most the CPUs this process may use."""
+    if requested is not None and requested < 1:
+        raise ValidationError(f"--workers must be >= 1, got {requested}")
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return usable if requested is None else min(requested, usable)
 
 
 def _read_inputs(args):
@@ -71,7 +73,8 @@ def _print_report(report: dataio.ReadReport) -> None:
 
 def _task_rows(panel: Panel, metric: str) -> Iterator[dict]:
     """One row per present cell, models then tasks in sorted order."""
-    for model, values, present in zip(panel.models, panel.values.tolist(), panel.present):
+    for model, row, present in zip(panel.models, panel.values, panel.present):
+        values = row.tolist()  # one model's cells as Python floats at a time
         for j in present.nonzero()[0].tolist():
             task = panel.tasks[j]
             yield {"model": model, "metric": metric, "value": values[j],
@@ -253,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_flags(p, na_default="worst")
     p.add_argument("--algorithm", choices=("lomo", "lasomo"), default="lasomo")
     p.add_argument("--weights", choices=("permutation", "equal"), default="permutation")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_importance)
 
     p = sub.add_parser("simulate", help="run a bias/dispersion sweep")
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, default=None)
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--output", default="-", help="output path, or - for stdout")
     p.set_defaults(func=cmd_simulate)
 
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subset-variance", help="per-subset-size importance diagnostics")
     _add_panel_flags(p, na_default="worst")
     p.add_argument("--weights", choices=("permutation", "equal"), default="permutation")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.set_defaults(func=cmd_subset_variance)
 
     return parser

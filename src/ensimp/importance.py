@@ -16,9 +16,9 @@ Both are differences of ensemble scores over the lattice of model subsets,
 enumerated by bitmask over the pool's canonical (sorted) model order. For a
 batch of T tasks sharing one pool size n, whatever models each task has,
 :func:`_subset_scores` scores every subset once into a (2^n, T) table, and
-:func:`_table_readouts` reads every LASOMO output from that table and its size
-vector alone: LOMO (its top layer), the moments of the marginal contributions
-at each subset size, their per-task mean over sizes, and LASOMO from the same
+:func:`_table_readouts` reads every LASOMO output from that table alone:
+LOMO (its top layer), the moments of the marginal contributions at each
+subset size, their per-task mean over sizes, and LASOMO from the same
 per-size sums, not from per-subset weighted terms. The LOMO kernel, shared by
 the panel path and the simulation engine, scores only the n + 1 top-layer
 ensembles: no model cap. Both kernels score the output of ``scored_values``,
@@ -32,19 +32,19 @@ SPE). The subset sums are held one level at a time, and only for the masks
 without the top member: a (2^(n-1), T) table, half the score table. They are
 scored in slices of at most that many values, so a slice holds the most
 subsets the budget allows, each slice plus the top member first, from one
-upper buffer. The readouts group every model's contributions by size into
-one slab, whole sizes at a time, as many rows as the budget allows. Each job
-allocates its working arrays once: the walk's scoring slab and upper buffer,
-with the divided sums as the scorer's scratch, and the readouts'
-contributions (half the table's length), slab and slab indices. Nothing the
-size of a slice or a table is allocated per level, slice or model, so a
-worker thread does not hand pages back to the system only to fault them in
+upper buffer. The readouts take each model's contributions one size at a
+time into one slab of the largest size's rows, at most a quarter of the
+table. Each job allocates its working arrays once: the walk's scoring slab
+and upper buffer, with the divided sums as the scorer's scratch, and the
+readouts' contributions (half the table's length) and slab. Nothing the size
+of a slice or a table is allocated per level, slice or model, so a worker
+thread does not hand pages back to the system only to fault them in
 again. Every job of a pool size reads one shared, read-only size table: the
 uint8 size of every mask and the size order of the half without the top
 member (:func:`_size_table`; 5.2 MB at n = 20, once per process). A worker's
 LASOMO memory is thus the (2^n, T) score table, one level's half sums, the
 slab and the upper buffer (14.8 MB at n = 20 and T = 1, by ``tracemalloc``),
-then the table and the readouts (14.2 MB there); never the (2^n, T, levels)
+then the table and the readouts (14.1 MB there); never the (2^n, T, levels)
 sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order at every pool size, WIS
@@ -189,19 +189,18 @@ def _size_table(n: int):
 
 
 def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
-    """Positively oriented ensemble score of every subset, and its member count.
+    """The (2^n, T) table of every subset's positively oriented ensemble score.
 
-    Both are indexed by bitmask over canonical member order; the counts are
-    the shared uint8 vector of :func:`_size_table`. The sums of the scored
-    ``values`` are held one level at a time (point values are one), and only
-    for the masks without the top member: each (2^(n-1), T) sum table is
-    filled by doubling, as the counts are, so members join in ascending bit
-    order and each subset's sum is the plain left-to-right sum of its
-    members. The table is then walked in slices of at most
-    ``_BLOCK_ELEMENTS`` values. Each slice plus the top member, the add the
-    doubling's last step would make, goes into the job's one upper buffer
-    and is scored first; then the slice itself is divided by its counts in
-    place and scored. Each is scored by one ``positive_scores`` call, as
+    Rows are indexed by bitmask over canonical member order. The sums of the
+    scored ``values`` are held one level at a time (point values are one),
+    and only for the masks without the top member: each (2^(n-1), T) sum
+    table is filled by doubling, as the member counts of :func:`_size_table`
+    are, so members join in ascending bit order and each subset's sum is the
+    plain left-to-right sum of its members. The table is then walked in
+    slices of at most ``_BLOCK_ELEMENTS`` values. Each slice plus the top
+    member, the add the doubling's last step would make, goes into the job's
+    one upper buffer and is scored first; then the slice itself is divided by
+    its counts in place and scored. Each is scored by one ``positive_scores`` call, as
     -SPE or as minus that one level's WIS term, exactly, into the job's one
     slab, with the divided sums as scratch. The per-level scores are added
     into the table in level order, then divided by the level count once.
@@ -233,11 +232,11 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
                     scores[rows] += positive_scores(means if at is None else means[..., None],
                                                     at, y, out)
     scores /= len(members)
-    return scores, sizes
+    return scores
 
 
-def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme):
-    """Every output read from a (2^n, T) subset score table and its size vector.
+def _table_readouts(scores: np.ndarray, scheme: WeightScheme):
+    """Every output read from a (2^n, T) subset score table alone.
 
     Returns ``(phi, lomo, mos, mean, m2)``: the (n, T) LASOMO, LOMO and
     mean-over-sizes cells, and per ensemble size r = 2..n (index r - 2) the
@@ -245,13 +244,10 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     and their sum of squared deviations from it (M2). LASOMO is ``mos``
     itself under permutation weights and the per-size sums' total over
     2^(n-1) - 1 under equal weights. Besides the table, the shared size
-    order and these outputs it holds three arrays, each allocated once:
-    every model's contributions, half the table's length, and one slab into
-    which they are grouped by size, with the slab's indices into them. The
-    slab takes whole sizes in ascending order, as many as fit
-    ``_BLOCK_ELEMENTS`` counting a row's T values and its index, or the
-    largest size alone if it does not fit. At hub-panel sizes every size
-    fits one slab.
+    order and these outputs it holds two arrays, each allocated once: every
+    model's contributions, half the table's length, and one slab of the
+    largest size's rows, into which each size's contributions are taken in
+    turn, one size per pass.
 
     For model i the masks without bit i and the masks with it are the two
     halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
@@ -260,42 +256,27 @@ def _table_readouts(scores: np.ndarray, sizes: np.ndarray, scheme: WeightScheme)
     of the coalition i joins, whatever i is: one size order serves every
     model.
     """
-    n, t = int(sizes[-1]), scores.shape[1]  # the full mask holds all n members
+    n, t = len(scores).bit_length() - 1, scores.shape[1]
     half, by_size = 1 << (n - 1), _size_table(n)[1]
-    counts = np.asarray([math.comb(n - 1, s) for s in range(1, n)])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # A slab row is T values and one index: whole sizes, as many as fit the budget
-    budget = max(_BLOCK_ELEMENTS // (t + 1), int(counts.max()))
-    firsts = [0]  # each slab's first size, by index
-    for k in range(1, n - 1):
-        if ends[k] - starts[firsts[-1]] > budget:
-            firsts.append(k)
-    chunks = [(k, starts[k.start], ends[k.stop - 1], starts[k] - starts[k.start])
-              for k in map(slice, firsts, firsts[1:] + [n - 1])]
-    rows = max(hi - lo for _, lo, hi, _ in chunks)
+    counts = [math.comb(n - 1, s) for s in range(1, n)]
+    picks = np.split(by_size, np.cumsum(counts)[:-1])  # each size's read-only view
     mos, total, sums = np.empty((n, t)), np.empty((n, t)), np.empty((n - 1, t))
     mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
-    # np.take would copy a read-only index array on every call, so the slab's
-    # indices are copied into one array of their own
-    diff, slab, index = np.empty((half, t)), np.empty((rows, t)), np.empty(rows, by_size.dtype)
+    diff, slab = np.empty((half, t)), np.empty((max(counts), t))
     for i in range(n):
         halves = scores.reshape(half >> i, 2, 1 << i, t)
         np.subtract(halves[:, 1], halves[:, 0], out=diff.reshape(half >> i, 1 << i, t))
-        for k, lo, hi, local in chunks:
-            grouped, picks = slab[: hi - lo], index[: hi - lo]
-            np.copyto(picks, by_size[lo:hi])
+        for k, pick in enumerate(picks):
+            grouped = slab[: len(pick)]
             # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
-            np.take(diff[1:], picks, axis=0, out=grouped, mode="clip")
-            # reduceat over some sizes gives the bits it gives over all of them
-            sums[k] = np.add.reduceat(grouped, local, axis=0)
-            mean[i, k] = sums[k] / counts[k, None]
-            for size, start, count in zip(mean[i, k], local, counts[k]):
-                grouped[start : start + count] -= size
+            np.take(diff[1:], pick, axis=0, out=grouped, mode="clip")
+            # reduceat sums the rows in order; a reduce over (N, 1) would sum pairwise
+            np.add.reduceat(grouped, [0], axis=0, out=sums[k, None])
+            np.divide(sums[k], len(pick), out=mean[i, k])
+            grouped -= mean[i, k]
             grouped *= grouped
-            m2[i, k] = np.add.reduceat(grouped, local, axis=0)
-        # accumulate pins the ascending size order at every batch width; a
-        # reduce over a (N, 1) array would sum pairwise instead.
+            np.add.reduceat(grouped, [0], axis=0, out=m2[i, k, None])
+        # accumulate pins the ascending size order at every batch width, as above
         mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
         total[i] = np.add.accumulate(sums, axis=0)[-1]
     full = (1 << n) - 1
@@ -437,7 +418,7 @@ def compute_importance(
         with np.errstate(over="ignore", invalid="ignore"):
             if algorithm is Algorithm.LOMO:
                 return (lomo_kernel(batch, levels, y),)
-            return _table_readouts(*_subset_scores(batch, levels, y), scheme)
+            return _table_readouts(_subset_scores(batch, levels, y), scheme)
 
     phi, lomo, mos = cells = np.full((3, *panel.present.shape), np.nan)
     # Each LASOMO cell's per-size mean and M2 about its task's own mean, size r at index r - 2.

@@ -2,16 +2,18 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import FIXTURES, ORACLES, mutated_decomposition, perfbench_inputs
+from conftest import FIXTURES, ORACLES, mutated_decomposition, perfbench_inputs, task_key
 
 from ensimp import cli, importance
 from ensimp.cli import _resolve_workers, main
-from ensimp.dataio import FORECAST_HEADER
+from ensimp.dataio import FORECAST_HEADER, Panel
 from ensimp.ensembling import ForecastPool
 from ensimp.scoring import CANONICAL_LEVELS, QuantileForecast
 
@@ -457,11 +459,40 @@ class TestWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert _resolve_workers(None) == 5
 
+    def test_a_request_is_capped_at_the_cpus_this_process_may_use(self, monkeypatch):
+        # A pool maps every grid value at once, so an uncapped request could
+        # start a thread per value; resolving the count starts none.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = threading.active_count()
+        assert _resolve_workers(10**6) == 2
+        assert _resolve_workers(1) == 1
+        assert threading.active_count() == threads
+
     def test_zero_workers_rejected(self, capsys):
         code = main(["simulate", "--scenario", "b", "--replicates", "1", "--workers", "0",
                      "--output", "-"])
         assert code == 1
         assert "--workers" in capsys.readouterr().err
+
+
+def test_task_rows_hold_one_model_row_at_a_time():
+    n_models, n_tasks = 10, 20_000
+    values = np.arange(n_models * n_tasks, dtype=float).reshape(n_models, n_tasks)
+    panel = Panel(tuple(f"m{i}" for i in range(n_models)),
+                  tuple(task_key(j) for j in range(n_tasks)), values,
+                  np.ones((n_models, n_tasks), dtype=bool))
+    rows = 0
+    tracemalloc.start()
+    try:
+        for row in cli._task_rows(panel, "wis"):
+            rows += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == n_models * n_tasks
+    assert row["model"] == "m9" and row["value"] == values[-1, -1]
+    # The whole panel as Python floats is about 7 MiB; one model's row is under 1.
+    assert peak < 3 * 2**20, peak
 
 
 def test_cli_import_does_not_load_scipy():

@@ -83,6 +83,25 @@ class TestReadForecasts:
         with pytest.raises(ParseError, match=r"0\.5"):
             read_forecasts(forecast_csv(tmp_path, body))
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("duplicate_first", [True, False], ids=["duplicate", "number"])
+    def test_the_earlier_of_two_faulty_rows_is_named(self, tmp_path, quote, duplicate_first):
+        # A plain file is read column-wise, then again by the row reader; a
+        # quoted one goes to the row reader from the start.
+        duplicate = "alpha,2021-11-06,25,1,2021-11-13,0.5,21.0"
+        bad_number = "beta,2021-11-06,25,1,2021-11-13,0.5,twenty"
+        lines = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE).splitlines()
+        lines += [duplicate, bad_number] if duplicate_first else [bad_number, duplicate]
+        body = "".join(",".join(f"{quote}{field}{quote}" for field in line.split(",")) + "\n"
+                       for line in lines)
+        path = forecast_csv(tmp_path, body)
+        with pytest.raises(ParseError) as err:
+            read_forecasts(path)
+        task = TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13))
+        fault = (f"duplicate quantile row for ('alpha', {task}, 0.5)" if duplicate_first
+                 else "invalid number in 'value': 'twenty'")
+        assert str(err.value) == f"{path}: row 5: {fault}"
+
     def test_incomplete_level_set_is_flagged_not_fatal(self, tmp_path):
         body = rows_for("alpha", "2021-11-06", "25", 1, "2021-11-13", TRIPLE)
         body += rows_for("beta", "2021-11-06", "25", 1, "2021-11-13", TRIPLE[:2])

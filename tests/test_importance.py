@@ -450,7 +450,7 @@ class TestBatchesByPoolSize:
             panel = from_pools([tp]).forecasts
             values, levels = scoring.scored_values(panel.values, panel.levels, Metric.WIS)
             table = importance._subset_scores(values, levels, np.array([tp.truth.value]))
-            *_, mean, m2 = importance._table_readouts(*table, WeightScheme.PERMUTATION)
+            *_, mean, m2 = importance._table_readouts(table, WeightScheme.PERMUTATION)
             n = len(tp.pool.model_ids)
             for i, m in enumerate(tp.pool.model_ids):
                 for k in range(n - 1):
@@ -510,9 +510,9 @@ class TestStreamedSubsetTable:
         # Slices of one subset up to the whole table, some not powers of two.
         for budget in [t << low for low in range(n + 1)] + [3 * t, 5 * t + 1]:
             with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
-                scores, sizes = importance._subset_scores(values, levels, y)
+                scores = importance._subset_scores(values, levels, y)
             assert scores.tobytes() == want_scores.tobytes(), budget
-            assert np.array_equal(sizes, want_sizes)
+        assert np.array_equal(importance._size_table(n)[0], want_sizes)
 
     def test_peak_memory_follows_the_planned_blocks(self):
         n, t, k = 20, 1, len(CANONICAL_LEVELS)
@@ -542,11 +542,11 @@ class TestStreamedSubsetTable:
             importance._size_table(n)
             size_table = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            scores, sizes = importance._subset_scores(values, CANONICAL_LEVELS, y)
+            scores = importance._subset_scores(values, CANONICAL_LEVELS, y)
             walk_peak = tracemalloc.get_traced_memory()[1] - size_table
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0] - size_table
-            importance._table_readouts(scores, sizes, WeightScheme.PERMUTATION)
+            importance._table_readouts(scores, WeightScheme.PERMUTATION)
             readout_peak = tracemalloc.get_traced_memory()[1] - size_table - base
         finally:
             tracemalloc.stop()
@@ -578,9 +578,9 @@ class TestStreamedSubsetTable:
             values = np.sort(rng.normal(size=({n}, 1, len(CANONICAL_LEVELS))), axis=-1)
             y = rng.normal(size=1)
             start = faults()
-            scores, sizes = importance._subset_scores(values, CANONICAL_LEVELS, y)
+            scores = importance._subset_scores(values, CANONICAL_LEVELS, y)
             walk = faults()
-            importance._table_readouts(scores, sizes, importance.WeightScheme.PERMUTATION)
+            importance._table_readouts(scores, importance.WeightScheme.PERMUTATION)
             print(walk - start, faults() - walk)
 
         worker = threading.Thread(target=job)

@@ -225,11 +225,11 @@ def test_closed_form_matches_subset_table(e):
     models each size's column against the brute-force per-size mean."""
     n = len(e)
     c = decomposition.contributions_by_size(np.outer(e, e))
-    scores, sizes = importance._subset_scores(-e[:, None], None, np.zeros(1))
+    scores = importance._subset_scores(-e[:, None], None, np.zeros(1))
     counts = [math.comb(n - 1, s) for s in range(1, n)]
     for scheme, phi in ((WeightScheme.PERMUTATION, c.mean(axis=1)),
                         (WeightScheme.EQUAL, c @ counts / (2 ** (n - 1) - 1))):
-        want, lomo = (a[:, 0] for a in importance._table_readouts(scores, sizes, scheme)[:2])
+        want, lomo = (a[:, 0] for a in importance._table_readouts(scores, scheme)[:2])
         tol = 1e-13 * max(1.0, np.abs(want).max(), np.abs(lomo).max())
         assert np.abs(c[:, -1] - lomo).max() <= tol
         assert np.abs(phi - want).max() <= tol
