@@ -28,23 +28,29 @@ One float64 budget, ``_BLOCK_ELEMENTS``, bounds the kernels' working memory.
 A batch takes the most tasks, at least one, whose largest array fits it: the
 (2^n, T) score table or the (n, T, levels) scored values for LASOMO, the
 (n + 1, T, levels) ensembles for LOMO, levels counting those scored (1 for
-SPE). The subset sums are held one level at a time, and only for the masks
-without the top member: a (2^(n-1), T) table, half the score table. They are
-scored in slices of at most that many values, so a slice holds the most
-subsets the budget allows, each slice plus the top member first, from one
-upper buffer. The readouts take each model's contributions one size at a
-time into one slab of the largest size's rows, at most a quarter of the
-table. Each job allocates its working arrays once: the walk's scoring slab
-and upper buffer, with the divided sums as the scorer's scratch, and the
-readouts' contributions (half the table's length) and slab. Nothing the size
-of a slice or a table is allocated per level, slice or model, so a worker
-thread does not hand pages back to the system only to fault them in
+SPE). The subset sums are held one level and one slice at a time: a slice of
+2^L masks, the most the budget allows up to half the table, is summed from
+the level's low table, the sums of the members below bit L, and the slice's
+higher members. The readouts take each model's contributions one size at
+a time into one slab of the largest size's rows, at most a quarter of the
+table. Each job allocates its working arrays once: the walk's low table,
+slice sums and scoring slab, with the divided sums as the scorer's scratch,
+and the readouts' contributions (half the table's length) and slab. Nothing
+the size of a slice or a table is allocated per level, slice or model, so a
+worker thread does not hand pages back to the system only to fault them in
 again. Every job of a pool size reads one shared, read-only size table: the
-uint8 size of every mask and the size order of the half without the top
-member (:func:`_size_table`; 5.2 MB at n = 20, once per process). A worker's
-LASOMO memory is thus the (2^n, T) score table, one level's half sums, the
-slab and the upper buffer (14.8 MB at n = 20 and T = 1, by ``tracemalloc``),
-then the table and the readouts (14.1 MB there); never the (2^n, T, levels)
+uint8 size of every mask and the int32 size order of the half without the
+top member (:func:`_size_table`; 3 MB at n = 20, once per process).
+
+A table over the budget (pools of 18 to 20 models, one task per job) is
+scored after every other job, alone, in k parts, k the worker count or the
+count of such tables, whichever is fewer: each part walks every k-th slice
+and reads every k-th model into its own slice arrays, contributions and
+slab, which the calling thread allocates. So one such table is alive at a
+time, and never more parts' arrays than one table per worker would hold. At
+n = 20 and T = 1 that is the 8.4 MB table, plus 3.1 MB of slice arrays per
+part while it is scored, then 5.7 MB of readout arrays per part: 14.1 MB in
+one part and 19.8 MB in two, by ``tracemalloc``; never the (2^n, T, levels)
 sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order at every pool size, WIS
@@ -59,6 +65,7 @@ accepts, the table's LOMO equals the LOMO kernel's.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,69 +180,96 @@ def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y) -> np.ndar
 @functools.lru_cache(maxsize=MAX_EXACT_MODELS)
 def _size_table(n: int):
     """The uint8 member count of masks 0 to 2^n - 1, and the stable order by
-    count of masks 1 to 2^(n-1) - 1 (entry k is mask k + 1).
+    count of masks 1 to 2^(n-1) - 1 (entry k is mask k + 1), as int32.
 
     Both are read-only, shared by every job of pool size ``n`` in every
     thread; :func:`compute_importance` builds them before its workers start.
     The cache holds at most one entry per pool size up to the model cap
-    (5.2 MB at n = 20, 10.5 MB for all), whatever the process has run.
+    (3 MB at n = 20, 6 MB for all), whatever the process has run.
     """
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    order = np.argsort(sizes[1 : 1 << (n - 1)], kind="stable")
+    # the largest entry, 2^19 - 2 at the cap, fits int32; np.take copies any order anyway
+    order = np.argsort(sizes[1 : 1 << (n - 1)], kind="stable").astype(np.int32)
     sizes.flags.writeable = order.flags.writeable = False
     return sizes, order
 
 
-def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y):
+def _in_turn(part, parts: int) -> None:
+    """Run ``part(0)`` to ``part(parts - 1)`` in this thread, in order."""
+    for p in range(parts):
+        part(p)
+
+
+def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y, parts: int = 1,
+                   spread=_in_turn):
     """The (2^n, T) table of every subset's positively oriented ensemble score.
 
-    Rows are indexed by bitmask over canonical member order. The sums of the
-    scored ``values`` are held one level at a time (point values are one),
-    and only for the masks without the top member: each (2^(n-1), T) sum
-    table is filled by doubling, as the member counts of :func:`_size_table`
-    are, so members join in ascending bit order and each subset's sum is the
-    plain left-to-right sum of its members. The table is then walked in
-    slices of at most ``_BLOCK_ELEMENTS`` values. Each slice plus the top
-    member, the add the doubling's last step would make, goes into the job's
-    one upper buffer and is scored first; then the slice itself is divided by
-    its counts in place and scored. Each is scored by one ``positive_scores`` call, as
-    -SPE or as minus that one level's WIS term, exactly, into the job's one
-    slab, with the divided sums as scratch. The per-level scores are added
-    into the table in level order, then divided by the level count once.
-    Score row 0, the empty coalition, is NaN and is never scored or read.
+    Rows are indexed by bitmask over canonical member order. The table is
+    walked in slices of 2^L masks, 2^L the largest power of two within
+    ``_BLOCK_ELEMENTS`` values and half the table, one level at a time (point
+    values are one). A slice's sums are the level's low table, the sums of
+    the members below bit L filled by doubling as the member counts of
+    :func:`_size_table` are, plus the slice's higher members in ascending
+    bit order: members join in ascending bit order, so each subset's sum is
+    the plain left-to-right sum of its members. The sums are divided by
+    their counts and scored by one ``positive_scores`` call, as -SPE or as
+    minus that one level's WIS term, exactly, with the divided sums as
+    scratch: the first level straight into the table, each later one into a
+    slab that is added to it, in level order. Each slice is then divided by
+    the level count once. Score row 0, the empty coalition, is NaN and is
+    never scored or read.
+
+    ``spread(walk, parts)`` runs ``walk(p)`` for each of the ``parts``
+    parts, each walking every ``parts``-th slice over its own rows of the
+    table. The parts' low tables, sums and slabs are one array, allocated
+    here, in the calling thread.
     """
     n, t = values.shape[:2]
     # Level-major members, (levels, n, T), and the level set each is scored at.
     members = values[None] if levels is None else np.moveaxis(values, -1, 0).copy()
     level_sets = [None] if levels is None else [QuantileLevels((p,)) for p in levels.levels]
-    half, sizes = 1 << (n - 1), _size_table(n)[0]
-    step = min(max(1, _BLOCK_ELEMENTS // t), half)  # the subsets of one scored slice
-    sums = np.zeros((half, t))  # row 0, the empty sum, stays zero
-    scores = np.full((1 << n, t), -0.0)  # -0.0 + x is x, bit for bit
+    sizes = _size_table(n)[0]
+    # At most half the table: a table within the budget is scored in halves,
+    # whose sums and slab stay in cache where the whole table's would not.
+    low = min(n - 1, max(1, _BLOCK_ELEMENTS // t).bit_length() - 1)
+    width = 1 << low  # the masks of one scored slice
+    scores = np.empty((1 << n, t))
     scores[0] = np.nan
-    slab, upper = np.empty((step, t)), np.empty((step, t))  # the job's only slice arrays
-    for level, at in zip(members, level_sets):
-        for i in range(n - 1):
-            np.add(sums[: 1 << i], level[i], out=sums[1 << i : 2 << i])
-        for start in range(0, half, step):
-            lower = sums[start : start + step]
-            top = np.add(lower, level[n - 1], out=upper[: len(lower)])
-            low = max(start, 1)  # mask 0, the empty sum, only feeds the upper slice
-            for first, means in ((half + start, top), (low, sums[low : start + step])):
-                if len(means):
-                    rows = slice(first, first + len(means))
-                    means /= sizes[rows, None]
-                    # the means are spent once scored, so they are the scorer's scratch
-                    out = slab[: len(means)]
-                    scores[rows] += positive_scores(means if at is None else means[..., None],
-                                                    at, y, out)
-    scores /= len(members)
+    parts = min(parts, (1 << n) >> low)  # a part for every slice at most
+    buffers = np.empty((parts, 3, width, t))  # each part's only slice arrays
+
+    def walk(part):
+        lows, sums, slab = buffers[part]
+        # slice 0 last, so its sums, the low table itself, are spent once scored
+        starts = range(part * width, 1 << n, parts * width)[::-1]
+        lows[0] = 0.0  # the empty sum, never divided
+        for k, (level, at) in enumerate(zip(members, level_sets)):
+            for i in range(low):
+                np.add(lows[: 1 << i], level[i], out=lows[1 << i : 2 << i])
+            for start in starts:
+                means = lows
+                for i in range(low, n):
+                    if start >> i & 1:
+                        means = np.add(means, level[i], out=sums)
+                first = int(start == 0)  # mask 0 is not scored
+                rows = slice(start + first, start + width)
+                # the means are spent once scored, so they are the scorer's scratch
+                means = means[first:]
+                means /= sizes[rows, None]
+                out = positive_scores(means if at is None else means[..., None], at, y,
+                                      slab[first:] if k else scores[rows])
+                if k:
+                    scores[rows] += out
+        for start in starts:
+            scores[start : start + width] /= len(members)
+
+    spread(walk, parts)
     return scores
 
 
-def _table_readouts(scores: np.ndarray, scheme: WeightScheme):
+def _table_readouts(scores: np.ndarray, scheme: WeightScheme, parts: int = 1, spread=_in_turn):
     """Every output read from a (2^n, T) subset score table alone.
 
     Returns ``(phi, lomo, mos, mean, m2)``: the (n, T) LASOMO, LOMO and
@@ -243,11 +277,15 @@ def _table_readouts(scores: np.ndarray, scheme: WeightScheme):
     (n, n - 1, T) mean of each model's marginal contributions in each task
     and their sum of squared deviations from it (M2). LASOMO is ``mos``
     itself under permutation weights and the per-size sums' total over
-    2^(n-1) - 1 under equal weights. Besides the table, the shared size
-    order and these outputs it holds two arrays, each allocated once: every
-    model's contributions, half the table's length, and one slab of the
-    largest size's rows, into which each size's contributions are taken in
-    turn, one size per pass.
+    2^(n-1) - 1 under equal weights.
+
+    ``spread(read, parts)`` runs ``read(p)`` for each of the ``parts``
+    parts, part p reading every ``parts``-th model from model p. Besides the
+    table, the shared size order and these outputs, each part holds its own
+    model's contributions, half the table's length, one slab of the largest
+    size's rows, into which each size's contributions are taken in turn, one
+    size per pass, and the per-size sums: one array for all parts, allocated
+    here, in the calling thread.
 
     For model i the masks without bit i and the masks with it are the two
     halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
@@ -260,25 +298,32 @@ def _table_readouts(scores: np.ndarray, scheme: WeightScheme):
     half, by_size = 1 << (n - 1), _size_table(n)[1]
     counts = [math.comb(n - 1, s) for s in range(1, n)]
     picks = np.split(by_size, np.cumsum(counts)[:-1])  # each size's read-only view
-    mos, total, sums = np.empty((n, t)), np.empty((n, t)), np.empty((n - 1, t))
+    mos, total = np.empty((n, t)), np.empty((n, t))
     mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
-    diff, slab = np.empty((half, t)), np.empty((max(counts), t))
-    for i in range(n):
-        halves = scores.reshape(half >> i, 2, 1 << i, t)
-        np.subtract(halves[:, 1], halves[:, 0], out=diff.reshape(half >> i, 1 << i, t))
-        for k, pick in enumerate(picks):
-            grouped = slab[: len(pick)]
-            # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
-            np.take(diff[1:], pick, axis=0, out=grouped, mode="clip")
-            # reduceat sums the rows in order; a reduce over (N, 1) would sum pairwise
-            np.add.reduceat(grouped, [0], axis=0, out=sums[k, None])
-            np.divide(sums[k], len(pick), out=mean[i, k])
-            grouped -= mean[i, k]
-            grouped *= grouped
-            np.add.reduceat(grouped, [0], axis=0, out=m2[i, k, None])
-        # accumulate pins the ascending size order at every batch width, as above
-        mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
-        total[i] = np.add.accumulate(sums, axis=0)[-1]
+    parts = min(parts, n)  # a part for every model at most
+    rows = half + max(counts)  # a part's contributions and slab, then its per-size sums
+    buffers = np.empty((parts, rows + n - 1, t))
+
+    def read(part):
+        diff, slab, sums = np.split(buffers[part], [half, rows])
+        for i in range(part, n, parts):
+            halves = scores.reshape(half >> i, 2, 1 << i, t)
+            np.subtract(halves[:, 1], halves[:, 0], out=diff.reshape(half >> i, 1 << i, t))
+            for k, pick in enumerate(picks):
+                grouped = slab[: len(pick)]
+                # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
+                np.take(diff[1:], pick, axis=0, out=grouped, mode="clip")
+                # reduceat sums the rows in order; a reduce over (N, 1) would sum pairwise
+                np.add.reduceat(grouped, [0], axis=0, out=sums[k, None])
+                np.divide(sums[k], len(pick), out=mean[i, k])
+                grouped -= mean[i, k]
+                grouped *= grouped
+                np.add.reduceat(grouped, [0], axis=0, out=m2[i, k, None])
+            # accumulate pins the ascending size order at every batch width, as above
+            mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
+            total[i] = np.add.accumulate(sums, axis=0)[-1]
+
+    spread(read, parts)
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
     phi = mos if scheme is WeightScheme.PERMUTATION else total / (half - 1)
@@ -385,7 +430,9 @@ def compute_importance(
 
     Tasks are batched by pool size (their count of present models), in column
     order, as many per batch as ``_BLOCK_ELEMENTS`` allows, and run on
-    ``n_workers`` threads (None means one); the output depends on neither.
+    ``n_workers`` threads (None means one), a batch per thread; the LASOMO
+    tables over the budget run after them, one at a time, each split across
+    as many threads as there are such tables, up to ``n_workers``. The output depends on neither the batching nor the threads.
     Per-size moments are pooled over tasks in column order. Build the panel
     with :func:`~ensimp.dataio.build_task_pools` or :func:`~ensimp.dataio.from_pools`.
     """
@@ -400,7 +447,11 @@ def compute_importance(
         _check_capacity(int(sizes[j]), panel.tasks[j])
 
     values, levels = scored_values(panel.values, panel.levels, metric)
-    jobs = []  # each batch's (n, T) member rows, in model-id order, and (T,) columns
+    # Each batch's (n, T) member rows, in model-id order, and (T,) columns: a
+    # job per worker, then the over-budget tables, one at a time, each in parts.
+    jobs, alone = [], []
+    # in every thread that computes, as none inherits it; the Panel names a non-finite cell
+    quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
     width = 1 if levels is None else len(levels)  # the levels scored per value
     for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, kept resident
         # Per task, the largest array of a batch (see the module docstring).
@@ -409,23 +460,37 @@ def compute_importance(
             _size_table(n)  # built once, before the workers that share it start
         group, step = np.flatnonzero(sizes == n), max(1, _BLOCK_ELEMENTS // widest)
         rows = np.nonzero(panel.present[:, group].T)[1].reshape(-1, n).T  # ascending per task
-        jobs += [(rows[:, k : k + step], group[k : k + step]) for k in range(0, len(group), step)]
+        split = algorithm is Algorithm.LASOMO and 1 << n > _BLOCK_ELEMENTS  # one task per job
+        (alone if split else jobs).extend(
+            (rows[:, k : k + step], group[k : k + step]) for k in range(0, len(group), step))
 
-    def run(job):
+    def run(job, parts=1, spread=_in_turn):
         rows, cols = job
         batch, y = values[rows, cols], tasks.truth[cols]
-        # per job, as worker threads do not inherit it; the Panel names a non-finite cell
-        with np.errstate(over="ignore", invalid="ignore"):
+        with quiet():
             if algorithm is Algorithm.LOMO:
                 return (lomo_kernel(batch, levels, y),)
-            return _table_readouts(_subset_scores(batch, levels, y), scheme)
+            scores = _subset_scores(batch, levels, y, parts, spread)
+            return _table_readouts(scores, scheme, parts, spread)
 
     phi, lomo, mos = cells = np.full((3, *panel.present.shape), np.nan)
     # Each LASOMO cell's per-size mean and M2 about its task's own mean, size r at index r - 2.
     largest = int(sizes.max()) if algorithm is Algorithm.LASOMO else 1
     moments = np.empty((2, *panel.present.shape, largest - 1))
-    with ThreadPoolExecutor(max_workers=n_workers or 1) as ex:
-        for (rows, cols), (cells_phi, *table) in zip(jobs, ex.map(run, jobs)):
+    workers = n_workers or 1
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        def spread(part, parts):
+            def in_worker(p):
+                with quiet():
+                    part(p)
+            list(ex.map(in_worker, range(parts)))  # re-raises a part's error
+
+        # The over-budget tables in this thread, once every other job is done,
+        # in no more parts than there are such tables: never more working
+        # arrays at once than one table per worker would hold.
+        parts = min(workers, len(alone))
+        done = itertools.chain(ex.map(run, jobs), (run(job, parts, spread) for job in alone))
+        for (rows, cols), (cells_phi, *table) in zip(jobs + alone, done):
             phi[rows, cols] = cells_phi
             if table:
                 lomo[rows, cols], mos[rows, cols], mean, m2 = table
@@ -441,7 +506,7 @@ def compute_importance(
     # c = C(n - 1, r - 1) contributions of size r, each sum over the tasks in
     # column order, which the batching does not change. As in the jobs, numpy
     # stays silent: whoever reports a moment checks it finite.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with quiet():
         for row, model in enumerate(panel.models):
             tasks_in = np.flatnonzero(panel.present[row])
             for k in range(sizes[tasks_in].max(initial=1) - 1):

@@ -12,9 +12,12 @@ temporary directory whose path is replaced by ``$TMP`` before hashing, so
 records of two source trees compare case by case. They are the bundled
 fixture; the hub-panel and wide-pool files that ``perfbench/inputs.py``
 writes at seed 3, and its 40-model, 4-task file, run as LOMO alone at one
-and at two workers; the hub-panel forecasts with every model id quoted,
-which the row reader reads, run as ``score``; small files that break the row
-rule (a wrong field count, whitespace-only rows, one trailing blank line);
+and at two workers; the wide-pool file with 19 models whose tasks have 17,
+18 and 19 of them, so tables within the LASOMO budget and over it, split
+across the workers, meet in one command, run as ``importance`` LASOMO and
+``subset-variance`` at one and at two workers; the hub-panel forecasts
+with every model id quoted, which the row reader reads, run as ``score``;
+small files that break the row rule (a wrong field count, whitespace-only rows, one trailing blank line);
 the fixture with every value times 1e200, whose squared errors overflow, run
 for SPE and, with LASOMO, for WIS, whose per-size variances overflow; and 2
 models on 30 tasks whose finite scores near -1e307 overflow when summed over
@@ -65,6 +68,16 @@ def write_inputs(tmp: Path) -> dict[str, tuple[Path, Path]]:
         (tmp / name).mkdir()
         pairs[name] = (tmp / name / "forecasts.csv", tmp / name / "truth.csv")
         inputs.write_panel(shape, CANONICAL_LEVELS.levels, SEED, *pairs[name])
+    # 19 of wide-pool's models, one more absent from task (01, h1) and two from
+    # (02, h1): 19, 18, 17 and 19 present models, so one command runs 17-model
+    # tables a job per worker and the over-budget 18- and 19-model ones split.
+    wide_forecasts, wide_truth = pairs["wide-pool"]
+    absent = {("01", "1"): ("model18",), ("02", "1"): ("model17", "model18")}
+    lines = wide_forecasts.read_text(encoding="utf-8").splitlines(True)
+    kept = [line for line in lines[1:] if (fields := line.split(",", 4))[0] != "model19"
+            and fields[0] not in absent.get((fields[2], fields[3]), ())]
+    pairs["gappy19"] = (tmp / "wide-pool" / "forecasts-gappy19.csv", wide_truth)
+    pairs["gappy19"][0].write_text(lines[0] + "".join(kept), encoding="utf-8")
     # Every model id in double quotes, as R's write.csv quotes string columns:
     # the row reader's path at benchmark size.
     hub_forecasts, hub_truth = pairs["hub-panel"]
@@ -130,6 +143,17 @@ def cases(pairs: dict[str, tuple[Path, Path]]) -> dict[str, list[str]]:
                 out[f"{name}/importance/lomo/w{workers}"] = [
                     "importance", *data, "--algorithm", "lomo", "--workers", str(workers),
                     *out_flag]
+            continue
+        if name == "gappy19":  # tables within the budget and over it in one command
+            for workers in (1, 2):
+                w = ["--workers", str(workers)]
+                out[f"{name}/importance/lasomo/w{workers}"] = [
+                    "importance", *data, "--algorithm", "lasomo", "--na", "worst", *w, *out_flag]
+                out[f"{name}/importance/lasomo/equal/spe/w{workers}"] = [
+                    "importance", *data, "--algorithm", "lasomo", "--weights", "equal",
+                    "--metric", "spe", "--na", "mean", *w, *out_flag]
+                out[f"{name}/subset-variance/w{workers}"] = ["subset-variance", *data, *w,
+                                                             *out_flag]
             continue
         if name == "gap-free":  # a fill of its one task would overflow
             for na in ("drop", "worst", "mean"):

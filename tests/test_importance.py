@@ -1,9 +1,11 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from fractions import Fraction
 from unittest import mock
@@ -33,6 +35,14 @@ from ensimp.importance import (
     shapley_weight_exact,
 )
 from ensimp.scoring import CANONICAL_LEVELS, Metric, QuantileLevels, ValidationError
+
+
+def assert_same_outputs(got, want):
+    """Two LASOMO results hold the same bits in every output."""
+    for a, b in ((got.per_task, want.per_task), (got.lomo, want.lomo),
+                 (got.mean_over_sizes, want.mean_over_sizes)):
+        assert same_cells(a, b) and a.values.tobytes() == b.values.tobytes()
+    assert repr(got.by_subset_size) == repr(want.by_subset_size)  # repr keeps every bit but NaN's
 
 
 class TestShapleyWeight:
@@ -264,14 +274,51 @@ class TestComputeImportance:
             column = panel.values[rows, panel.tasks.index(tp.task)]
             assert column.tolist() == lasomo_all(tp, Metric.WIS).tolist()
 
-    def test_worker_count_invariance(self, rng):
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("scheme", list(WeightScheme))
+    def test_worker_count_invariance(self, rng, metric, scheme):
+        """Every output at 1, 2 and 3 workers, with every table within the
+        budget or, under a budget of 40 values, the tables of 6 to 8 models
+        over it and split across the workers, holds one worker's bits."""
         pools = []
-        for i in range(7):
-            tp, _, _, _ = random_quantile_pool(rng, 4)
+        for i, n in enumerate((4, 6, 4, 7, 8, 4, 4)):
+            tp, _, _, _ = random_quantile_pool(rng, n)
             pools.append(TaskPool(task_key(i), tp.pool, tp.truth))
-        r1 = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, n_workers=1)
-        r3 = compute_importance(from_pools(pools), Metric.WIS, Algorithm.LASOMO, n_workers=3)
-        assert same_cells(r1.per_task, r3.per_task)
+        tasks = from_pools(pools)
+        want = compute_importance(tasks, metric, Algorithm.LASOMO, scheme, n_workers=1)
+        for budget, workers in itertools.product((importance._BLOCK_ELEMENTS, 40), (1, 2, 3)):
+            with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
+                got = compute_importance(tasks, metric, Algorithm.LASOMO, scheme, workers)
+            assert_same_outputs(got, want)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_an_overflowing_split_table_warns_in_no_thread(self, rng, scale):
+        """Two 7-model tables over a budget of 40 values, their parts on 2 workers.
+
+        Near 1e200 the contributions' squares overflow in the readouts' parts,
+        and only the per-size variances are infinite. Near 1e308 the sums
+        overflow in the walk's parts, and the result's Panel names the first
+        non-finite cell. Under the suite's warnings-as-errors a part that lost
+        the kernels' error state would raise its warning instead."""
+        levels = QuantileLevels((0.25, 0.5, 0.75))
+        # two tables over the budget, so that each is cut into two parts
+        tasks = from_pools([
+            quantile_pool({f"m{i}": tuple(np.sort(rng.uniform(-1.7, 1.7, size=3)) * scale)
+                           for i in range(7)}, levels, 0.0, j)
+            for j in range(2)])
+        runs = []
+        for budget, workers in ((importance._BLOCK_ELEMENTS, 1), (40, 2)):
+            with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
+                try:
+                    runs.append(compute_importance(tasks, Metric.WIS, Algorithm.LASOMO,
+                                                   n_workers=workers))
+                except ValidationError as error:
+                    runs.append(str(error))
+        if scale == 1e200:
+            assert math.isinf(runs[0].by_subset_size["m0"][4].variance)
+            assert_same_outputs(*runs)
+        else:
+            assert runs[0] == runs[1] == f"cell ('m0', {task_key(0)}) is not finite"
 
     def test_absent_model_is_a_missing_cell(self, rng):
         tp1, _, _, _ = random_quantile_pool(rng, 3)
@@ -420,10 +467,9 @@ class TestBatchesByPoolSize:
         finally:
             sys.setswitchinterval(interval)
         assert importance._size_table.cache_info().misses == 2  # pool sizes 3 and 4
-        for a, b in ((got.per_task, want.per_task), (got.lomo, want.lomo),
-                     (got.mean_over_sizes, want.mean_over_sizes)):
-            assert a.values.tobytes() == b.values.tobytes()
-        assert got.by_subset_size == want.by_subset_size
+        for n in (3, 4):  # a uint8 count per mask, an int32 index per mask below 2^(n-1)
+            assert [a.nbytes for a in importance._size_table(n)] == [1 << n, 4 * ((1 << n - 1) - 1)]
+        assert_same_outputs(got, want)
         for array in importance._size_table(4):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -507,54 +553,91 @@ class TestStreamedSubsetTable:
         values[0] = -0.0
         y[0] = 0.0
         want_scores, want_sizes = bf.subset_scores(values, levels and levels.levels, y)
-        # Slices of one subset up to the whole table, some not powers of two.
-        for budget in [t << low for low in range(n + 1)] + [3 * t, 5 * t + 1]:
+        # Slices of one subset up to half the table, some not powers of two,
+        # walked whole or by three parts, each taking every third slice.
+        budgets = [t << low for low in range(n + 1)] + [3 * t, 5 * t + 1]
+        for budget, parts in itertools.product(budgets, (1, 3)):
             with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
-                scores = importance._subset_scores(values, levels, y)
-            assert scores.tobytes() == want_scores.tobytes(), budget
+                scores = importance._subset_scores(values, levels, y, parts)
+            assert scores.tobytes() == want_scores.tobytes(), (budget, parts)
         assert np.array_equal(importance._size_table(n)[0], want_sizes)
 
-    def test_peak_memory_follows_the_planned_blocks(self):
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_peak_memory_follows_the_planned_blocks(self, parts):
         n, t, k = 20, 1, len(CANONICAL_LEVELS)
         rng = np.random.default_rng(3)
         values = np.sort(rng.normal(size=(n, t, k)), axis=-1)
         y = rng.normal(size=t)
         block = 8 * importance._BLOCK_ELEMENTS
         table = 8 * (t << n)
-        # The shared size table: a uint8 count per mask and the int64 size
+        # The shared size table: a uint8 count per mask and the int32 size
         # order of the lower half, built once per pool size before any job.
-        size_bound = (1 << n) + 8 * (1 << (n - 1))
-        # The walk holds the score table, the half table of one level's sums
-        # (the masks without the top member) and the job's scoring slab and
-        # upper buffer, plus the members and numpy's buffers, under a
-        # quarter of a block.
-        walk_bound = table + table // 2 + 2 * block + block // 4
-        # The readouts add one array of half its length and a slab of whole
-        # sizes, T values and an index per row, a block's worth or the
-        # largest size's count, plus their (n, n - 1, T) outputs and numpy's
-        # buffers, under a quarter of a block.
-        slab_rows = max(importance._BLOCK_ELEMENTS // (t + 1), math.comb(n - 1, n // 2))
-        readout_bound = table // 2 + 8 * (t + 1) * slab_rows + block // 4
-        assert walk_bound + readout_bound < 100e6
+        size_bound = (1 << n) + 4 * (1 << (n - 1))
+        # The walk holds the score table and, per part, three slice buffers
+        # (the level's low sums, the slice's sums and the scoring slab), plus
+        # the members and numpy's buffers, under a quarter of a block.
+        walk_bound = table + parts * 3 * block + block // 4
+        # The readouts hold the table and, per part, one array of half its
+        # length and a slab of the largest size's rows, T values and an index
+        # per row, plus their (n, n - 1, T) outputs and numpy's buffers,
+        # under a quarter of a block.
+        slab_rows = math.comb(n - 1, n // 2)
+        readout_bound = parts * (table // 2 + 8 * (t + 1) * slab_rows) + block // 4
         importance._size_table.cache_clear()
         tracemalloc.start()
         try:
             importance._size_table(n)
             size_table = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            scores = importance._subset_scores(values, CANONICAL_LEVELS, y)
-            walk_peak = tracemalloc.get_traced_memory()[1] - size_table
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0] - size_table
-            importance._table_readouts(scores, WeightScheme.PERMUTATION)
-            readout_peak = tracemalloc.get_traced_memory()[1] - size_table - base
+            with ThreadPoolExecutor(parts) as ex:
+                def spread(part, parts):
+                    list(ex.map(part, range(parts)))
+
+                tracemalloc.reset_peak()
+                scores = importance._subset_scores(values, CANONICAL_LEVELS, y, parts, spread)
+                walk_peak = tracemalloc.get_traced_memory()[1] - size_table
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0] - size_table
+                importance._table_readouts(scores, WeightScheme.PERMUTATION, parts, spread)
+                readout_peak = tracemalloc.get_traced_memory()[1] - size_table - base
         finally:
             tracemalloc.stop()
         assert sum(a.nbytes for a in importance._size_table(n)) <= size_bound
         assert size_table < size_bound + 4096
         assert walk_peak < walk_bound
         assert readout_peak < readout_bound
-        assert walk_peak > base + readout_peak  # the walk is the worker's peak
+        assert base + readout_peak > walk_peak  # the readouts are the job's peak
+
+    @staticmethod
+    def peak_at_the_cap(t, workers):
+        """The ``tracemalloc`` peak of ``compute_importance`` on t 20-model
+        tasks, the size table prebuilt."""
+        n, k = 20, len(CANONICAL_LEVELS)
+        rng = np.random.default_rng(3)
+        forecasts = Panel(tuple(f"m{i:02d}" for i in range(n)), tuple(task_key(j) for j in range(t)),
+                          np.sort(rng.normal(size=(n, t, k)), axis=-1), np.ones((n, t), dtype=bool),
+                          CANONICAL_LEVELS)
+        tasks = TaskPanel(forecasts, rng.normal(size=t))
+        importance._size_table(n)
+        tracemalloc.start()
+        try:
+            compute_importance(tasks, Metric.WIS, Algorithm.LASOMO, n_workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_two_tasks_at_the_cap_hold_one_table_at_a_time(self):
+        """Two 20-model tasks on two workers: their 8 MB tables, one at a time,
+        each with its two parts' buffers, peak under 2.5 tables, where one
+        table per worker with its working arrays peaked at 28.2 MiB."""
+        assert self.peak_at_the_cap(2, 2) < 20 * 2**20
+
+    def test_a_lone_task_at_the_cap_is_not_split(self):
+        """One 20-model task peaks no higher at 4 workers than at 1: a table
+        is cut into no more parts than there are tables, so the parts' arrays
+        never outgrow those of one table per worker. Four parts would add
+        three parts' 5.7 MB of readout arrays; the slack covers the pool's
+        bookkeeping."""
+        assert self.peak_at_the_cap(1, 4) <= self.peak_at_the_cap(1, 1) + 2**16
 
     @pytest.mark.skipif(sys.platform != "linux", reason="per-thread rusage is Linux only")
     def test_a_worker_thread_faults_in_its_slabs_once(self):
@@ -593,15 +676,15 @@ class TestStreamedSubsetTable:
         assert proc.returncode == 0, proc.stderr
         walk, readouts = map(int, proc.stdout.split())
         table_pages = 8 * (1 << n) // os.sysconf("SC_PAGE_SIZE")
-        # The score and sum tables, the sizes and the slab are each faulted in
-        # once, about 2.7 tables' pages; fresh scoring arrays per level and
-        # slice faulted in about 24,700 pages here.
+        # The score table and the walk's three slice buffers are each faulted
+        # in once, 2.5 tables' pages; fresh scoring arrays per level and slice
+        # faulted in about 24,700 pages here.
         assert walk < 4 * table_pages, (walk, readouts)
 
     @pytest.mark.parametrize("t, low", [(1, 12), (64, 11), (1024, 7)])
     def test_each_level_is_scored_in_blocks_of_the_whole_budget(self, t, low):
         """One ``wis_batch`` call per level and slice of 2^L subsets, L as large as
-        fits, a slice never more than the half of the table without the top member.
+        fits, a slice never more than half the table.
 
         A walk that went back to small slabs would make many more calls."""
         n, k = 12, len(CANONICAL_LEVELS)
