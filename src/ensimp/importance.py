@@ -31,26 +31,27 @@ A batch takes the most tasks, at least one, whose largest array fits it: the
 SPE). The subset sums are held one level and one slice at a time: a slice of
 2^L masks, the most the budget allows up to half the table, is summed from
 the level's low table, the sums of the members below bit L, and the slice's
-higher members. The readouts take each model's contributions one size at
-a time into one slab of the largest size's rows, at most a quarter of the
-table. Each job allocates its working arrays once: the walk's low table,
-slice sums and scoring slab, with the divided sums as the scorer's scratch,
-and the readouts' contributions (half the table's length) and slab. Nothing
-the size of a slice or a table is allocated per level, slice or model, so a
-worker thread does not hand pages back to the system only to fault them in
-again. Every job of a pool size reads one shared, read-only size table: the
-uint8 size of every mask and the int32 size order of the half without the
-top member (:func:`_size_table`; 3 MB at n = 20, once per process).
+higher members. The readouts gather each model's scores without and with it,
+one size at a time, straight from the table into two slabs of the largest
+size's rows. Each job allocates its working arrays once: the walk's low
+table, slice sums, scoring slab and uint8 member counts, with the divided
+sums as the scorer's scratch, and the readouts' two slabs and their intp row
+index. Nothing the size of a slice or a table is allocated per level, slice
+or model, so a worker thread does not hand pages back to the system only to
+fault them in again. Every job of a pool size reads one shared, read-only
+size order, the masks of the lower half with at most (n - 1) // 2 members,
+whose complements give the rest (:func:`_size_table`; 1 MiB at n = 20, once
+per process).
 
 A table over the budget (pools of 18 to 20 models, one task per job) is
 scored after every other job, alone, in k parts, k the worker count or the
-count of such tables, whichever is fewer: each part walks every k-th slice
-and reads every k-th model into its own slice arrays, contributions and
-slab, which the calling thread allocates. So one such table is alive at a
-time, and never more parts' arrays than one table per worker would hold. At
-n = 20 and T = 1 that is the 8.4 MB table, plus 3.1 MB of slice arrays per
-part while it is scored, then 5.7 MB of readout arrays per part: 14.1 MB in
-one part and 19.8 MB in two, by ``tracemalloc``; never the (2^n, T, levels)
+count of such tables, whichever is fewer: each part walks every k-th slice,
+all parts' slices within the one budget, and reads every k-th model into its
+own slabs, all allocated by the calling thread. So one such table is alive at
+a time, with no more parts' arrays than one table per worker would hold. At
+n = 20 and T = 1 that is the 8.4 MB table, plus 3.5 MB of slice arrays and
+counts across the parts, then 2.2 MB of readout arrays per part: 11.9 MB in
+one part and 13.0 MB in two, by ``tracemalloc``; never the (2^n, T, levels)
 sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order at every pool size, WIS
@@ -177,23 +178,36 @@ def lomo_kernel(values: np.ndarray, levels: QuantileLevels | None, y) -> np.ndar
     return scores[0] - scores[1:]
 
 
-@functools.lru_cache(maxsize=MAX_EXACT_MODELS)
-def _size_table(n: int):
-    """The uint8 member count of masks 0 to 2^n - 1, and the stable order by
-    count of masks 1 to 2^(n-1) - 1 (entry k is mask k + 1), as int32.
+def _member_counts(bits: int) -> np.ndarray:
+    """The uint8 member count of masks 0 to 2^bits - 1, filled by doubling."""
+    counts = np.zeros(1 << bits, dtype=np.uint8)
+    for i in range(bits):
+        counts[1 << i : 2 << i] = counts[: 1 << i] + 1
+    return counts
 
-    Both are read-only, shared by every job of pool size ``n`` in every
-    thread; :func:`compute_importance` builds them before its workers start.
-    The cache holds at most one entry per pool size up to the model cap
-    (3 MB at n = 20, 6 MB for all), whatever the process has run.
+
+@functools.lru_cache(maxsize=MAX_EXACT_MODELS)
+def _size_table(n: int) -> np.ndarray:
+    """The masks below 2^(n-1) of at most (n - 1) // 2 members, by member
+    count and then ascending, as read-only int32 (1 MiB at n = 20).
+
+    The masks of s > (n - 1) / 2 members are the complements within
+    F = 2^(n-1) - 1 of those of n - 1 - s, read in reverse. Shared by every
+    job of pool size ``n`` in every thread; :func:`compute_importance` builds
+    it before its workers start. The cache holds at most one entry per pool
+    size up to the model cap (2.1 MiB for all), whatever the process has run.
     """
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
-    # the largest entry, 2^19 - 2 at the cap, fits int32; np.take copies any order anyway
-    order = np.argsort(sizes[1 : 1 << (n - 1)], kind="stable").astype(np.int32)
-    sizes.flags.writeable = order.flags.writeable = False
-    return sizes, order
+    # Filled block by block from the low masks by size: full-length temporaries stay resident.
+    low = max(0, n - 7)
+    below = _member_counts(low)
+    lows = [np.flatnonzero(below == s).astype(np.int32) for s in range(low + 1)]
+    order, at = np.empty(sum(math.comb(n - 1, s) for s in range((n + 1) // 2)), np.int32), 0
+    for s, b in itertools.product(range((n + 1) // 2), range(0, 1 << (n - 1), 1 << low)):
+        if 0 <= s - b.bit_count() <= low:
+            pick = lows[s - b.bit_count()]
+            at += len(np.add(pick, b, out=order[at : at + len(pick)]))
+    order.flags.writeable = False
+    return order
 
 
 def _in_turn(part, parts: int) -> None:
@@ -208,37 +222,37 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y, parts: 
 
     Rows are indexed by bitmask over canonical member order. The table is
     walked in slices of 2^L masks, 2^L the largest power of two within
-    ``_BLOCK_ELEMENTS`` values and half the table, one level at a time (point
-    values are one). A slice's sums are the level's low table, the sums of
-    the members below bit L filled by doubling as the member counts of
-    :func:`_size_table` are, plus the slice's higher members in ascending
-    bit order: members join in ascending bit order, so each subset's sum is
-    the plain left-to-right sum of its members. The sums are divided by
-    their counts and scored by one ``positive_scores`` call, as -SPE or as
-    minus that one level's WIS term, exactly, with the divided sums as
-    scratch: the first level straight into the table, each later one into a
-    slab that is added to it, in level order. Each slice is then divided by
-    the level count once. Score row 0, the empty coalition, is NaN and is
-    never scored or read.
+    ``_BLOCK_ELEMENTS`` values across all parts and half the table, one level
+    at a time (point values are one). A slice's sums are the level's low
+    table, the sums of the members below bit L filled by doubling, plus the
+    slice's higher members in ascending bit order: members join in ascending
+    bit order, so each subset's sum is the plain left-to-right sum of its
+    members. The sums are divided by their member counts, those of the low
+    masks plus the slice's higher ones, and scored by one ``positive_scores``
+    call, as -SPE or as minus that one level's WIS term, exactly, with the
+    divided sums as scratch: the first level straight into the table, each
+    later one into a slab that is added to it, in level order. Each slice is
+    then divided by the level count once. Score row 0, the empty coalition,
+    is NaN and is never scored or read.
 
     ``spread(walk, parts)`` runs ``walk(p)`` for each of the ``parts``
     parts, each walking every ``parts``-th slice over its own rows of the
-    table. The parts' low tables, sums and slabs are one array, allocated
-    here, in the calling thread.
+    table. The parts' low tables, sums, slabs and uint8 counts are allocated
+    here, in the calling thread, with the low masks' counts they share.
     """
     n, t = values.shape[:2]
     # Level-major members, (levels, n, T), and the level set each is scored at.
     members = values[None] if levels is None else np.moveaxis(values, -1, 0).copy()
     level_sets = [None] if levels is None else [QuantileLevels((p,)) for p in levels.levels]
-    sizes = _size_table(n)[0]
     # At most half the table: a table within the budget is scored in halves,
     # whose sums and slab stay in cache where the whole table's would not.
-    low = min(n - 1, max(1, _BLOCK_ELEMENTS // t).bit_length() - 1)
+    low = min(n - 1, max(1, _BLOCK_ELEMENTS // (t * parts)).bit_length() - 1)
     width = 1 << low  # the masks of one scored slice
     scores = np.empty((1 << n, t))
     scores[0] = np.nan
     parts = min(parts, (1 << n) >> low)  # a part for every slice at most
     buffers = np.empty((parts, 3, width, t))  # each part's only slice arrays
+    below, counts = _member_counts(low), np.empty((parts, width), dtype=np.uint8)
 
     def walk(part):
         lows, sums, slab = buffers[part]
@@ -257,7 +271,7 @@ def _subset_scores(values: np.ndarray, levels: QuantileLevels | None, y, parts: 
                 rows = slice(start + first, start + width)
                 # the means are spent once scored, so they are the scorer's scratch
                 means = means[first:]
-                means /= sizes[rows, None]
+                means /= np.add(below, start.bit_count(), out=counts[part])[first:, None]
                 out = positive_scores(means if at is None else means[..., None], at, y,
                                       slab[first:] if k else scores[rows])
                 if k:
@@ -281,41 +295,48 @@ def _table_readouts(scores: np.ndarray, scheme: WeightScheme, parts: int = 1, sp
 
     ``spread(read, parts)`` runs ``read(p)`` for each of the ``parts``
     parts, part p reading every ``parts``-th model from model p. Besides the
-    table, the shared size order and these outputs, each part holds its own
-    model's contributions, half the table's length, one slab of the largest
-    size's rows, into which each size's contributions are taken in turn, one
-    size per pass, and the per-size sums: one array for all parts, allocated
-    here, in the calling thread.
+    table, the shared size order and these outputs, each part holds two
+    slabs of the largest size's rows, into which the scores without and with
+    its model are gathered one size at a time, their intp row index, and the
+    per-size sums, allocated here, in the calling thread.
 
-    For model i the masks without bit i and the masks with it are the two
-    halves of the zero-copy view (2^(n-1-i), 2, 2^i, T) of the table, both
-    in ascending mask order. Model i's marginal contributions thus come out
-    indexed by the mask with bit i squeezed out, whose popcount is the size
-    of the coalition i joins, whatever i is: one size order serves every
-    model.
+    Model i's coalitions are indexed by the mask m with bit i squeezed out,
+    whose popcount is the coalition's size, whatever i is: one size order
+    serves every model. The coalition's row is w = m + (m & -2^i), and the
+    same index into the view ``scores[2^i:]`` its row with model i, so each
+    size's contributions come out in ascending mask order. For a complement
+    F ^ m, read in reverse, the row is C - w, C = F + (F & -2^i).
     """
     n, t = len(scores).bit_length() - 1, scores.shape[1]
-    half, by_size = 1 << (n - 1), _size_table(n)[1]
-    counts = [math.comb(n - 1, s) for s in range(1, n)]
-    picks = np.split(by_size, np.cumsum(counts)[:-1])  # each size's read-only view
+    half, stored = 1 << (n - 1), (n + 1) // 2  # the mask sizes the size order holds
+    counts = [math.comb(n - 1, s) for s in range(n)]
+    picks = np.split(_size_table(n), np.cumsum(counts[:stored])[:-1])  # read-only views
     mos, total = np.empty((n, t)), np.empty((n, t))
     mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
     parts = min(parts, n)  # a part for every model at most
-    rows = half + max(counts)  # a part's contributions and slab, then its per-size sums
-    buffers = np.empty((parts, rows + n - 1, t))
+    slabs = np.empty((parts, 2, counts[stored - 1], t))  # the largest size's rows, twice
+    indices = np.empty((parts, slabs.shape[2]), dtype=np.intp)  # np.take copies any other index
+    buffers = np.empty((parts, n - 1, t))  # each part's per-size sums
 
     def read(part):
-        diff, slab, sums = np.split(buffers[part], [half, rows])
+        sums = buffers[part]
         for i in range(part, n, parts):
-            halves = scores.reshape(half >> i, 2, 1 << i, t)
-            np.subtract(halves[:, 1], halves[:, 0], out=diff.reshape(half >> i, 1 << i, t))
-            for k, pick in enumerate(picks):
-                grouped = slab[: len(pick)]
+            above = -1 << i  # bits i and up of a mask
+            for k, size in enumerate(range(1, n)):
+                pick = picks[size] if size < stored else picks[n - 1 - size][::-1]
+                rows = indices[part, : len(pick)]
+                np.bitwise_and(pick, above, out=rows)
+                rows += pick
+                if size >= stored:
+                    np.subtract((half - 1) + ((half - 1) & above), rows, out=rows)
+                without, grouped = slabs[part, :, : len(rows)]
                 # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
-                np.take(diff[1:], pick, axis=0, out=grouped, mode="clip")
+                np.take(scores, rows, axis=0, out=without, mode="clip")
+                np.take(scores[1 << i :], rows, axis=0, out=grouped, mode="clip")
+                grouped -= without
                 # reduceat sums the rows in order; a reduce over (N, 1) would sum pairwise
                 np.add.reduceat(grouped, [0], axis=0, out=sums[k, None])
-                np.divide(sums[k], len(pick), out=mean[i, k])
+                np.divide(sums[k], len(rows), out=mean[i, k])
                 grouped -= mean[i, k]
                 grouped *= grouped
                 np.add.reduceat(grouped, [0], axis=0, out=m2[i, k, None])
@@ -432,7 +453,8 @@ def compute_importance(
     order, as many per batch as ``_BLOCK_ELEMENTS`` allows, and run on
     ``n_workers`` threads (None means one), a batch per thread; the LASOMO
     tables over the budget run after them, one at a time, each split across
-    as many threads as there are such tables, up to ``n_workers``. The output depends on neither the batching nor the threads.
+    as many threads as there are such tables, up to ``n_workers``. The output
+    depends on neither the batching nor the threads.
     Per-size moments are pooled over tasks in column order. Build the panel
     with :func:`~ensimp.dataio.build_task_pools` or :func:`~ensimp.dataio.from_pools`.
     """

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: plain Python floats, explicit
 enumeration of coalitions, exact Fraction weights converted at the end. The
-one array reference, :func:`subset_scores`, holds the whole subset table.
+array references, :func:`subset_scores` and :func:`table_readouts`, hold the
+whole subset table.
 The only convention shared with the package under test is the canonical
 arithmetic order it documents (members and WIS terms sum left to right,
 subset terms accumulate in ascending bitmask order, cross-task averages use
@@ -144,6 +145,45 @@ def subset_scores(values, levels, y):
         terms = 2.0 * ((yb <= means) - np.asarray(levels)) * (means - yb)
         scores[1:] = -(np.add.accumulate(terms, axis=-1)[..., -1] / len(levels))
     return scores, sizes
+
+
+def table_readouts(scores, scheme):
+    """``(phi, lomo, mos, mean, m2)`` of a (2^n, T) subset score table, read
+    through one whole difference array per model.
+
+    For each model i, its marginal contributions over the whole table come
+    first, as one (2^(n-1), T) array: the strided difference of the two
+    halves of the view (2^(n-1-i), 2, 2^i, T), indexed by the mask with bit
+    i squeezed out. Each size's contributions are then gathered from it by a
+    stable sort of the masks by member count, so they sum in ascending mask
+    order, the sizes in ascending order. The package gathers the same values
+    from the table itself, so the two agree bit for bit.
+    """
+    n, t = len(scores).bit_length() - 1, scores.shape[1]
+    half = 1 << (n - 1)
+    sizes = np.zeros(half, dtype=np.int64)
+    for i in range(n - 1):
+        sizes[1 << i : 2 << i] = sizes[: 1 << i] + 1
+    picks = np.split(np.argsort(sizes[1:], kind="stable") + 1,
+                     np.cumsum([math.comb(n - 1, s) for s in range(1, n - 1)]))
+    mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
+    mos, total, sums = np.empty((n, t)), np.empty((n, t)), np.empty((n - 1, t))
+    for i in range(n):
+        halves = scores.reshape(half >> i, 2, 1 << i, t)
+        diff = (halves[:, 1] - halves[:, 0]).reshape(half, t)
+        for k, pick in enumerate(picks):
+            grouped = diff[pick]
+            np.add.reduceat(grouped, [0], axis=0, out=sums[k, None])
+            mean[i, k] = sums[k] / len(pick)
+            grouped -= mean[i, k]
+            grouped *= grouped
+            np.add.reduceat(grouped, [0], axis=0, out=m2[i, k, None])
+        mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
+        total[i] = np.add.accumulate(sums, axis=0)[-1]
+    full = (1 << n) - 1
+    lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
+    phi = mos if scheme.value == "permutation" else total / (half - 1)
+    return phi, lomo, mos, mean, m2
 
 
 def expected_phi_from_moments(espe, error_products, index):

@@ -467,12 +467,13 @@ class TestBatchesByPoolSize:
         finally:
             sys.setswitchinterval(interval)
         assert importance._size_table.cache_info().misses == 2  # pool sizes 3 and 4
-        for n in (3, 4):  # a uint8 count per mask, an int32 index per mask below 2^(n-1)
-            assert [a.nbytes for a in importance._size_table(n)] == [1 << n, 4 * ((1 << n - 1) - 1)]
+        for n in (3, 4):  # an int32 mask per mask below 2^(n-1) of at most (n - 1) // 2 members
+            order = importance._size_table(n)
+            assert order.dtype == np.int32
+            assert len(order) == sum(math.comb(n - 1, s) for s in range((n - 1) // 2 + 1))
         assert_same_outputs(got, want)
-        for array in importance._size_table(4):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            importance._size_table(4)[0] = 1
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_cells_equal_those_of_each_task_alone(self, rng, metric):
@@ -560,7 +561,11 @@ class TestStreamedSubsetTable:
             with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
                 scores = importance._subset_scores(values, levels, y, parts)
             assert scores.tobytes() == want_scores.tobytes(), (budget, parts)
-        assert np.array_equal(importance._size_table(n)[0], want_sizes)
+        # The stored masks: those below 2^(n-1) of at most (n - 1) // 2 members,
+        # by size, then ascending.
+        by_size = np.argsort(want_sizes[: 1 << (n - 1)], kind="stable")
+        stored = by_size[want_sizes[by_size] <= (n - 1) // 2]
+        assert np.array_equal(importance._size_table(n), stored)
 
     @pytest.mark.parametrize("parts", [1, 2])
     def test_peak_memory_follows_the_planned_blocks(self, parts):
@@ -570,19 +575,20 @@ class TestStreamedSubsetTable:
         y = rng.normal(size=t)
         block = 8 * importance._BLOCK_ELEMENTS
         table = 8 * (t << n)
-        # The shared size table: a uint8 count per mask and the int32 size
-        # order of the lower half, built once per pool size before any job.
-        size_bound = (1 << n) + 4 * (1 << (n - 1))
-        # The walk holds the score table and, per part, three slice buffers
-        # (the level's low sums, the slice's sums and the scoring slab), plus
-        # the members and numpy's buffers, under a quarter of a block.
-        walk_bound = table + parts * 3 * block + block // 4
-        # The readouts hold the table and, per part, one array of half its
-        # length and a slab of the largest size's rows, T values and an index
-        # per row, plus their (n, n - 1, T) outputs and numpy's buffers,
-        # under a quarter of a block.
+        # The shared size order: an int32 mask per mask of the lower half with
+        # at most (n - 1) // 2 members, built once per pool size before any job.
+        size_bound = 4 * sum(math.comb(n - 1, s) for s in range((n - 1) // 2 + 1))
+        # The walk holds the score table and, across its parts, three slice
+        # buffers within one block each (the level's low sums, the slice's sums
+        # and the scoring slab) and the uint8 member counts of the low masks and
+        # of each part's slice, plus the members and numpy's buffers, under a
+        # quarter of a block each.
+        walk_bound = table + 3 * block + block // 2
+        # The readouts hold the table and, per part, two slabs of the largest
+        # size's rows, T values each, and an intp index per row, plus their
+        # (n, n - 1, T) outputs and numpy's buffers, under a quarter of a block.
         slab_rows = math.comb(n - 1, n // 2)
-        readout_bound = parts * (table // 2 + 8 * (t + 1) * slab_rows) + block // 4
+        readout_bound = parts * 8 * (2 * t + 1) * slab_rows + block // 4
         importance._size_table.cache_clear()
         tracemalloc.start()
         try:
@@ -601,11 +607,12 @@ class TestStreamedSubsetTable:
                 readout_peak = tracemalloc.get_traced_memory()[1] - size_table - base
         finally:
             tracemalloc.stop()
-        assert sum(a.nbytes for a in importance._size_table(n)) <= size_bound
+        assert importance._size_table(n).nbytes == size_bound
         assert size_table < size_bound + 4096
         assert walk_peak < walk_bound
         assert readout_peak < readout_bound
-        assert base + readout_peak > walk_peak  # the readouts are the job's peak
+        # Two parts' readout slabs are the job's peak, one part's slice buffers are
+        assert (base + readout_peak > walk_peak) == (parts == 2)
 
     @staticmethod
     def peak_at_the_cap(t, workers):
@@ -627,15 +634,21 @@ class TestStreamedSubsetTable:
 
     def test_two_tasks_at_the_cap_hold_one_table_at_a_time(self):
         """Two 20-model tasks on two workers: their 8 MB tables, one at a time,
-        each with its two parts' buffers, peak under 2.5 tables, where one
-        table per worker with its working arrays peaked at 28.2 MiB."""
+        each with its two parts' buffers, peak under 2.5 tables (12.4 MiB),
+        where one table per worker with its working arrays peaked at 28.2 MiB."""
         assert self.peak_at_the_cap(2, 2) < 20 * 2**20
 
+    def test_two_tasks_at_the_cap_peak_under_14_mib(self):
+        """The same two tasks: one table at a time, two parts' readout slabs
+        gathered straight from it (2.2 MB each), 12.4 MiB; two half-table
+        difference arrays beside them peaked at 18.9 MiB."""
+        assert self.peak_at_the_cap(2, 2) < 14 * 2**20
+
     def test_a_lone_task_at_the_cap_is_not_split(self):
-        """One 20-model task peaks no higher at 4 workers than at 1: a table
-        is cut into no more parts than there are tables, so the parts' arrays
-        never outgrow those of one table per worker. Four parts would add
-        three parts' 5.7 MB of readout arrays; the slack covers the pool's
+        """One 20-model task peaks no higher at 4 workers than at 1 (11.3 MiB):
+        a table is cut into no more parts than there are tables, so the parts'
+        arrays never outgrow those of one table per worker. Four parts would
+        add three parts' 2.2 MB of readout arrays; the slack covers the pool's
         bookkeeping."""
         assert self.peak_at_the_cap(1, 4) <= self.peak_at_the_cap(1, 1) + 2**16
 

@@ -67,6 +67,29 @@ def panels(draw, max_models=5, max_tasks=6):
     return pools
 
 
+@pytest.mark.parametrize("n", range(2, 14))
+@settings(max_examples=4, deadline=None)
+@given(t=st.sampled_from((1, 3)), scheme=scheme, parts=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_table_readouts_equal_the_difference_array_oracle(n, t, scheme, parts, seed):
+    """Every readout, gathered from the table by the stored half of the size
+    order and its complements, has the bits of the difference-array reading,
+    at even and odd n - 1, so with and without a self-complementary size."""
+    rng = np.random.default_rng(seed)
+    # Mixed magnitudes make the summation order show in the low bits.
+    scores = rng.normal(size=(1 << n, t)) * 10.0 ** rng.integers(-3, 4, size=(1 << n, t))
+    scores[0] = np.nan
+    # +0.0 without a model and -0.0 with it, in the full pool: its LOMO and its one
+    # contribution of the largest size are -0.0, which swapped operands would make +0.0.
+    full = (1 << n) - 1
+    i = int(rng.integers(n))
+    scores[full ^ (1 << i)], scores[full] = 0.0, -0.0
+    got = importance._table_readouts(scores, scheme, parts)
+    want = bf.table_readouts(scores, scheme)
+    for name, a, b in zip(("phi", "lomo", "mos", "mean", "m2"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+
 @FEW
 @given(st.data(), st.integers(2, 6), metric, scheme)
 def test_renaming_models_changes_nothing(data, n, metric, scheme):
