@@ -31,36 +31,40 @@ A batch takes the most tasks, at least one, whose largest array fits it: the
 SPE). The subset sums are held one level and one slice at a time: a slice of
 2^L masks, the most the budget allows up to half the table, is summed from
 the level's low table, the sums of the members below bit L, and the slice's
-higher members. The readouts gather each model's scores without and with it,
-one size at a time, straight from the table into two slabs of the largest
-size's rows. Each job allocates its working arrays once: the walk's low
-table, slice sums, scoring slab and uint8 member counts, with the divided
-sums as the scorer's scratch, and the readouts' two slabs and their intp row
-index. Nothing the size of a slice or a table is allocated per level, slice
-or model, so a worker thread does not hand pages back to the system only to
-fault them in again. Every job of a pool size reads one shared, read-only
-size order, the masks of the lower half with at most (n - 1) // 2 members,
-whose complements give the rest (:func:`_size_table`; 1 MiB at n = 20, once
-per process).
+higher members. The readouts split the subset sizes among their parts; a
+part lists each of its sizes' masks once, from the masks of the low 15 bits
+by member count, and gathers each model's scores without and with it
+straight from the table, a block of 2^15 masks (a quarter of the budget) at
+a time, into one slab of that size's rows. Each job allocates its working
+arrays once: the walk's low table, slice sums, scoring slab and uint8 member
+counts, with the divided sums as the scorer's scratch, and per readout part
+a listing of int32 masks, a slab, and one block's intp row index and rows
+without the model, all for the largest size. Nothing the size of a slice or
+a table is allocated per level, slice, size or model, so a worker thread
+does not hand pages back to the system only to fault them in again, and
+nothing outlives the call.
 
 A table over the budget (pools of 18 to 20 models, one task per job) is
 scored after every other job, alone, in k parts, k the worker count or the
 count of such tables, whichever is fewer: each part walks every k-th slice,
-all parts' slices within the one budget, and reads every k-th model into its
-own slabs, all allocated by the calling thread. So one such table is alive at
-a time, with no more parts' arrays than one table per worker would hold. At
-n = 20 and T = 1 that is the 8.4 MB table, plus 3.5 MB of slice arrays and
-counts across the parts, then 2.2 MB of readout arrays per part: 11.9 MB in
-one part and 13.0 MB in two, by ``tracemalloc``; never the (2^n, T, levels)
-sum table (193 MB there at 23 levels).
+all parts' slices within the one budget, and reads its share of the sizes
+into its own arrays, all allocated by the calling thread. So one such table
+is alive at a time, with no more parts' arrays than one table per worker
+would hold. At n = 20 and T = 1 that is the 8.4 MB table, plus 3.5 MB of
+slice arrays and counts across the parts while it is walked, then 1.6 MB of
+readout arrays per part and 0.16 MB of low masks: 11.9 MB in one part, where
+the walk is the peak, and 12.0 MB in two, by ``tracemalloc``; never the
+(2^n, T, levels) sum table (193 MB there at 23 levels).
 
 Member values sum left to right in canonical order at every pool size, WIS
-terms sum left to right over the levels, contributions of one size in
-ascending bitmask order and the per-size sums in ascending size order, and
-each task's per-size moments are pooled once over all tasks, in the panel's
-column (task) order. So every output is reproducible bit for bit across runs,
-worker counts, block budgets and batch widths, and for every pool the table
-accepts, the table's LOMO equals the LOMO kernel's.
+terms sum left to right over the levels, the contributions of one size reach
+``reduceat`` in ascending bitmask order (it adds the first to numpy's
+pairwise sum of the rest, at every batch width) and the per-size sums
+accumulate in ascending size order, and each task's per-size moments are
+pooled once over all tasks, in the panel's column (task) order. So every
+output is reproducible bit for bit across runs, worker counts, block budgets
+and batch widths, and for every pool the table accepts, the table's LOMO
+equals the LOMO kernel's.
 """
 
 from __future__ import annotations
@@ -186,30 +190,6 @@ def _member_counts(bits: int) -> np.ndarray:
     return counts
 
 
-@functools.lru_cache(maxsize=MAX_EXACT_MODELS)
-def _size_table(n: int) -> np.ndarray:
-    """The masks below 2^(n-1) of at most (n - 1) // 2 members, by member
-    count and then ascending, as read-only int32 (1 MiB at n = 20).
-
-    The masks of s > (n - 1) / 2 members are the complements within
-    F = 2^(n-1) - 1 of those of n - 1 - s, read in reverse. Shared by every
-    job of pool size ``n`` in every thread; :func:`compute_importance` builds
-    it before its workers start. The cache holds at most one entry per pool
-    size up to the model cap (2.1 MiB for all), whatever the process has run.
-    """
-    # Filled block by block from the low masks by size: full-length temporaries stay resident.
-    low = max(0, n - 7)
-    below = _member_counts(low)
-    lows = [np.flatnonzero(below == s).astype(np.int32) for s in range(low + 1)]
-    order, at = np.empty(sum(math.comb(n - 1, s) for s in range((n + 1) // 2)), np.int32), 0
-    for s, b in itertools.product(range((n + 1) // 2), range(0, 1 << (n - 1), 1 << low)):
-        if 0 <= s - b.bit_count() <= low:
-            pick = lows[s - b.bit_count()]
-            at += len(np.add(pick, b, out=order[at : at + len(pick)]))
-    order.flags.writeable = False
-    return order
-
-
 def _in_turn(part, parts: int) -> None:
     """Run ``part(0)`` to ``part(parts - 1)`` in this thread, in order."""
     for p in range(parts):
@@ -294,60 +274,74 @@ def _table_readouts(scores: np.ndarray, scheme: WeightScheme, parts: int = 1, sp
     2^(n-1) - 1 under equal weights.
 
     ``spread(read, parts)`` runs ``read(p)`` for each of the ``parts``
-    parts, part p reading every ``parts``-th model from model p. Besides the
-    table, the shared size order and these outputs, each part holds two
-    slabs of the largest size's rows, into which the scores without and with
-    its model are gathered one size at a time, their intp row index, and the
-    per-size sums, allocated here, in the calling thread.
+    parts. The parts split the coalition sizes, each size, the largest
+    first, going to the part with the fewest rows so far, and a part reads
+    every model at each of its sizes. Besides the table and these outputs, a
+    part holds the int32 masks of one size, a slab of that size's rows, and
+    one block's intp row index and rows without the model, allocated here,
+    in the calling thread, for the largest size. A size's masks are listed
+    once, in ascending order, from the masks of the low bits by member
+    count, which every part shares.
 
     Model i's coalitions are indexed by the mask m with bit i squeezed out,
-    whose popcount is the coalition's size, whatever i is: one size order
-    serves every model. The coalition's row is w = m + (m & -2^i), and the
-    same index into the view ``scores[2^i:]`` its row with model i, so each
-    size's contributions come out in ascending mask order. For a complement
-    F ^ m, read in reverse, the row is C - w, C = F + (F & -2^i).
+    whose popcount is the coalition's size, whatever i is: one listing of a
+    size's masks serves every model. The coalition's row is
+    w = m + (m & -2^i), and the same index into the view ``scores[2^i:]``
+    its row with model i. Block by block, the rows with model i are gathered
+    into the slab and those without it taken from them, so each size's
+    contributions reach ``reduceat`` in ascending mask order.
     """
     n, t = len(scores).bit_length() - 1, scores.shape[1]
-    half, stored = 1 << (n - 1), (n + 1) // 2  # the mask sizes the size order holds
     counts = [math.comb(n - 1, s) for s in range(n)]
-    picks = np.split(_size_table(n), np.cumsum(counts[:stored])[:-1])  # read-only views
-    mos, total = np.empty((n, t)), np.empty((n, t))
-    mean, m2 = np.empty((n, n - 1, t)), np.empty((n, n - 1, t))
-    parts = min(parts, n)  # a part for every model at most
-    slabs = np.empty((parts, 2, counts[stored - 1], t))  # the largest size's rows, twice
-    indices = np.empty((parts, slabs.shape[2]), dtype=np.intp)  # np.take copies any other index
-    buffers = np.empty((parts, n - 1, t))  # each part's per-size sums
+    # A quarter of the budget's masks, 2^15, per listing call and per block: at
+    # n = 20, 16 listing calls per size and at most three blocks per model.
+    low = min(n - 1, max(0, (_BLOCK_ELEMENTS >> 2).bit_length() - 1))
+    below = _member_counts(low)
+    lows = [np.flatnonzero(below == c).astype(np.int32) for c in range(low + 1)]
+    parts = min(parts, n - 1)  # a part for every size at most
+    plan = [[] for _ in range(parts)]  # sizes s and n - 1 - s have as many rows
+    for size in sorted(range(1, n), key=counts.__getitem__, reverse=True):
+        min(plan, key=lambda sizes: sum(counts[s] for s in sizes)).append(size)
+    most = counts[(n - 1) // 2]
+    block = min(most, 1 << low)
+    masks, slabs = np.empty((parts, most), np.int32), np.empty((parts, most, t))
+    indices = np.empty((parts, block), np.intp)  # np.take copies any other index
+    without = np.empty((parts, block, t))
+    mean, m2, sums = np.empty((3, n, n - 1, t))
 
     def read(part):
-        sums = buffers[part]
-        for i in range(part, n, parts):
-            above = -1 << i  # bits i and up of a mask
-            for k, size in enumerate(range(1, n)):
-                pick = picks[size] if size < stored else picks[n - 1 - size][::-1]
-                rows = indices[part, : len(pick)]
-                np.bitwise_and(pick, above, out=rows)
-                rows += pick
-                if size >= stored:
-                    np.subtract((half - 1) + ((half - 1) & above), rows, out=rows)
-                without, grouped = slabs[part, :, : len(rows)]
-                # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
-                np.take(scores, rows, axis=0, out=without, mode="clip")
-                np.take(scores[1 << i :], rows, axis=0, out=grouped, mode="clip")
-                grouped -= without
-                # reduceat sums the rows in order; a reduce over (N, 1) would sum pairwise
-                np.add.reduceat(grouped, [0], axis=0, out=sums[k, None])
-                np.divide(sums[k], len(rows), out=mean[i, k])
+        for size in plan[part]:
+            k, listed, at = size - 1, masks[part, : counts[size]], 0
+            for high in range(0, 1 << (n - 1), 1 << low):
+                c = size - high.bit_count()
+                if 0 <= c <= low:
+                    at += len(np.add(lows[c], high, out=listed[at : at + len(lows[c])]))
+            grouped = slabs[part, : len(listed)]
+            for i in range(n):
+                above = -1 << i  # bits i and up of a mask
+                for b in range(0, len(listed), block):
+                    pick = listed[b : b + block]
+                    rows = np.bitwise_and(pick, above, out=indices[part, : len(pick)])
+                    rows += pick
+                    lacking, having = without[part, : len(rows)], grouped[b : b + len(rows)]
+                    # "clip" writes straight into ``out``, which "raise" would buffer; no index clips
+                    np.take(scores, rows, axis=0, out=lacking, mode="clip")
+                    np.take(scores[1 << i :], rows, axis=0, out=having, mode="clip")
+                    having -= lacking
+                # reduceat adds the first row to numpy's pairwise sum of the rest, whatever T is
+                np.add.reduceat(grouped, [0], axis=0, out=sums[i, k, None])
+                np.divide(sums[i, k], len(listed), out=mean[i, k])
                 grouped -= mean[i, k]
                 grouped *= grouped
                 np.add.reduceat(grouped, [0], axis=0, out=m2[i, k, None])
-            # accumulate pins the ascending size order at every batch width, as above
-            mos[i] = np.add.accumulate(mean[i], axis=0)[-1] / (n - 1)
-            total[i] = np.add.accumulate(sums, axis=0)[-1]
 
     spread(read, parts)
+    # accumulate adds the sizes one by one in ascending order, whatever T is
+    mos = np.add.accumulate(mean, axis=1)[:, -1] / (n - 1)
+    total = np.add.accumulate(sums, axis=1)[:, -1]
     full = (1 << n) - 1
     lomo = scores[full] - scores[full ^ (1 << np.arange(n))]
-    phi = mos if scheme is WeightScheme.PERMUTATION else total / (half - 1)
+    phi = mos if scheme is WeightScheme.PERMUTATION else total / ((1 << (n - 1)) - 1)
     return phi, lomo, mos, mean, m2
 
 
@@ -478,8 +472,6 @@ def compute_importance(
     for n in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma, kept resident
         # Per task, the largest array of a batch (see the module docstring).
         widest = (n + 1) * width if algorithm is Algorithm.LOMO else max(1 << n, n * width)
-        if algorithm is Algorithm.LASOMO:
-            _size_table(n)  # built once, before the workers that share it start
         group, step = np.flatnonzero(sizes == n), max(1, _BLOCK_ELEMENTS // widest)
         rows = np.nonzero(panel.present[:, group].T)[1].reshape(-1, n).T  # ascending per task
         split = algorithm is Algorithm.LASOMO and 1 << n > _BLOCK_ELEMENTS  # one task per job

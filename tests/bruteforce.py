@@ -155,9 +155,11 @@ def table_readouts(scores, scheme):
     first, as one (2^(n-1), T) array: the strided difference of the two
     halves of the view (2^(n-1-i), 2, 2^i, T), indexed by the mask with bit
     i squeezed out. Each size's contributions are then gathered from it by a
-    stable sort of the masks by member count, so they sum in ascending mask
-    order, the sizes in ascending order. The package gathers the same values
-    from the table itself, so the two agree bit for bit.
+    stable sort of the masks by member count, so they reach ``reduceat`` in
+    ascending mask order; it adds the first row to numpy's pairwise sum of the
+    rest, not the rows left to right. The per-size values are accumulated in
+    ascending size order. The package gathers the same values from the table
+    itself, so the two agree bit for bit.
     """
     n, t = len(scores).bit_length() - 1, scores.shape[1]
     half = 1 << (n - 1)

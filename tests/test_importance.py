@@ -450,15 +450,11 @@ class TestBatchesByPoolSize:
         # (pool size, batch width): sizes ascending, every task of a size in one batch
         assert calls == {"_subset_scores": [(3, 8), (4, 2)], "lomo_kernel": [(3, 8), (4, 2)]}
 
-    def test_each_pool_size_builds_one_read_only_size_table(self, rng):
+    def test_jobs_on_more_workers_than_cores_give_the_one_worker_bits(self, rng):
         """One job per task on more workers than cores, switching threads
-        every microsecond: each pool size's table is built once, before the
-        jobs, and the cells are the one-worker cells bit for bit."""
+        every microsecond: the cells are the one-worker cells bit for bit."""
         tasks = from_pools(self.pools(rng))
         want = compute_importance(tasks, Metric.WIS, Algorithm.LASOMO, n_workers=1)
-        importance._size_table.cache_clear()
-        compute_importance(tasks, Metric.WIS, Algorithm.LOMO, n_workers=2)
-        assert importance._size_table.cache_info().misses == 0
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -466,14 +462,7 @@ class TestBatchesByPoolSize:
                 got = compute_importance(tasks, Metric.WIS, Algorithm.LASOMO, n_workers=4)
         finally:
             sys.setswitchinterval(interval)
-        assert importance._size_table.cache_info().misses == 2  # pool sizes 3 and 4
-        for n in (3, 4):  # an int32 mask per mask below 2^(n-1) of at most (n - 1) // 2 members
-            order = importance._size_table(n)
-            assert order.dtype == np.int32
-            assert len(order) == sum(math.comb(n - 1, s) for s in range((n - 1) // 2 + 1))
         assert_same_outputs(got, want)
-        with pytest.raises(ValueError, match="read-only"):
-            importance._size_table(4)[0] = 1
 
     @pytest.mark.parametrize("metric", list(Metric))
     def test_cells_equal_those_of_each_task_alone(self, rng, metric):
@@ -553,7 +542,7 @@ class TestStreamedSubsetTable:
         y[-1] = values[-1, -1].flat[rng.integers(values[-1, -1].size)]
         values[0] = -0.0
         y[0] = 0.0
-        want_scores, want_sizes = bf.subset_scores(values, levels and levels.levels, y)
+        want_scores, _ = bf.subset_scores(values, levels and levels.levels, y)
         # Slices of one subset up to half the table, some not powers of two,
         # walked whole or by three parts, each taking every third slice.
         budgets = [t << low for low in range(n + 1)] + [3 * t, 5 * t + 1]
@@ -561,11 +550,6 @@ class TestStreamedSubsetTable:
             with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
                 scores = importance._subset_scores(values, levels, y, parts)
             assert scores.tobytes() == want_scores.tobytes(), (budget, parts)
-        # The stored masks: those below 2^(n-1) of at most (n - 1) // 2 members,
-        # by size, then ascending.
-        by_size = np.argsort(want_sizes[: 1 << (n - 1)], kind="stable")
-        stored = by_size[want_sizes[by_size] <= (n - 1) // 2]
-        assert np.array_equal(importance._size_table(n), stored)
 
     @pytest.mark.parametrize("parts", [1, 2])
     def test_peak_memory_follows_the_planned_blocks(self, parts):
@@ -575,56 +559,67 @@ class TestStreamedSubsetTable:
         y = rng.normal(size=t)
         block = 8 * importance._BLOCK_ELEMENTS
         table = 8 * (t << n)
-        # The shared size order: an int32 mask per mask of the lower half with
-        # at most (n - 1) // 2 members, built once per pool size before any job.
-        size_bound = 4 * sum(math.comb(n - 1, s) for s in range((n - 1) // 2 + 1))
         # The walk holds the score table and, across its parts, three slice
         # buffers within one block each (the level's low sums, the slice's sums
         # and the scoring slab) and the uint8 member counts of the low masks and
         # of each part's slice, plus the members and numpy's buffers, under a
         # quarter of a block each.
         walk_bound = table + 3 * block + block // 2
-        # The readouts hold the table and, per part, two slabs of the largest
-        # size's rows, T values each, and an intp index per row, plus their
-        # (n, n - 1, T) outputs and numpy's buffers, under a quarter of a block.
-        slab_rows = math.comb(n - 1, n // 2)
-        readout_bound = parts * 8 * (2 * t + 1) * slab_rows + block // 4
-        importance._size_table.cache_clear()
+        # The readouts hold the table and, per part, the int32 masks of the
+        # largest size, one slab of its rows, T values each, and one block of
+        # 2^15 masks' intp row index and rows, T values each; the parts share
+        # the low 15 bits' int32 masks and uint8 member counts. Their
+        # (n, n - 1, T) outputs and numpy's buffers stay under a quarter of a block.
+        rows = math.comb(n - 1, n // 2)
+        per_part = (4 + 8 * t) * rows + (8 + 8 * t) * min(rows, 1 << 15)
+        readout_bound = parts * per_part + 5 * (1 << 15) + block // 4
         tracemalloc.start()
         try:
-            importance._size_table(n)
-            size_table = tracemalloc.get_traced_memory()[0]
             with ThreadPoolExecutor(parts) as ex:
                 def spread(part, parts):
                     list(ex.map(part, range(parts)))
 
                 tracemalloc.reset_peak()
                 scores = importance._subset_scores(values, CANONICAL_LEVELS, y, parts, spread)
-                walk_peak = tracemalloc.get_traced_memory()[1] - size_table
+                walk_peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0] - size_table
+                base = tracemalloc.get_traced_memory()[0]
                 importance._table_readouts(scores, WeightScheme.PERMUTATION, parts, spread)
-                readout_peak = tracemalloc.get_traced_memory()[1] - size_table - base
+                readout_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert importance._size_table(n).nbytes == size_bound
-        assert size_table < size_bound + 4096
         assert walk_peak < walk_bound
         assert readout_peak < readout_bound
-        # Two parts' readout slabs are the job's peak, one part's slice buffers are
+        # Two parts' readout arrays are still the job's peak, by 0.1 MiB; one part's slice buffers are
         assert (base + readout_peak > walk_peak) == (parts == 2)
+
+    @pytest.mark.parametrize("scheme", list(WeightScheme))
+    def test_readouts_do_not_depend_on_the_batch_width(self, scheme):
+        """A (2^13, 5) table's readouts are each column's own readouts, bit
+        for bit: the middle sizes' 924 contributions run past numpy's
+        128-value pairwise block, so a reduction whose order followed the
+        batch width would show here."""
+        n, t = 13, 5
+        rng = np.random.default_rng(13)
+        # Mixed magnitudes make the summation order show in the low bits.
+        scores = rng.normal(size=(1 << n, t)) * 10.0 ** rng.integers(-3, 4, size=(1 << n, t))
+        scores[0] = np.nan
+        batch = importance._table_readouts(scores, scheme)
+        for j in range(t):
+            alone = importance._table_readouts(scores[:, j : j + 1].copy(), scheme)
+            for name, a, b in zip(("phi", "lomo", "mos", "mean", "m2"), batch, alone):
+                assert a[..., j].tobytes() == b[..., 0].tobytes(), (j, name)
 
     @staticmethod
     def peak_at_the_cap(t, workers):
         """The ``tracemalloc`` peak of ``compute_importance`` on t 20-model
-        tasks, the size table prebuilt."""
+        tasks."""
         n, k = 20, len(CANONICAL_LEVELS)
         rng = np.random.default_rng(3)
         forecasts = Panel(tuple(f"m{i:02d}" for i in range(n)), tuple(task_key(j) for j in range(t)),
                           np.sort(rng.normal(size=(n, t, k)), axis=-1), np.ones((n, t), dtype=bool),
                           CANONICAL_LEVELS)
         tasks = TaskPanel(forecasts, rng.normal(size=t))
-        importance._size_table(n)
         tracemalloc.start()
         try:
             compute_importance(tasks, Metric.WIS, Algorithm.LASOMO, n_workers=workers)
@@ -634,21 +629,65 @@ class TestStreamedSubsetTable:
 
     def test_two_tasks_at_the_cap_hold_one_table_at_a_time(self):
         """Two 20-model tasks on two workers: their 8 MB tables, one at a time,
-        each with its two parts' buffers, peak under 2.5 tables (12.4 MiB),
+        each with its two parts' buffers, peak under 2.5 tables (11.5 MiB),
         where one table per worker with its working arrays peaked at 28.2 MiB."""
         assert self.peak_at_the_cap(2, 2) < 20 * 2**20
 
     def test_two_tasks_at_the_cap_peak_under_14_mib(self):
-        """The same two tasks: one table at a time, two parts' readout slabs
-        gathered straight from it (2.2 MB each), 12.4 MiB; two half-table
+        """The same two tasks: one table at a time, two parts' readout arrays
+        gathered straight from it (1.6 MB each), 11.5 MiB; two half-table
         difference arrays beside them peaked at 18.9 MiB."""
         assert self.peak_at_the_cap(2, 2) < 14 * 2**20
+
+    def test_two_tasks_at_the_cap_peak_under_12_mib(self):
+        """The same two tasks, nothing built before the call: 11.5 MiB, where
+        two parts' two slabs and intp index (2.2 MB each) and the process-wide
+        order of masks by size (1 MiB) peaked at 13.5 MiB."""
+        assert self.peak_at_the_cap(2, 2) < 12 * 2**20
+
+    def test_nothing_outlives_a_call_at_the_cap(self):
+        """Once ``compute_importance`` returns and its result is dropped, traced
+        memory is within 64 KiB of where it started: no pool size leaves a
+        cache behind, where an order of masks by size kept 1 MiB at n = 20.
+
+        A fresh interpreter, so that no earlier call has filled a cache, warms
+        up on a 2-model task and then prints what a 20-model task leaves."""
+        script = textwrap.dedent("""
+        import gc, tracemalloc
+        from datetime import date
+        import numpy as np
+        from ensimp.dataio import Panel, TaskKey, TaskPanel
+        from ensimp.importance import Algorithm, compute_importance
+        from ensimp.scoring import CANONICAL_LEVELS, Metric
+
+        def tasks(n):
+            rng = np.random.default_rng(3)
+            key = TaskKey(date(2021, 11, 6), "25", 1, date(2021, 11, 13))
+            values = np.sort(rng.normal(size=(n, 1, len(CANONICAL_LEVELS))), axis=-1)
+            forecasts = Panel(tuple(f"m{i:02d}" for i in range(n)), (key,), values,
+                              np.ones((n, 1), dtype=bool), CANONICAL_LEVELS)
+            return TaskPanel(forecasts, rng.normal(size=1))
+
+        compute_importance(tasks(2), Metric.WIS, Algorithm.LASOMO, n_workers=2)
+        wide = tasks(20)
+        gc.collect()  # numpy leaves small cycles; count only what outlives the call
+        tracemalloc.start()
+        start = tracemalloc.get_traced_memory()[0]
+        compute_importance(wide, Metric.WIS, Algorithm.LASOMO, n_workers=2)
+        gc.collect()
+        print(tracemalloc.get_traced_memory()[0] - start)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(importance.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2**16
 
     def test_a_lone_task_at_the_cap_is_not_split(self):
         """One 20-model task peaks no higher at 4 workers than at 1 (11.3 MiB):
         a table is cut into no more parts than there are tables, so the parts'
         arrays never outgrow those of one table per worker. Four parts would
-        add three parts' 2.2 MB of readout arrays; the slack covers the pool's
+        add three parts' 1.6 MB of readout arrays; the slack covers the pool's
         bookkeeping."""
         assert self.peak_at_the_cap(1, 4) <= self.peak_at_the_cap(1, 1) + 2**16
 

@@ -72,9 +72,10 @@ def panels(draw, max_models=5, max_tasks=6):
 @given(t=st.sampled_from((1, 3)), scheme=scheme, parts=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_table_readouts_equal_the_difference_array_oracle(n, t, scheme, parts, seed):
-    """Every readout, gathered from the table by the stored half of the size
-    order and its complements, has the bits of the difference-array reading,
-    at even and odd n - 1, so with and without a self-complementary size."""
+    """Every readout, gathered from the table by each size's listed masks
+    with the sizes split among the parts, has the bits of the
+    difference-array reading, at even and odd n - 1, so with one middle size
+    and with two."""
     rng = np.random.default_rng(seed)
     # Mixed magnitudes make the summation order show in the low bits.
     scores = rng.normal(size=(1 << n, t)) * 10.0 ** rng.integers(-3, 4, size=(1 << n, t))
@@ -88,6 +89,24 @@ def test_table_readouts_equal_the_difference_array_oracle(n, t, scheme, parts, s
     want = bf.table_readouts(scores, scheme)
     for name, a, b in zip(("phi", "lomo", "mos", "mean", "m2"), got, want):
         assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("n, budget", [(5, 1), (9, 1), (9, 12), (12, 12)])
+def test_table_readouts_in_small_blocks_equal_the_oracle(n, budget):
+    """Budgets of one and twelve values list each size's masks and gather its
+    rows one or two at a time, through many listing calls and blocks, as the
+    default budget does at 17 to 20 models; every readout keeps the bits of
+    the difference-array reading at 1 to 3 parts. Fixed inputs, not drawn
+    ones: shrinking a failure at these budgets would take minutes."""
+    rng = np.random.default_rng(n)
+    scores = rng.normal(size=(1 << n, 3)) * 10.0 ** rng.integers(-3, 4, size=(1 << n, 3))
+    scores[0] = np.nan
+    want = bf.table_readouts(scores, WeightScheme.EQUAL)  # phi from the sums, mos from the means
+    for parts in (1, 2, 3):
+        with mock.patch.object(importance, "_BLOCK_ELEMENTS", budget):
+            got = importance._table_readouts(scores, WeightScheme.EQUAL, parts)
+        for name, a, b in zip(("phi", "lomo", "mos", "mean", "m2"), got, want):
+            assert a.tobytes() == b.tobytes(), (parts, name)
 
 
 @FEW
